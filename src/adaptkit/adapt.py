@@ -8,7 +8,7 @@ which is intended -- it happens even at lr=0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .data import UnlabeledView
 from .errors import ConfigError, NumericalError
 from .layers import Network
 from .losses import (diversity_loss, diversity_loss_grad, entropy_loss,
-                     entropy_loss_grad, infomax_loss, softmax)
+                     entropy_loss_grad, softmax)
 from .optim import SGD
 from .source import minibatches
 
@@ -32,7 +32,6 @@ class AdaptConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     update_set: str = "representation_all"
-    global_diversity: bool = False  # dataset-wide marginal instead of per-batch
 
     def validate(self) -> "AdaptConfig":
         if self.lr < 0:
@@ -53,13 +52,7 @@ class AdaptReport:
     aborted: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "param_delta_norm": self.param_delta_norm,
-            "classifier_fingerprint_before": self.classifier_fingerprint_before,
-            "classifier_fingerprint_after": self.classifier_fingerprint_after,
-            "aborted": self.aborted,
-        }
+        return asdict(self)
 
 
 def partition_parameters(net: Network, update_set: str):
@@ -96,24 +89,9 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
             for idx in batches:
                 logits, caches = net.forward(target.features[idx], record=True)
                 probs = softmax(logits)
-                dlogits = entropy_loss_grad(probs)
-                if cfg.global_diversity:
-                    mode = net.mode
-                    net.eval()
-                    all_probs = softmax(net.forward(target.features))
-                    net.mode = mode
-                    # gradient of -H(global marginal) w.r.t. this batch's logits
-                    pbar = all_probs.mean(axis=0)
-                    g = np.log(np.maximum(pbar, 1e-12)) + 1.0
-                    w = len(idx) / len(target)
-                    dlogits = dlogits + w * probs * (
-                        g - (probs * g).sum(axis=1, keepdims=True)) / len(idx)
-                    div = float((pbar * np.log(np.maximum(pbar, 1e-12))).sum())
-                else:
-                    dlogits = dlogits + diversity_loss_grad(probs)
-                    div = diversity_loss(probs).scalar
+                dlogits = entropy_loss_grad(probs) + diversity_loss_grad(probs)
                 ent_vals.append(entropy_loss(probs).scalar)
-                div_vals.append(div)
+                div_vals.append(diversity_loss(probs).scalar)
                 net.zero_grad()
                 net.backward(caches, dlogits)
                 opt.step()

@@ -9,11 +9,13 @@ round trip bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .data import _is_count
 from .errors import StorageError
 from .layers import ArchSpec, Network, build_network
 from .tensor import Tensor
@@ -22,15 +24,15 @@ MAGIC = b"OTAC"
 VERSION = 1
 
 
-def _write(path, arch: ArchSpec, tensors: list[Tensor], meta: dict) -> None:
+def _write(path, arch: ArchSpec, tensors: list[tuple[str, np.ndarray]], meta: dict) -> None:
     entries = []
     offset = 0
     blobs = []
-    for t in tensors:
-        if not t.name:
+    for name, data in tensors:
+        if not name:
             raise StorageError("cannot checkpoint an unnamed tensor")
-        entries.append({"name": t.name, "shape": list(t.shape), "offset": offset})
-        raw = t.data.astype("<f8").tobytes()
+        entries.append({"name": name, "shape": list(data.shape), "offset": offset})
+        raw = data.astype("<f8").tobytes()
         blobs.append(raw)
         offset += len(raw)
     header = {
@@ -51,7 +53,7 @@ def _write(path, arch: ArchSpec, tensors: list[Tensor], meta: dict) -> None:
         raise StorageError(f"cannot write checkpoint {path}: {e}") from e
 
 
-def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
+def _read(path) -> tuple[ArchSpec, dict, dict[str, np.ndarray]]:
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -65,17 +67,25 @@ def _read(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise StorageError(f"{path}: corrupt checkpoint header: {e}") from e
+    try:
+        arch = ArchSpec.from_dict(header["arch"])
+        entries = list(header["tensors"])
+        if not all(isinstance(e["name"], str) and _is_count(e["offset"])
+                   and all(_is_count(v) for v in e["shape"]) for e in entries):
+            raise StorageError(f"{path}: tensor entries need a name, an offset and a "
+                               "shape of non-negative integers")
+    except (KeyError, TypeError, ValueError) as e:
+        raise StorageError(f"{path}: malformed checkpoint header: {e!r}") from e
     blob = raw[12 + hlen :]
     tensors = {}
-    for entry in header["tensors"]:
+    for entry in entries:
         shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
-        end = start + 8 * n
+        end = start + 8 * math.prod(shape)
         if end > len(blob):
             raise StorageError(f"{path}: truncated checkpoint data")
         tensors[entry["name"]] = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
-    return header, tensors
+    return arch, header, tensors
 
 
 def save_checkpoint(net: Network, path, rng_state: dict | None = None,
@@ -83,13 +93,12 @@ def save_checkpoint(net: Network, path, rng_state: dict | None = None,
     extra = dict(meta or {})
     if rng_state is not None:
         extra["rng_state"] = json.loads(json.dumps(rng_state, default=int))
-    _write(path, net.arch, net.all_tensors(), extra)
+    _write(path, net.arch, [(t.name, t.data) for t in net.all_tensors()], extra)
 
 
 def load_checkpoint(path, expect_arch: ArchSpec | None = None) -> tuple[Network, dict]:
     """Rebuild a Network from a checkpoint; returns (net, header)."""
-    header, tensors = _read(path)
-    arch = ArchSpec.from_dict(header["arch"])
+    arch, header, tensors = _read(path)
     if expect_arch is not None and arch != expect_arch:
         raise StorageError(
             f"architecture mismatch: checkpoint has {arch}, expected {expect_arch}"
@@ -102,16 +111,18 @@ def load_checkpoint(path, expect_arch: ArchSpec | None = None) -> tuple[Network,
     return net, header
 
 
-def save_backbone(arch: ArchSpec, tensors: list[Tensor], path, meta: dict | None = None) -> None:
+def save_backbone(arch: ArchSpec, tensors: dict[str, np.ndarray], path,
+                  meta: dict | None = None) -> None:
+    """Write representation tensors (name -> array) in sorted-name order."""
     extra = {"backbone_only": True, **(meta or {})}
-    _write(path, arch, tensors, extra)
+    _write(path, arch, sorted(tensors.items()), extra)
 
 
 def load_backbone(path) -> tuple[ArchSpec, dict[str, np.ndarray], dict]:
-    header, tensors = _read(path)
+    arch, header, tensors = _read(path)
     if not header.get("backbone_only"):
         raise StorageError(f"{path}: expected a backbone-only checkpoint")
-    return ArchSpec.from_dict(header["arch"]), tensors, header
+    return arch, tensors, header
 
 
 def _load_tensors(targets: list[Tensor], source: dict[str, np.ndarray], path) -> None:

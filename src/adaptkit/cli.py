@@ -14,23 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, harness
-from .adapt import AdaptConfig, adapt
+from .adapt import adapt
 from .data import (GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
                    generate, load_dataset, save_dataset, subsample_longtail)
-from .distill import CalibrateConfig, DistillConfig, PhaseSchedule, calibrate_classifier, distill
+from .distill import PhaseSchedule, calibrate_classifier, distill
 from .errors import ConfigError, NumericalError, StorageError
 from .layers import ArchSpec, build_network
 from .metrics import evaluate
-from .selfsup import ContrastiveConfig, InitializedStudent, pretrain
-from .source import SourceConfig, train_source
-
-
-def _load_cfg_section(path, section, cls):
-    if not path:
-        return cls()
-    d = json.loads(Path(path).read_text()) if not str(path).endswith((".yaml", ".yml")) \
-        else __import__("yaml").safe_load(Path(path).read_text())
-    return harness._subconfig(cls, d.get(section, d) if isinstance(d, dict) else {})
+from .selfsup import InitializedStudent, pretrain
+from .source import train_source
 
 
 def cmd_gen_data(args) -> int:
@@ -51,7 +43,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_source(args) -> int:
     ds = load_dataset(args.data)
-    cfg = _load_cfg_section(args.config, "source_cfg", SourceConfig)
+    cfg = harness.load_section(args.config, "source_cfg")
     arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
     rng = harness.stream(args.seed, "stage0")
     net = build_network(arch, rng)
@@ -64,7 +56,7 @@ def cmd_train_source(args) -> int:
 def cmd_adapt(args) -> int:
     net, _ = checkpoint.load_checkpoint(args.source)
     ds = load_dataset(args.target)
-    cfg = _load_cfg_section(args.config, "adapt_cfg", AdaptConfig)
+    cfg = harness.load_section(args.config, "adapt_cfg")
     net, report = adapt(net, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage1"))
     checkpoint.save_checkpoint(net, args.out)
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
@@ -77,11 +69,10 @@ def cmd_adapt(args) -> int:
 
 def cmd_pretrain(args) -> int:
     ds = load_dataset(args.target)
-    cfg = _load_cfg_section(args.config, "contrastive_cfg", ContrastiveConfig)
+    cfg = harness.load_section(args.config, "contrastive_cfg")
     arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
     student = pretrain(arch, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage2"))
-    checkpoint.save_backbone(arch, [harness._named(n, a) for n, a in
-                                    sorted(student.tensors.items())], args.out)
+    checkpoint.save_backbone(arch, student.tensors, args.out)
     first, last = student.loss_history[0]["infonce"], student.loss_history[-1]["infonce"]
     print(f"wrote {args.out}: infonce {first:.4f} -> {last:.4f}")
     return 0
@@ -90,7 +81,7 @@ def cmd_pretrain(args) -> int:
 def cmd_distill(args) -> int:
     teacher, _ = checkpoint.load_checkpoint(args.teacher)
     ds = load_dataset(args.target)
-    cfg = _load_cfg_section(args.config, "distill_cfg", DistillConfig)
+    cfg = harness.load_section(args.config, "distill_cfg")
     cfg.schedule = PhaseSchedule(args.phases, args.epochs_per_phase,
                                  args.soft_interleave, args.soft_epochs)
     if args.student_init:
@@ -112,7 +103,7 @@ def cmd_distill(args) -> int:
 def cmd_calibrate(args) -> int:
     net, _ = checkpoint.load_checkpoint(args.model)
     ds = load_dataset(args.target)
-    cfg = _load_cfg_section(args.config, "calibrate_cfg", CalibrateConfig)
+    cfg = harness.load_section(args.config, "calibrate_cfg")
     scale, net = calibrate_classifier(net, ds.unlabeled_view(), cfg,
                                       harness.stream(args.seed, "calibrate"))
     checkpoint.save_checkpoint(net, args.out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from math import ceil, cos, pi, sin
 from pathlib import Path
 
@@ -43,13 +43,6 @@ class GeneratorSpec:
             raise ConfigError("need at least 1 sample per class")
         return self
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorSpec":
-        return GeneratorSpec(**d)
-
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -61,9 +54,6 @@ class ShiftSpec:
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
         return self
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "magnitude": self.magnitude, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -295,10 +285,10 @@ def save_dataset(ds: Dataset, path) -> None:
         "d": ds.dim,
         "c": ds.num_classes,
         "domain_tag": ds.domain_tag,
-        "shift": ds.shift.to_dict() if ds.shift else None,
+        "shift": asdict(ds.shift) if ds.shift else None,
         "class_counts": [int(v) for v in ds.class_counts] if ds.labels is not None else None,
         "has_labels": ds.labels is not None,
-        "generator": ds.spec.to_dict(),
+        "generator": asdict(ds.spec),
         "bucket_thresholds": list(ds.bucket_thresholds) if ds.bucket_thresholds else None,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -325,20 +315,30 @@ def load_dataset(path) -> Dataset:
         header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise StorageError(f"{path}: corrupt dataset header: {e}") from e
-    n, d = header["n"], header["d"]
+    try:
+        n, d, has_labels = header["n"], header["d"], header["has_labels"]
+        shift = ShiftSpec(**header["shift"]) if header.get("shift") else None
+        spec = GeneratorSpec(**header["generator"])
+        c, tag, bt = header["c"], header["domain_tag"], header.get("bucket_thresholds")
+    except (KeyError, TypeError) as e:
+        raise StorageError(f"{path}: malformed dataset header: {e!r}") from e
+    if not (_is_count(n) and _is_count(d) and isinstance(has_labels, bool)):
+        raise StorageError(f"{path}: dataset header needs non-negative integers n and d "
+                           "and a boolean has_labels")
     start = 4 + hlen
     feat_bytes = 8 * n * d
     if len(raw) < start + feat_bytes:
         raise StorageError(f"{path}: truncated feature block")
     features = np.frombuffer(raw[start : start + feat_bytes], dtype="<f8").reshape(n, d).copy()
     labels = None
-    if header["has_labels"]:
+    if has_labels:
         lab_start = start + feat_bytes
         if len(raw) < lab_start + 4 * n:
             raise StorageError(f"{path}: truncated label block")
         labels = np.frombuffer(raw[lab_start : lab_start + 4 * n], dtype="<u4").astype(np.int64)
-    shift = ShiftSpec(**header["shift"]) if header.get("shift") else None
-    bt = header.get("bucket_thresholds")
-    return Dataset(features, labels, header["c"], header["domain_tag"],
-                   GeneratorSpec.from_dict(header["generator"]), shift=shift,
+    return Dataset(features, labels, c, tag, spec, shift=shift,
                    bucket_thresholds=tuple(bt) if bt else None)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0

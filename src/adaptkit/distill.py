@@ -17,8 +17,7 @@ import numpy as np
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError, NumericalError
 from .layers import ArchSpec, Network
-from .losses import (cross_entropy, cross_entropy_grad, kl_soft_loss,
-                     kl_soft_loss_grad, softmax)
+from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
 from .optim import SGD, Schedule
 from .selfsup import InitializedStudent, backbone_fingerprint, make_student
 from .source import minibatches

@@ -9,11 +9,8 @@ separate timings.json that is excluded from determinism guarantees.
 from __future__ import annotations
 
 import csv
-import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -22,11 +19,10 @@ import numpy as np
 from . import checkpoint
 from .adapt import AdaptConfig, adapt
 from .data import (AugmentationPolicy, Dataset, GeneratorSpec, ImbalanceSpec,
-                   ShiftSpec, apply_shift, generate, load_dataset, save_dataset,
-                   subsample_longtail)
+                   ShiftSpec, apply_shift, generate, load_dataset, subsample_longtail)
 from .distill import (CalibrateConfig, DistillConfig, PhaseSchedule,
                       calibrate_classifier, distill)
-from .errors import AdaptkitError, ConfigError
+from .errors import AdaptkitError, ConfigError, StorageError
 from .layers import ArchSpec, build_network
 from .metrics import MetricsReport, evaluate
 from .selfsup import ContrastiveConfig, pretrain
@@ -51,7 +47,14 @@ def stream(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, _STREAMS[name]]))
 
 
+_SECTIONS = {"benchmark": GeneratorSpec, "shift": ShiftSpec, "source_cfg": SourceConfig,
+             "adapt_cfg": AdaptConfig, "contrastive_cfg": ContrastiveConfig,
+             "distill_cfg": DistillConfig, "calibrate_cfg": CalibrateConfig}
+
+
 def _subconfig(cls, d: dict | None):
+    if d is not None and not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
     d = dict(d or {})
     if "policy" in d and isinstance(d["policy"], dict):
         pd = dict(d["policy"])
@@ -92,6 +95,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage2 and not self.stage3:
             raise ConfigError("stage 2 output is only consumed by stage 3")
+        if bool(self.source_data) != bool(self.target_data):
+            raise ConfigError("source_data and target_data must be given together")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -100,14 +105,9 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, cls in [("benchmark", GeneratorSpec), ("shift", ShiftSpec)]:
-            if isinstance(d.get(key), dict):
-                d[key] = cls(**d[key])
-        for key, cls in [("source_cfg", SourceConfig), ("adapt_cfg", AdaptConfig),
-                         ("contrastive_cfg", ContrastiveConfig),
-                         ("distill_cfg", DistillConfig), ("calibrate_cfg", CalibrateConfig)]:
-            if key in d:
-                d[key] = _subconfig(cls, d[key]) if isinstance(d[key], dict) else d[key]
+        for key, cls in _SECTIONS.items():
+            if key in d and not isinstance(d[key], cls):
+                d[key] = _subconfig(cls, d[key])
         for key in ("teacher_hidden", "student_hidden", "seeds"):
             if key in d:
                 d[key] = tuple(d[key])
@@ -115,8 +115,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         def conv(v):
-            if hasattr(v, "to_dict"):
-                return v.to_dict()
             if hasattr(v, "__dataclass_fields__"):
                 return {k: conv(getattr(v, k)) for k in v.__dataclass_fields__}
             if isinstance(v, tuple):
@@ -130,14 +128,35 @@ class ExperimentConfig:
         return "source-only" if not on else "stage" + "+".join(on)
 
 
-def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
+def _read_mapping(path) -> dict:
+    """Parse a JSON or (by suffix) YAML config file whose top level is a mapping."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise StorageError(f"cannot read config {path}: {e}") from e
     if str(path).endswith((".yaml", ".yml")):
         import yaml
-        d = yaml.safe_load(text)
+        parse, parse_error = yaml.safe_load, yaml.YAMLError
     else:
-        d = json.loads(text)
-    return ExperimentConfig.from_dict(d)
+        parse, parse_error = json.loads, json.JSONDecodeError
+    try:
+        d = parse(text)
+    except parse_error as e:
+        raise ConfigError(f"{path}: cannot parse config: {e}") from e
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: top level must be a mapping, got {type(d).__name__}")
+    return d
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(_read_mapping(path))
+
+
+def load_section(path, key: str):
+    """One sub-config (a key of _SECTIONS) from a config file holding either a
+    full experiment config or just that section; defaults when path is None."""
+    d = _read_mapping(path) if path else {}
+    return _subconfig(_SECTIONS[key], d.get(key, d))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +164,7 @@ def load_config(path) -> ExperimentConfig:
 
 def make_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     """Build (or load) the source and target datasets for one master seed."""
-    if cfg.source_data and cfg.target_data:
+    if cfg.source_data:
         return load_dataset(cfg.source_data), load_dataset(cfg.target_data)
     spec = replace(cfg.benchmark, seed=stream_seed(seed, "source_data"))
     src = generate(spec)
@@ -191,9 +210,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
     if cfg.stage2:
         student_arch = ArchSpec(src.dim, cfg.student_hidden, src.num_classes)
         pretrained = pretrain(student_arch, view, cfg.contrastive_cfg, stream(seed, "stage2"))
-        checkpoint.save_backbone(student_arch,
-                                 [_named(n, a) for n, a in sorted(pretrained.tensors.items())],
-                                 outdir / "backbone.ckpt")
+        checkpoint.save_backbone(student_arch, pretrained.tensors, outdir / "backbone.ckpt")
         report["contrastive"] = {"loss_history": pretrained.loss_history}
 
     if cfg.stage3:
@@ -215,11 +232,6 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
 
     _write_report_files(report, outdir)
     return report
-
-
-def _named(name, arr):
-    from .tensor import Tensor
-    return Tensor(arr, name=name)
 
 
 def _write_report_files(report: dict, outdir: Path) -> None:
@@ -244,13 +256,12 @@ def _write_report_files(report: dict, outdir: Path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run every seed (parallelism capped by OTA_THREADS) and summarize."""
+    """Run every seed, one after another, and summarize."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = max(1, int(os.environ.get("OTA_THREADS", "1")))
     timings = {}
-
-    def one(seed: int) -> dict:
+    reports = []
+    for seed in cfg.seeds:
         t0 = perf_counter()
         try:
             rep = run_seed(cfg, seed, outdir / f"seed_{seed}")
@@ -261,13 +272,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             (outdir / f"seed_{seed}" / "report.json").write_text(
                 json.dumps(rep, sort_keys=True, indent=2) + "\n")
         timings[seed] = perf_counter() - t0
-        return rep
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, cfg.seeds))
-    else:
-        reports = [one(s) for s in cfg.seeds]
+        reports.append(rep)
 
     summary = summarize(reports)
     summary["config"] = cfg.to_dict()

@@ -8,7 +8,7 @@ classifier while updating the features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class Dense:
 
     def parameters(self):
         return [self.weight, self.bias]
+
+    def copy(self) -> "Dense":
+        new = Dense.__new__(Dense)
+        new.weight = self.weight.copy()
+        new.bias = self.bias.copy()
+        return new
 
     def forward(self, x: np.ndarray, train: bool):
         if x.shape[1] != self.in_dim:
@@ -71,6 +77,14 @@ class BatchNorm:
     def state_tensors(self):
         return [self.running_mean, self.running_var]
 
+    def copy(self) -> "BatchNorm":
+        new = BatchNorm.__new__(BatchNorm)
+        new.gamma = self.gamma.copy()
+        new.beta = self.beta.copy()
+        new.running_mean = self.running_mean.copy()
+        new.running_var = self.running_var.copy()
+        return new
+
     def forward(self, x: np.ndarray, train: bool):
         if train:
             if x.shape[0] < 2:
@@ -94,7 +108,6 @@ class BatchNorm:
         dxhat = dy * self.gamma.data
         if train:
             # Batch statistics participate in the forward pass.
-            b = xhat.shape[0]
             dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv_std
             return dx
         return dxhat * inv_std
@@ -106,12 +119,34 @@ class ReLU:
     def parameters(self):
         return []
 
+    def copy(self) -> "ReLU":
+        return ReLU()
+
     def forward(self, x: np.ndarray, train: bool):
         mask = x > 0
         return x * mask, mask
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         return dy * cache
+
+
+def forward_layers(layers: list, x: np.ndarray, train: bool) -> tuple[np.ndarray, list]:
+    """Run x through the layers in order; returns the output and the backprop cache."""
+    caches = []
+    for layer in layers:
+        x, cache = layer.forward(x, train)
+        caches.append(cache)
+    return x, caches
+
+
+def backward_layers(layers: list, caches: list, dy: np.ndarray) -> np.ndarray:
+    """Accumulate parameter grads in reverse layer order; returns the input gradient."""
+    if len(caches) != len(layers):
+        raise ConfigError("backward called with a cache that does not match the forward pass")
+    dy = np.asarray(dy, dtype=np.float64)
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.backward(cache, dy)
+    return dy
 
 
 @dataclass(frozen=True)
@@ -192,9 +227,6 @@ class Network:
     def all_tensors(self) -> list[Tensor]:
         return self.parameters() + self.state_tensors()
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
@@ -203,71 +235,36 @@ class Network:
         return fingerprint_all(self.classifier_parameters())
 
     # -- forward / backward ----------------------------------------------
-    def forward(self, batch: np.ndarray, record: bool = False):
-        """Run the stack; with record=True also return the backprop cache."""
+    def _forward(self, layers: list, batch: np.ndarray, record: bool, what: str):
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError(f"expected a 2-d batch, got shape {x.shape}")
         if x.shape[0] < 1:
             raise ShapeError("empty batch")
-        train = self.mode == "train"
-        caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x, train)
-            caches.append(cache)
-        check_finite(x, "network output")
-        if record:
-            return x, caches
-        return x
+        x, caches = forward_layers(layers, x, self.mode == "train")
+        check_finite(x, what)
+        return (x, caches) if record else x
+
+    def forward(self, batch: np.ndarray, record: bool = False):
+        """Run the stack; with record=True also return the backprop cache."""
+        return self._forward(self.layers, batch, record, "network output")
 
     def forward_features(self, batch: np.ndarray, record: bool = False):
         """Forward through the representation layers only (no classifier)."""
-        x = np.asarray(batch, dtype=np.float64)
-        train = self.mode == "train"
-        caches = []
-        for layer in self.layers[: self.classifier_index]:
-            x, cache = layer.forward(x, train)
-            caches.append(cache)
-        check_finite(x, "feature output")
-        if record:
-            return x, caches
-        return x
+        return self._forward(self.layers[: self.classifier_index], batch, record,
+                             "feature output")
 
-    def backward(self, caches: list, dout: np.ndarray, layers=None) -> np.ndarray:
+    def backward(self, caches: list, dout: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads from an upstream gradient; returns dx."""
-        layers = self.layers if layers is None else layers
-        if len(caches) != len(layers):
-            raise ConfigError("backward called with a cache that does not match the forward pass")
-        dx = np.asarray(dout, dtype=np.float64)
-        for layer, cache in zip(reversed(layers), reversed(caches)):
-            dx = layer.backward(cache, dx)
-        return dx
+        return backward_layers(self.layers, caches, dout)
 
     def backward_features(self, caches: list, dout: np.ndarray) -> np.ndarray:
-        return self.backward(caches, dout, layers=self.layers[: self.classifier_index])
+        return backward_layers(self.layers[: self.classifier_index], caches, dout)
 
     def copy(self) -> "Network":
-        net = Network([_copy_layer(l) for l in self.layers], self.arch)
+        net = Network([layer.copy() for layer in self.layers], self.arch)
         net.mode = self.mode
         return net
-
-
-def _copy_layer(layer):
-    if layer.kind == "dense":
-        new = Dense.__new__(Dense)
-        new.weight = layer.weight.copy()
-        new.bias = layer.bias.copy()
-        return new
-    if layer.kind == "batchnorm":
-        new = BatchNorm.__new__(BatchNorm)
-        new.gamma = layer.gamma.copy()
-        new.beta = layer.beta.copy()
-        new.running_mean = layer.running_mean.copy()
-        new.running_var = layer.running_var.copy()
-        return new
-    if layer.kind == "relu":
-        return ReLU()
-    raise ConfigError(f"unknown layer kind {layer.kind!r}")
 
 
 def build_network(arch: ArchSpec, rng: np.random.Generator) -> Network:

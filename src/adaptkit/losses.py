@@ -8,7 +8,7 @@ returned LossValue is flagged instead of silently swallowing the issue.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

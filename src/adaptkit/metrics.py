@@ -3,7 +3,7 @@ many/medium/few shot buckets when imbalance metadata is available.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError, NumericalError
-from .layers import ArchSpec, Dense, Network, ReLU, build_network
+from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
+                     forward_layers)
 from .losses import infonce_loss, infonce_loss_grad
 from .optim import SGD
 from .source import minibatches
@@ -57,29 +58,6 @@ def _backbone_snapshot(net: Network) -> dict[str, np.ndarray]:
     return out
 
 
-class _ProjectionHead:
-    """dense-relu-dense, embedding_dim -> embedding_dim -> embedding_dim // 2."""
-
-    def __init__(self, in_dim: int, embed_dim: int, rng: np.random.Generator):
-        self.layers = [Dense(in_dim, embed_dim, rng, prefix="head.0"), ReLU(),
-                       Dense(embed_dim, max(2, embed_dim // 2), rng, prefix="head.1")]
-
-    def parameters(self):
-        return [p for l in self.layers for p in l.parameters()]
-
-    def forward(self, x):
-        caches = []
-        for layer in self.layers:
-            x, c = layer.forward(x, train=True)
-            caches.append(c)
-        return x, caches
-
-    def backward(self, caches, dy):
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dy = layer.backward(cache, dy)
-        return dy
-
-
 def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
              rng: np.random.Generator) -> InitializedStudent:
     """Train the backbone of `arch` on unlabeled target data with InfoNCE."""
@@ -89,8 +67,10 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
             f"target too small for contrastive pretraining: {len(target)} rows, "
             f"need at least {2 * cfg.batch_size}")
     net = build_network(arch, rng)
-    head = _ProjectionHead(arch.hidden[-1], cfg.embedding_dim, rng)
-    params = net.representation_parameters() + head.parameters()
+    # dense-relu-dense projection head: hidden -> embedding_dim -> embedding_dim // 2
+    head = [Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
+            Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")]
+    params = net.representation_parameters() + [p for layer in head for p in layer.parameters()]
     opt = SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     net.train()
     history = []
@@ -101,17 +81,16 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
             v1 = augment(x, cfg.policy, "strong", rng)
             v2 = augment(x, cfg.policy, "strong", rng)
             f1, c1 = net.forward_features(v1, record=True)
-            q, hc1 = head.forward(f1)
+            q, hc1 = forward_layers(head, f1, train=True)
             f2, c2 = net.forward_features(v2, record=True)
-            k, hc2 = head.forward(f2)
+            k, hc2 = forward_layers(head, f2, train=True)
             loss = infonce_loss(q, k, cfg.temperature)
             if not np.isfinite(loss.scalar):
                 raise NumericalError("non-finite contrastive loss")
             dq, dk = infonce_loss_grad(q, k, cfg.temperature)
-            for p in params:
-                p.zero_grad()
-            net.backward_features(c1, head.backward(hc1, dq))
-            net.backward_features(c2, head.backward(hc2, dk))
+            opt.zero_grad()
+            net.backward_features(c1, backward_layers(head, hc1, dq))
+            net.backward_features(c2, backward_layers(head, hc2, dk))
             opt.step()
             losses.append(loss.scalar)
         history.append({"epoch": epoch, "infonce": float(np.mean(losses))})

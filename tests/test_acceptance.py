@@ -5,7 +5,6 @@ experiment harness; the verdict lines are collected by conftest.py and
 printed in the terminal summary so they survive pytest's output capture.
 """
 import json
-import os
 import time
 from pathlib import Path
 
@@ -45,7 +44,6 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
     """Median accuracies and traces for the four staged-pipeline variants."""
-    os.environ.setdefault("OTA_THREADS", "5")
     root = tmp_path_factory.mktemp("pipeline")
     variants = {
         "source-only": dict(stage1=False, stage2=False, stage3=False),

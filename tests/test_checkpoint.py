@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,28 @@ def test_corrupt_header_rejected(net, tmp_path):
         load_checkpoint(path)
 
 
+HEADER_EDITS = {
+    "no_tensors": lambda h: h.pop("tensors"),
+    "no_arch": lambda h: h.pop("arch"),
+    "negative_shape": lambda h: h["tensors"][0].update(shape=[-1, 5]),
+    "float_shape": lambda h: h["tensors"][0].update(shape=[8.0, 5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+def test_malformed_header_keys_rejected(net, tmp_path, case):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(net, path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + hlen])
+    HEADER_EDITS[case](header)
+    payload = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + hlen :])
+    with pytest.raises(StorageError):
+        load_checkpoint(path)
+
+
 def test_truncated_data_rejected(net, tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
@@ -91,7 +115,7 @@ def test_backbone_round_trip(tmp_path, net):
     arch = net.arch
     tensors = net.representation_parameters() + net.state_tensors()
     path = tmp_path / "backbone.ckpt"
-    save_backbone(arch, tensors, path)
+    save_backbone(arch, {t.name: t.data for t in tensors}, path)
     loaded_arch, loaded, header = load_backbone(path)
     assert loaded_arch == arch
     assert header["backbone_only"]

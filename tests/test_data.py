@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from adaptkit.data import (AugmentationPolicy, Dataset, GeneratorSpec,
                            ImbalanceSpec, ShiftSpec, apply_shift, augment,
                            bucket_thresholds, generate, load_dataset,
                            longtail_counts, save_dataset, subsample_longtail)
-from adaptkit.errors import ConfigError
+from adaptkit.errors import ConfigError, StorageError
 
 
 def small_spec(**kw):
@@ -226,3 +228,27 @@ def test_dataset_file_unlabeled(tmp_path):
     path = tmp_path / "x.ds"
     save_dataset(ds, path)
     assert load_dataset(path).labels is None
+
+
+DATASET_HEADER_EDITS = {
+    "no_n": lambda h: h.pop("n"),
+    "no_d": lambda h: h.pop("d"),
+    "no_has_labels": lambda h: h.pop("has_labels"),
+    "negative_n": lambda h: h.update(n=-1),
+    "float_d": lambda h: h.update(d=2.5),
+    "str_has_labels": lambda h: h.update(has_labels="yes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_HEADER_EDITS))
+def test_malformed_dataset_header_rejected(tmp_path, case):
+    path = tmp_path / "x.ds"
+    save_dataset(generate(small_spec()), path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[:4], "little")
+    header = json.loads(raw[4 : 4 + hlen])
+    DATASET_HEADER_EDITS[case](header)
+    payload = json.dumps(header).encode()
+    path.write_bytes(len(payload).to_bytes(4, "little") + payload + raw[4 + hlen :])
+    with pytest.raises(StorageError):
+        load_dataset(path)

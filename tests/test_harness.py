@@ -60,6 +60,13 @@ def test_unknown_config_keys_rejected():
         ExperimentConfig.from_dict({"adapt_cfg": {"learning_rate": 0.1}})
 
 
+def test_half_specified_data_files_rejected():
+    with pytest.raises(ConfigError, match="together"):
+        ExperimentConfig(source_data="src.ds")
+    with pytest.raises(ConfigError, match="together"):
+        ExperimentConfig.from_dict({"target_data": "tgt.ds"})
+
+
 def test_config_round_trip_via_dict():
     cfg = tiny_config()
     again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -110,8 +117,7 @@ def test_stage_streams_isolated(tmp_path):
     assert full["metrics"]["source_only"] == st1["metrics"]["source_only"]
 
 
-def test_run_experiment_outputs(tmp_path, monkeypatch):
-    monkeypatch.setenv("OTA_THREADS", "2")
+def test_run_experiment_outputs(tmp_path):
     cfg = tiny_config(outdir=str(tmp_path / "exp"))
     result = run_experiment(cfg)
     assert len(result["reports"]) == 2
@@ -123,17 +129,6 @@ def test_run_experiment_outputs(tmp_path, monkeypatch):
     assert set(timings["seconds_per_seed"]) == {"0", "1"}
     per_seed = json.loads((tmp_path / "exp" / "seed_0" / "report.json").read_text())
     assert "seconds" not in json.dumps(per_seed)
-
-
-def test_parallel_matches_serial(tmp_path, monkeypatch):
-    cfg = tiny_config(stage2=False, stage3=False)
-    monkeypatch.setenv("OTA_THREADS", "1")
-    run_experiment(ExperimentConfig(**{**cfg.__dict__, "outdir": str(tmp_path / "s")}))
-    monkeypatch.setenv("OTA_THREADS", "2")
-    run_experiment(ExperimentConfig(**{**cfg.__dict__, "outdir": str(tmp_path / "p")}))
-    for seed in (0, 1):
-        assert (tmp_path / "s" / f"seed_{seed}" / "report.json").read_bytes() \
-            == (tmp_path / "p" / f"seed_{seed}" / "report.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +188,28 @@ def test_cli_gen_data_and_evaluate_flow(tmp_path):
 def test_cli_missing_file_is_io_error(tmp_path):
     assert cli.main(["evaluate", "--model", str(tmp_path / "nope.ckpt"),
                      "--data", str(tmp_path / "nope.ds")]) == 3
+    assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 3
 
 
 def test_cli_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stage_one": True}))
     assert cli.main(["run", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("name,text", [
+    ("bad.json", '{"seeds": [0,'),
+    ("bad.yaml", "seeds: [0\nstage2: false\n"),
+    ("list.json", "[1, 2]"),
+    ("section.json", json.dumps({"adapt_cfg": 5})),
+    ("bench.json", json.dumps({"benchmark": {"bogus": 1}})),
+    ("shift.yaml", "shift:\n  bogus: 1\n"),
+], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
+     "unknown_shift_key"])
+def test_cli_malformed_config_is_config_error(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path)]) == 1
 
 
 def test_cli_numerical_error(tmp_path):
