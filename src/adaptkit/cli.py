@@ -1,6 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error.
+`run` exits with the code of the first failed seed's error.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .adapt import adapt
 from .data import (GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
                    generate, load_dataset, save_dataset, subsample_longtail)
 from .distill import PhaseSchedule, calibrate_classifier, distill
-from .errors import ConfigError, NumericalError, StorageError
+from .errors import AdaptkitError, ConfigError, NumericalError, StorageError
 from .layers import ArchSpec, build_network
 from .metrics import evaluate
 from .selfsup import InitializedStudent, pretrain
@@ -131,9 +132,10 @@ def cmd_run(args) -> int:
     for stage, m in summary["stages"].items():
         print(f"{stage}: acc median {100 * m['overall_acc']['median']:.1f} "
               f"(IQR {100 * m['overall_acc']['iqr']:.1f})")
-    if summary["num_failed"]:
-        print(f"{summary['num_failed']} seed(s) failed; see per-seed reports")
-    return 0
+    if not result["errors"]:
+        return 0
+    print(f"{summary['num_failed']} seed(s) failed; see per-seed reports")
+    return exit_status(result["errors"][0])[0]
 
 
 def cmd_compare(args) -> int:
@@ -232,19 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+EXIT_STATUS = {ConfigError: (1, "config error"), NumericalError: (2, "numerical failure"),
+               StorageError: (3, "i/o error")}
+
+
+def exit_status(err: AdaptkitError) -> tuple[int, str]:
+    """(exit code, message prefix) for an error, from EXIT_STATUS."""
+    return next(status for cls, status in EXIT_STATUS.items() if isinstance(err, cls))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 2
-    except StorageError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 3
+    except tuple(EXIT_STATUS) as e:
+        code, what = exit_status(e)
+        print(f"{what}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,14 +10,12 @@ hopeless, which is what adaptation needs.
 """
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, dataclass
 from math import ceil, cos, pi, sin
-from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .errors import ConfigError, StorageError
 
 SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
@@ -275,70 +273,44 @@ def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# dataset file format: u32 header length, UTF-8 JSON header,
-# little-endian f64 feature block, optional u32 label block
+# dataset files: magic b"OTAD" in the store container, holding `features`
+# (N x D) and, for labeled sets, `labels` as integral f64 (exact below 2**53)
+
+MAGIC = b"OTAD"
 
 
 def save_dataset(ds: Dataset, path) -> None:
     header = {
-        "n": len(ds),
-        "d": ds.dim,
         "c": ds.num_classes,
         "domain_tag": ds.domain_tag,
         "shift": asdict(ds.shift) if ds.shift else None,
-        "class_counts": [int(v) for v in ds.class_counts] if ds.labels is not None else None,
-        "has_labels": ds.labels is not None,
         "generator": asdict(ds.spec),
         "bucket_thresholds": list(ds.bucket_thresholds) if ds.bucket_thresholds else None,
     }
-    payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    try:
-        with open(path, "wb") as f:
-            f.write(struct.pack("<I", len(payload)))
-            f.write(payload)
-            f.write(ds.features.astype("<f8").tobytes())
-            if ds.labels is not None:
-                f.write(ds.labels.astype("<u4").tobytes())
-    except OSError as e:
-        raise StorageError(f"cannot write dataset {path}: {e}") from e
+    arrays = {"features": ds.features}
+    if ds.labels is not None:
+        arrays["labels"] = ds.labels
+    store.write(path, MAGIC, header, arrays)
 
 
 def load_dataset(path) -> Dataset:
+    header, arrays = store.read(path, MAGIC)
     try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise StorageError(f"cannot read dataset {path}: {e}") from e
-    if len(raw) < 4:
-        raise StorageError(f"{path}: truncated dataset file")
-    (hlen,) = struct.unpack("<I", raw[:4])
-    try:
-        header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise StorageError(f"{path}: corrupt dataset header: {e}") from e
-    try:
-        n, d, has_labels = header["n"], header["d"], header["has_labels"]
         shift = ShiftSpec(**header["shift"]) if header.get("shift") else None
         spec = GeneratorSpec(**header["generator"])
-        c, tag, bt = header["c"], header["domain_tag"], header.get("bucket_thresholds")
+        bt = tuple(header["bucket_thresholds"]) if header.get("bucket_thresholds") else None
+        c, tag = header["c"], header["domain_tag"]
     except (KeyError, TypeError) as e:
         raise StorageError(f"{path}: malformed dataset header: {e!r}") from e
-    if not (_is_count(n) and _is_count(d) and isinstance(has_labels, bool)):
-        raise StorageError(f"{path}: dataset header needs non-negative integers n and d "
-                           "and a boolean has_labels")
-    start = 4 + hlen
-    feat_bytes = 8 * n * d
-    if len(raw) < start + feat_bytes:
-        raise StorageError(f"{path}: truncated feature block")
-    features = np.frombuffer(raw[start : start + feat_bytes], dtype="<f8").reshape(n, d).copy()
-    labels = None
-    if has_labels:
-        lab_start = start + feat_bytes
-        if len(raw) < lab_start + 4 * n:
-            raise StorageError(f"{path}: truncated label block")
-        labels = np.frombuffer(raw[lab_start : lab_start + 4 * n], dtype="<u4").astype(np.int64)
-    return Dataset(features, labels, c, tag, spec, shift=shift,
-                   bucket_thresholds=tuple(bt) if bt else None)
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    features, labels = arrays.pop("features", None), arrays.pop("labels", None)
+    if features is None or features.ndim != 2 or len(features) == 0 or arrays:
+        raise StorageError(f"{path}: a dataset holds non-empty 2-d features and "
+                           "optional labels, nothing else")
+    if not store.is_count(c, 2):
+        raise StorageError(f"{path}: dataset header needs an integer c >= 2, got {c!r}")
+    if labels is not None:
+        if labels.shape != (len(features),) or not np.all(
+                (labels == np.floor(labels)) & (labels >= 0) & (labels < c)):
+            raise StorageError(f"{path}: labels must be one integer in [0, {c}) per row")
+        labels = labels.astype(np.int64)
+    return Dataset(features, labels, c, tag, spec, shift=shift, bucket_thresholds=bt)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -113,15 +113,6 @@ class ExperimentConfig:
                 d[key] = tuple(d[key])
         return ExperimentConfig(**d)
 
-    def to_dict(self) -> dict:
-        def conv(v):
-            if hasattr(v, "__dataclass_fields__"):
-                return {k: conv(getattr(v, k)) for k in v.__dataclass_fields__}
-            if isinstance(v, tuple):
-                return list(v)
-            return v
-        return {f.name: conv(getattr(self, f.name)) for f in fields(self)}
-
     def stage_label(self) -> str:
         on = [n for n, f in [("1", self.stage1), ("2", self.stage2),
                              ("3", self.stage3), ("cal", self.calibrate)] if f]
@@ -129,11 +120,11 @@ class ExperimentConfig:
 
 
 def _read_mapping(path) -> dict:
-    """Parse a JSON or (by suffix) YAML config file whose top level is a mapping."""
+    """Parse a JSON or (by suffix) YAML file whose top level is a mapping."""
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise StorageError(f"cannot read config {path}: {e}") from e
+        raise StorageError(f"cannot read {path}: {e}") from e
     if str(path).endswith((".yaml", ".yml")):
         import yaml
         parse, parse_error = yaml.safe_load, yaml.YAMLError
@@ -142,7 +133,7 @@ def _read_mapping(path) -> dict:
     try:
         d = parse(text)
     except parse_error as e:
-        raise ConfigError(f"{path}: cannot parse config: {e}") from e
+        raise ConfigError(f"{path}: cannot parse: {e}") from e
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: top level must be a mapping, got {type(d).__name__}")
     return d
@@ -256,16 +247,18 @@ def _write_report_files(report: dict, outdir: Path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run every seed, one after another, and summarize."""
+    """Run every seed, one after another, and summarize. A seed that raises an
+    AdaptkitError gets an error report; its exception is kept under "errors"."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     timings = {}
-    reports = []
+    reports, errors = [], []
     for seed in cfg.seeds:
         t0 = perf_counter()
         try:
             rep = run_seed(cfg, seed, outdir / f"seed_{seed}")
         except AdaptkitError as e:
+            errors.append(e)
             rep = {"schema_version": SCHEMA_VERSION, "seed": seed,
                    "label": cfg.stage_label(), "error": str(e)}
             (outdir / f"seed_{seed}").mkdir(parents=True, exist_ok=True)
@@ -275,12 +268,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         reports.append(rep)
 
     summary = summarize(reports)
-    summary["config"] = cfg.to_dict()
+    summary["config"] = asdict(cfg)
     (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     (outdir / "timings.json").write_text(json.dumps(
         {"seconds_per_seed": {str(k): round(v, 3) for k, v in sorted(timings.items())}},
         sort_keys=True, indent=2) + "\n")
-    return {"reports": reports, "summary": summary}
+    return {"reports": reports, "summary": summary, "errors": errors}
 
 
 def summarize(reports: list[dict]) -> dict:
@@ -309,7 +302,7 @@ def compare(paths: list[str]) -> tuple[str, list[list[str]]]:
     rows = []
     max_phases = 0
     for path in paths:
-        d = json.loads(Path(path).read_text())
+        d = _read_mapping(path)
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"{path}: schema version mismatch")
         if "stages" in d:  # summary file

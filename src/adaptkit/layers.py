@@ -158,23 +158,6 @@ class ArchSpec:
     num_classes: int
     batchnorm: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "num_classes": self.num_classes,
-            "batchnorm": self.batchnorm,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ArchSpec":
-        return ArchSpec(
-            input_dim=int(d["input_dim"]),
-            hidden=tuple(int(h) for h in d["hidden"]),
-            num_classes=int(d["num_classes"]),
-            batchnorm=bool(d.get("batchnorm", True)),
-        )
-
 
 class Network:
     """Ordered layer stack whose final layer is the dense classifier."""

@@ -1,7 +1,7 @@
 """Dense float64 tensor with an optional gradient slot.
 
-Activations flow through the network as plain numpy arrays; Tensor wraps
-trainable parameters (and dataset feature blocks) so that gradients,
+Activations and dataset features are plain numpy arrays; Tensor wraps a
+network's parameters and batchnorm running statistics so that gradients,
 checkpointing, and fingerprinting have a single carrier type.
 """
 from __future__ import annotations

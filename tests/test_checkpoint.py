@@ -76,6 +76,11 @@ HEADER_EDITS = {
     "no_arch": lambda h: h.pop("arch"),
     "negative_shape": lambda h: h["tensors"][0].update(shape=[-1, 5]),
     "float_shape": lambda h: h["tensors"][0].update(shape=[8.0, 5]),
+    "duplicate_name": lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"]),
+    "negative_input_dim": lambda h: h["arch"].update(input_dim=-2),
+    "zero_width": lambda h: h["arch"].update(hidden=[8, 0]),
+    "one_class": lambda h: h["arch"].update(num_classes=1),
+    "str_batchnorm": lambda h: h["arch"].update(batchnorm="yes"),
 }
 
 
@@ -103,12 +108,13 @@ def test_truncated_data_rejected(net, tmp_path):
 
 def test_version_field_and_magic(net, tmp_path):
     path = tmp_path / "net.ckpt"
-    save_checkpoint(net, path, rng_state={"seed": 17})
+    save_checkpoint(net, path)
     raw = path.read_bytes()
     assert raw[:4] == b"OTAC"
     assert int.from_bytes(raw[4:8], "little") == 1
-    _, header = load_checkpoint(path)
-    assert header["rng_state"] == {"seed": 17}
+    path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    with pytest.raises(StorageError, match="version 2"):
+        load_checkpoint(path)
 
 
 def test_backbone_round_trip(tmp_path, net):

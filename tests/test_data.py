@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adaptkit import store
 from adaptkit.data import (AugmentationPolicy, Dataset, GeneratorSpec,
                            ImbalanceSpec, ShiftSpec, apply_shift, augment,
                            bucket_thresholds, generate, load_dataset,
@@ -230,25 +231,51 @@ def test_dataset_file_unlabeled(tmp_path):
     assert load_dataset(path).labels is None
 
 
-DATASET_HEADER_EDITS = {
-    "no_n": lambda h: h.pop("n"),
-    "no_d": lambda h: h.pop("d"),
-    "no_has_labels": lambda h: h.pop("has_labels"),
-    "negative_n": lambda h: h.update(n=-1),
-    "float_d": lambda h: h.update(d=2.5),
-    "str_has_labels": lambda h: h.update(has_labels="yes"),
+def _edit_header(edit):
+    """Rewrite the JSON header of a container file, leaving the blob alone."""
+    def apply(path):
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + hlen])
+        edit(header, {e["name"]: e for e in header["tensors"]})
+        payload = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload
+                         + raw[12 + hlen :])
+    return apply
+
+
+def _edit_arrays(edit):
+    """Store edited arrays under the same header; the container stays valid."""
+    def apply(path):
+        header, arrays = store.read(path, b"OTAD")
+        edit(arrays)
+        store.write(path, b"OTAD", header, arrays)
+    return apply
+
+
+DATASET_EDITS = {
+    "no_c": _edit_header(lambda h, t: h.pop("c")),
+    "float_c": _edit_header(lambda h, t: h.update(c=4.0)),
+    "negative_n": _edit_header(lambda h, t: t["features"].update(shape=[-1, 8])),
+    "float_d": _edit_header(lambda h, t: t["features"].update(shape=[80, 2.5])),
+    "no_features": _edit_header(lambda h, t: t["features"].update(name="feature")),
+    "wrong_offset": _edit_header(lambda h, t: t["labels"].update(offset=0)),
+    "trailing_bytes": lambda path: path.write_bytes(path.read_bytes() + bytes(8)),
+    "old_layout": lambda path: path.write_bytes(path.read_bytes()[8:]),
+    "no_d": _edit_arrays(lambda a: a.update(features=a["features"][:, 0])),
+    "extra_array": _edit_arrays(lambda a: a.update(weights=np.ones(80))),
+    "fractional_labels": _edit_arrays(lambda a: a.update(labels=a["labels"] + 0.5)),
+    "negative_labels": _edit_arrays(lambda a: a.update(labels=a["labels"] - 1)),
+    "out_of_range_labels": _edit_arrays(lambda a: a.update(labels=a["labels"] + 1)),
+    "nan_labels": _edit_arrays(lambda a: a.update(labels=a["labels"] * np.nan)),
+    "wrong_length_labels": _edit_arrays(lambda a: a.update(labels=a["labels"][:-1])),
 }
 
 
-@pytest.mark.parametrize("case", sorted(DATASET_HEADER_EDITS))
+@pytest.mark.parametrize("case", sorted(DATASET_EDITS))
 def test_malformed_dataset_header_rejected(tmp_path, case):
     path = tmp_path / "x.ds"
     save_dataset(generate(small_spec()), path)
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[:4], "little")
-    header = json.loads(raw[4 : 4 + hlen])
-    DATASET_HEADER_EDITS[case](header)
-    payload = json.dumps(header).encode()
-    path.write_bytes(len(payload).to_bytes(4, "little") + payload + raw[4 + hlen :])
+    DATASET_EDITS[case](path)
     with pytest.raises(StorageError):
         load_dataset(path)

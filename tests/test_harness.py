@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_half_specified_data_files_rejected():
 
 def test_config_round_trip_via_dict():
     cfg = tiny_config()
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    again = ExperimentConfig.from_dict(asdict(cfg))
     assert again == cfg
 
 
@@ -189,12 +190,27 @@ def test_cli_missing_file_is_io_error(tmp_path):
     assert cli.main(["evaluate", "--model", str(tmp_path / "nope.ckpt"),
                      "--data", str(tmp_path / "nope.ds")]) == 3
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 3
+    assert cli.main(["compare", str(tmp_path / "nope.json")]) == 3
 
 
 def test_cli_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"stage_one": True}))
     assert cli.main(["run", "--config", str(bad)]) == 1
+    bad.write_text('{"schema_version": 1,')
+    assert cli.main(["compare", str(bad)]) == 1
+
+
+def test_cli_run_failed_seed_exit_code(tmp_path):
+    # every seed fails to load its stage-0 checkpoint: a storage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
+        "stage1": False, "stage2": False, "stage3": False, "seeds": [0, 1],
+        "source_checkpoint": str(tmp_path / "nope.ckpt")}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 3
+    summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+    assert summary["num_failed"] == 2
 
 
 @pytest.mark.parametrize("name,text", [
