@@ -46,6 +46,9 @@ def load_checkpoint(path, expect_arch: ArchSpec | None = None) -> tuple[Network,
     if header.get("backbone_only"):
         raise StorageError(f"{path}: backbone-only checkpoint, expected a full network")
     net = build_network(arch, np.random.default_rng(0))
+    unused = set(tensors) - {t.name for t in net.all_tensors()}
+    if unused:
+        raise StorageError(f"{path}: tensors {sorted(unused)} are not used by {arch}")
     for t in net.all_tensors():
         if t.name not in tensors:
             raise StorageError(f"{path}: missing tensor {t.name!r}")

@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,11 @@ from .layers import ArchSpec, build_network
 from .metrics import evaluate
 from .selfsup import InitializedStudent, pretrain
 from .source import train_source
+
+
+def _warn_abort(stage: str, abort: dict | None) -> None:
+    if abort:  # the run hit a non-finite value and kept its last good state
+        print(f"{stage} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)
 
 
 def cmd_gen_data(args) -> int:
@@ -48,9 +53,10 @@ def cmd_train_source(args) -> int:
     arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
     rng = harness.stream(args.seed, "stage0")
     net = build_network(arch, rng)
-    net, history = train_source(net, ds, cfg, rng)
+    net, history, abort = train_source(net, ds, cfg, rng)
+    _warn_abort("train-source", abort)
     checkpoint.save_checkpoint(net, args.out)
-    print(f"wrote {args.out}: final loss {history[-1]['loss']:.4f}")
+    print(f"wrote {args.out}" + (f": final loss {history[-1]['loss']:.4f}" if history else ""))
     return 0
 
 
@@ -58,9 +64,10 @@ def cmd_adapt(args) -> int:
     net, _ = checkpoint.load_checkpoint(args.source)
     ds = load_dataset(args.target)
     cfg = harness.load_section(args.config, "adapt_cfg")
-    net, report = adapt(net, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage1"))
+    net, report, abort = adapt(net, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage1"))
+    _warn_abort("adapt", abort)
     checkpoint.save_checkpoint(net, args.out)
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    payload = json.dumps(asdict(report), sort_keys=True, indent=2)
     if args.report:
         Path(args.report).write_text(payload + "\n")
     else:
@@ -73,9 +80,10 @@ def cmd_pretrain(args) -> int:
     cfg = harness.load_section(args.config, "contrastive_cfg")
     arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
     student = pretrain(arch, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage2"))
+    _warn_abort("pretrain", student.abort)
     checkpoint.save_backbone(arch, student.tensors, args.out)
-    first, last = student.loss_history[0]["infonce"], student.loss_history[-1]["infonce"]
-    print(f"wrote {args.out}: infonce {first:.4f} -> {last:.4f}")
+    h = [e["infonce"] for e in student.loss_history]
+    print(f"wrote {args.out}" + (f": infonce {h[0]:.4f} -> {h[-1]:.4f}" if h else ""))
     return 0
 
 
@@ -94,6 +102,7 @@ def cmd_distill(args) -> int:
         pretrained, init_kind = None, "random"
     student, trace = distill(teacher, init_kind, arch, pretrained, ds.unlabeled_view(),
                              cfg, harness.stream(args.seed, "stage3"))
+    _warn_abort("distill", {e["phase"]: e["abort"] for e in trace if "abort" in e})
     checkpoint.save_checkpoint(student, args.out)
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace, sort_keys=True, indent=2) + "\n")
@@ -105,8 +114,9 @@ def cmd_calibrate(args) -> int:
     net, _ = checkpoint.load_checkpoint(args.model)
     ds = load_dataset(args.target)
     cfg = harness.load_section(args.config, "calibrate_cfg")
-    scale, net = calibrate_classifier(net, ds.unlabeled_view(), cfg,
-                                      harness.stream(args.seed, "calibrate"))
+    scale, net, abort = calibrate_classifier(net, ds.unlabeled_view(), cfg,
+                                             harness.stream(args.seed, "calibrate"))
+    _warn_abort("calibrate", abort)
     checkpoint.save_checkpoint(net, args.out)
     print(f"wrote {args.out}: scales {np.array2string(scale.s, precision=3)}")
     return 0

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import store
 from .errors import ConfigError, StorageError
+from .tensor import check_finite
 
 SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
 
@@ -112,6 +113,9 @@ class Dataset:
     bucket_thresholds: tuple[int, int] | None = None  # (many >, few <)
 
     def __post_init__(self):
+        if len(self.features) == 0:
+            raise ConfigError("a dataset needs at least one row")
+        check_finite(self.features, "dataset features")
         if self.labels is not None:
             if len(self.labels) != len(self.features):
                 raise ConfigError("labels and features disagree on N")

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
-from .optim import SGD, Schedule
+from .optim import SGD, fit
 from .selfsup import InitializedStudent, backbone_fingerprint, make_student
-from .source import minibatches
-from .tensor import fingerprint_all
+from .tensor import Tensor, fingerprint_all
 
 
 @dataclass
@@ -76,38 +75,30 @@ def pseudo_label(teacher: Network, target: UnlabeledView, policy: AugmentationPo
 
 def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
               epochs: int, mode: str, cfg: DistillConfig,
-              rng: np.random.Generator) -> Network:
-    """Fit the student to the pseudo-labels on strongly augmented data."""
+              rng: np.random.Generator) -> tuple[Network, dict | None]:
+    """Fit the student to pseudo-labels on strong augmentations; returns it and its abort."""
     if mode not in ("hard", "soft"):
         raise ConfigError(f"unknown phase mode {mode!r}")
     if len(labels.hard) != len(target):
         raise ConfigError("pseudo-labels and target data are not aligned")
+
+    def grads(idx):
+        x = augment(target.features[idx], cfg.policy, "strong", rng)
+        logits, caches = student.forward(x, record=True)
+        probs = softmax(logits)
+        if mode == "hard":
+            dlogits = cross_entropy_grad(probs, labels.hard[idx])
+        else:
+            dlogits = kl_soft_loss_grad(probs, labels.soft[idx])
+        student.backward(caches, dlogits)
+        return {}
+
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    steps_per_epoch = max(1, len(target) // cfg.batch_size)
-    sched = Schedule("cosine", cfg.lr, total_steps=max(1, epochs * steps_per_epoch))
     student.train()
-    last_good = student.copy()
-    step = 0
-    for _ in range(epochs):
-        try:
-            for idx in minibatches(len(target), cfg.batch_size, rng):
-                x = augment(target.features[idx], cfg.policy, "strong", rng)
-                logits, caches = student.forward(x, record=True)
-                probs = softmax(logits)
-                if mode == "hard":
-                    dlogits = cross_entropy_grad(probs, labels.hard[idx])
-                else:
-                    dlogits = kl_soft_loss_grad(probs, labels.soft[idx])
-                student.zero_grad()
-                student.backward(caches, dlogits)
-                opt.step(lr=sched.lr_at(min(step, sched.total_steps)))
-                step += 1
-        except NumericalError:
-            student = last_good
-            break
-        last_good = student.copy()
+    _, abort = fit(opt, student.all_tensors(), epochs, len(target), cfg.batch_size, rng,
+                   grads, cosine=True)
     student.eval()
-    return student
+    return student, abort
 
 
 def distill(teacher: Network, init_kind: str, student_arch: ArchSpec,
@@ -132,11 +123,13 @@ def distill(teacher: Network, init_kind: str, student_arch: ArchSpec,
         reset_fp = backbone_fingerprint(student)
         mode = cfg.schedule.mode_for(phase)
         epochs = cfg.schedule.epochs_for(phase)
-        student = run_phase(student, labels, target, epochs, mode, cfg, rng)
+        student, abort = run_phase(student, labels, target, epochs, mode, cfg, rng)
         entry = {"phase": phase, "mode": mode, "epochs": epochs,
                  "backbone_reset_fingerprint": reset_fp,
                  "teacher_fingerprint": labels.teacher_fingerprint,
                  "pseudo_label_agreement": labels.agreement_with_previous}
+        if abort:
+            entry["abort"] = abort
         if eval_fn is not None:
             entry["accuracy"] = float(eval_fn(student))
         trace.append(entry)
@@ -167,49 +160,44 @@ class CalibrateConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
 
-def _scaled_logits(model: Network, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    feats = model.forward_features(x)
-    w, b = model.classifier.weight.data, model.classifier.bias.data
-    return feats @ (s[:, None] * w).T + b
-
-
 def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateConfig,
-                         rng: np.random.Generator) -> tuple[ScaleVector, Network]:
+                         rng: np.random.Generator) -> tuple[ScaleVector, Network, dict | None]:
     """Learn per-class classifier scales from pseudo-labels; everything else frozen.
 
     Each pseudo-label class contributes equally to the fit regardless of how
     often it is predicted. Without that reweighting the head classes dominate
     the objective and the scales drift further toward them; with it the
     rarely-predicted classes get the larger scales, which is what rebalances
-    the class prior at test time.
+    the class prior at test time. Scales are floored at 1e-3 before each use.
+    An abort (see optim.fit) keeps the last good scales and ends the rounds.
     """
     model = model.copy()
     model.eval()
-    num_classes = model.arch.num_classes
-    s = np.ones(num_classes)
-    velocity = np.zeros(num_classes)
-    w = model.classifier.weight.data
-    feats_all = model.forward_features(target.features)
-    raw_scores = feats_all @ w.T  # unscaled class scores, reused every step
-    bias = model.classifier.bias.data
+    w, bias = model.classifier.weight.data, model.classifier.bias.data
+    s = Tensor(np.ones(len(bias)), "scale")
+    opt = SGD([s], cfg.lr, cfg.momentum)
+    raw_scores = model.forward_features(target.features) @ w.T  # reused every step
+    abort = None
+
+    def grads(idx):
+        s.data = np.maximum(s.data, 1e-3)
+        p = softmax(raw_scores[idx] * s.data + bias)
+        dlogits = cross_entropy_grad(p, hard[idx]) * weights[idx][:, None]
+        s.add_grad((dlogits * raw_scores[idx]).sum(axis=0))
+        return {}
+
     for _ in range(cfg.rounds):
         # refresh pseudo-labels with the current scales
-        probs = softmax(_scaled_logits(model, augment(
-            target.features, cfg.policy, "weak", rng), s))
+        feats = model.forward_features(augment(target.features, cfg.policy, "weak", rng))
+        probs = softmax(feats @ (s.data[:, None] * w).T + bias)
         hard = np.argmax(probs, axis=1).astype(np.int64)
-        counts = np.bincount(hard, minlength=num_classes).astype(float)
+        counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = np.where(counts[hard] > 0, 1.0 / counts[hard], 0.0)
         weights *= len(hard) / weights.sum()
-        for _ in range(cfg.epochs):
-            for idx in minibatches(len(target), cfg.batch_size, rng):
-                logits = raw_scores[idx] * s + bias
-                p = softmax(logits)
-                if not np.all(np.isfinite(p)):
-                    raise NumericalError("non-finite probabilities during calibration")
-                dlogits = cross_entropy_grad(p, hard[idx]) * weights[idx][:, None]
-                grad_s = (dlogits * raw_scores[idx]).sum(axis=0)
-                velocity = cfg.momentum * velocity + grad_s
-                s = np.maximum(s - cfg.lr * velocity, 1e-3)
+        _, abort = fit(opt, [s], cfg.epochs, len(target), cfg.batch_size, rng, grads)
+        s.data = np.maximum(s.data, 1e-3)
+        if abort:
+            break
     calibrated = model.copy()
-    calibrated.classifier.weight.data = s[:, None] * calibrated.classifier.weight.data
-    return ScaleVector(s), calibrated
+    calibrated.classifier.weight.data = s.data[:, None] * calibrated.classifier.weight.data
+    return ScaleVector(s.data), calibrated, abort

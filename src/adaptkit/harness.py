@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import checkpoint
 from .adapt import AdaptConfig, adapt
-from .data import (AugmentationPolicy, Dataset, GeneratorSpec, ImbalanceSpec,
-                   ShiftSpec, apply_shift, generate, load_dataset, subsample_longtail)
-from .distill import (CalibrateConfig, DistillConfig, PhaseSchedule,
-                      calibrate_classifier, distill)
+from .data import (Dataset, GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
+                   generate, load_dataset, subsample_longtail)
+from .distill import CalibrateConfig, DistillConfig, calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, StorageError
 from .layers import ArchSpec, build_network
 from .metrics import MetricsReport, evaluate
@@ -52,22 +53,41 @@ _SECTIONS = {"benchmark": GeneratorSpec, "shift": ShiftSpec, "source_cfg": Sourc
              "distill_cfg": DistillConfig, "calibrate_cfg": CalibrateConfig}
 
 
-def _subconfig(cls, d: dict | None):
+def _fits(v, hint) -> bool:
+    """Whether a parsed config value fits a field's annotation: int (not bool),
+    float (int allowed), bool, str, a config section, `X | None` or a tuple."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(v, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if isinstance(v, tuple) and args[-1:] == (...,):
+            args = args[:1] * len(v)
+        return isinstance(v, tuple) and len(v) == len(args) and all(map(_fits, v, args))
+    if hint in (int, float):
+        return isinstance(v, (int, hint)) and not isinstance(v, bool)
+    return isinstance(v, hint)
+
+
+def _subconfig(cls, d: dict | None, what: str = ""):
+    """Build config dataclass `cls` from a parsed mapping, nested sections
+    included; an unknown key or a value of the wrong type is a ConfigError."""
+    what = what or cls.__name__
     if d is not None and not isinstance(d, dict):
-        raise ConfigError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
-    d = dict(d or {})
-    if "policy" in d and isinstance(d["policy"], dict):
-        pd = dict(d["policy"])
-        if "scale_range" in pd:
-            pd["scale_range"] = tuple(pd["scale_range"])
-        d["policy"] = AugmentationPolicy(**pd)
-    if "schedule" in d and isinstance(d["schedule"], dict):
-        d["schedule"] = PhaseSchedule(**d["schedule"])
-    known = {f.name for f in fields(cls)}
-    unknown = set(d) - known
+        raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
+    hints, written = get_type_hints(cls), {f.name: f.type for f in fields(cls)}
+    unknown = set(d or {}) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**d)
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    kw = {}
+    for key, v in (d or {}).items():
+        if is_dataclass(hints[key]) and not isinstance(v, hints[key]):
+            v = _subconfig(hints[key], v)
+        elif isinstance(v, list):
+            v = tuple(v)
+        if not _fits(v, hints[key]):
+            raise ConfigError(f"{what}.{key} must be {written[key]}, got {v!r}")
+        kw[key] = v
+    return cls(**kw)
 
 
 @dataclass
@@ -100,18 +120,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, cls in _SECTIONS.items():
-            if key in d and not isinstance(d[key], cls):
-                d[key] = _subconfig(cls, d[key])
-        for key in ("teacher_hidden", "student_hidden", "seeds"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return ExperimentConfig(**d)
+        return _subconfig(ExperimentConfig, d, "config")
 
     def stage_label(self) -> str:
         on = [n for n, f in [("1", self.stage1), ("2", self.stage2),
@@ -180,20 +189,23 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
     view = tgt.unlabeled_view()
     report: dict = {"schema_version": SCHEMA_VERSION, "seed": seed,
                     "label": cfg.stage_label(), "metrics": {}}
+    aborts: dict = {}  # stage -> abort record (see optim.fit)
 
     teacher_arch = ArchSpec(src.dim, cfg.teacher_hidden, src.num_classes)
     if cfg.source_checkpoint:
         model, _ = checkpoint.load_checkpoint(cfg.source_checkpoint, expect_arch=teacher_arch)
     else:
         model = build_network(teacher_arch, stream(seed, "stage0"))
-        model, _ = train_source(model, src, cfg.source_cfg, stream(seed, "stage0"))
+        model, _, aborts["stage0"] = train_source(model, src, cfg.source_cfg,
+                                                  stream(seed, "stage0"))
         checkpoint.save_checkpoint(model, outdir / "source.ckpt")
     report["metrics"]["source_only"] = _eval(model, tgt, src).to_dict()
 
     if cfg.stage1:
-        model, adapt_report = adapt(model, view, cfg.adapt_cfg, stream(seed, "stage1"))
+        model, adapt_report, aborts["stage1"] = adapt(model, view, cfg.adapt_cfg,
+                                                      stream(seed, "stage1"))
         checkpoint.save_checkpoint(model, outdir / "stage1.ckpt")
-        report["adapt"] = adapt_report.to_dict()
+        report["adapt"] = asdict(adapt_report)
         report["metrics"]["stage1"] = _eval(model, tgt, src).to_dict()
     teacher = model
 
@@ -203,6 +215,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
         pretrained = pretrain(student_arch, view, cfg.contrastive_cfg, stream(seed, "stage2"))
         checkpoint.save_backbone(student_arch, pretrained.tensors, outdir / "backbone.ckpt")
         report["contrastive"] = {"loss_history": pretrained.loss_history}
+        aborts["stage2"] = pretrained.abort
 
     if cfg.stage3:
         student_arch = ArchSpec(src.dim, cfg.student_hidden, src.num_classes)
@@ -212,15 +225,19 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
                                eval_fn=lambda net: _eval(net, tgt, src).overall_acc)
         checkpoint.save_checkpoint(model, outdir / "stage3.ckpt")
         report["distill"] = {"init_kind": init_kind, "trace": trace}
+        aborts["stage3"] = next(({"phase": e["phase"], **e["abort"]}
+                                 for e in trace if "abort" in e), None)
         report["metrics"]["stage3"] = _eval(model, tgt, src).to_dict()
 
     if cfg.calibrate:
-        scale, model = calibrate_classifier(model, view, cfg.calibrate_cfg,
-                                            stream(seed, "calibrate"))
+        scale, model, aborts["calibrate"] = calibrate_classifier(
+            model, view, cfg.calibrate_cfg, stream(seed, "calibrate"))
         checkpoint.save_checkpoint(model, outdir / "calibrated.ckpt")
         report["calibration"] = {"scales": [float(v) for v in scale.s]}
         report["metrics"]["calibrated"] = _eval(model, tgt, src).to_dict()
 
+    if any(aborts.values()):
+        report["aborts"] = {stage: a for stage, a in aborts.items() if a}
     _write_report_files(report, outdir)
     return report
 

@@ -1,12 +1,13 @@
-"""SGD with momentum and selective weight decay, plus lr schedules."""
+"""SGD with momentum and selective weight decay, lr schedules, and the one
+epoch x minibatch training loop every stage runs through."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .tensor import Tensor
+from .errors import ConfigError, NumericalError
+from .tensor import Tensor, check_finite
 
 # Decay is skipped for biases and batchnorm affine parameters.
 _NO_DECAY_SUFFIXES = (".bias", ".gamma", ".beta")
@@ -40,10 +41,6 @@ class SGD:
             self.velocity[i] = self.momentum * self.velocity[i] + g
             p.data = p.data - lr * self.velocity[i]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -63,3 +60,41 @@ class Schedule:
             frac = step / self.total_steps
             return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + np.cos(np.pi * frac))
         raise ConfigError(f"unknown schedule kind {self.kind!r}")
+
+
+def minibatches(n: int, batch_size: int, rng: np.random.Generator):
+    """Shuffled minibatch index blocks; drops a trailing singleton (batchnorm)."""
+    perm = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        block = perm[start : start + batch_size]
+        if len(block) >= 2:
+            yield block
+
+
+def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
+        rng: np.random.Generator, grads, cosine: bool = False) -> tuple[list[dict], dict | None]:
+    """The one epoch x minibatch loop: grads(idx) runs forward and backward and returns
+    {loss name: value}, then `opt` steps at a constant or cosine lr. Returns per-epoch mean
+    losses and None, or, if a NumericalError put `tensors` back as they were at the start
+    of its epoch and ended the run, the losses so far and the abort {"epoch", "reason"}."""
+    total = max(1, epochs * max(1, n // batch_size))
+    sched = Schedule("cosine" if cosine else "constant", opt.lr, total_steps=total)
+    history, step = [], 0
+    for epoch in range(epochs):
+        start, losses = [t.data.copy() for t in tensors], []
+        try:
+            for idx in minibatches(n, batch_size, rng):
+                for t in tensors:
+                    t.zero_grad()
+                losses.append(grads(idx))
+                opt.step(lr=sched.lr_at(min(step, total)))
+                step += 1
+            for t in tensors:
+                check_finite(t.data, t.name)
+        except NumericalError as e:
+            for t, data in zip(tensors, start):
+                t.data = data
+            return history, {"epoch": epoch, "reason": str(e)}
+        history.append({"epoch": epoch, **{k: float(np.mean([b[k] for b in losses]))
+                                           for k in (losses[0] if losses else ())}})
+    return history, None

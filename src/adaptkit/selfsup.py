@@ -16,8 +16,7 @@ from .errors import ConfigError, NumericalError
 from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
                      forward_layers)
 from .losses import infonce_loss, infonce_loss_grad
-from .optim import SGD
-from .source import minibatches
+from .optim import SGD, fit
 
 INIT_KINDS = ("contrastive", "source_copy", "random")
 
@@ -49,6 +48,7 @@ class InitializedStudent:
     tensors: dict[str, np.ndarray]  # representation params + batchnorm stats
     provenance: str  # "contrastive" | "source_copy" | "random"
     loss_history: list[dict] = field(default_factory=list)
+    abort: dict | None = None  # pretrain's abort record (see optim.fit)
 
 
 def _backbone_snapshot(net: Network) -> dict[str, np.ndarray]:
@@ -70,32 +70,30 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
     # dense-relu-dense projection head: hidden -> embedding_dim -> embedding_dim // 2
     head = [Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
             Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")]
-    params = net.representation_parameters() + [p for layer in head for p in layer.parameters()]
-    opt = SGD(params, cfg.lr, cfg.momentum, cfg.weight_decay)
+    head_params = [p for layer in head for p in layer.parameters()]
+
+    def grads(idx):
+        x = target.features[idx]
+        v1 = augment(x, cfg.policy, "strong", rng)
+        v2 = augment(x, cfg.policy, "strong", rng)
+        f1, c1 = net.forward_features(v1, record=True)
+        q, hc1 = forward_layers(head, f1, train=True)
+        f2, c2 = net.forward_features(v2, record=True)
+        k, hc2 = forward_layers(head, f2, train=True)
+        loss = infonce_loss(q, k, cfg.temperature)
+        if not np.isfinite(loss.scalar):
+            raise NumericalError("non-finite contrastive loss")
+        dq, dk = infonce_loss_grad(q, k, cfg.temperature)
+        net.backward_features(c1, backward_layers(head, hc1, dq))
+        net.backward_features(c2, backward_layers(head, hc2, dk))
+        return {"infonce": loss.scalar}
+
+    opt = SGD(net.representation_parameters() + head_params, cfg.lr, cfg.momentum, cfg.weight_decay)
     net.train()
-    history = []
-    for epoch in range(cfg.epochs):
-        losses = []
-        for idx in minibatches(len(target), cfg.batch_size, rng):
-            x = target.features[idx]
-            v1 = augment(x, cfg.policy, "strong", rng)
-            v2 = augment(x, cfg.policy, "strong", rng)
-            f1, c1 = net.forward_features(v1, record=True)
-            q, hc1 = forward_layers(head, f1, train=True)
-            f2, c2 = net.forward_features(v2, record=True)
-            k, hc2 = forward_layers(head, f2, train=True)
-            loss = infonce_loss(q, k, cfg.temperature)
-            if not np.isfinite(loss.scalar):
-                raise NumericalError("non-finite contrastive loss")
-            dq, dk = infonce_loss_grad(q, k, cfg.temperature)
-            opt.zero_grad()
-            net.backward_features(c1, backward_layers(head, hc1, dq))
-            net.backward_features(c2, backward_layers(head, hc2, dk))
-            opt.step()
-            losses.append(loss.scalar)
-        history.append({"epoch": epoch, "infonce": float(np.mean(losses))})
+    history, abort = fit(opt, net.all_tensors() + head_params, cfg.epochs, len(target),
+                         cfg.batch_size, rng, grads)
     net.eval()
-    return InitializedStudent(arch, _backbone_snapshot(net), "contrastive", history)
+    return InitializedStudent(arch, _backbone_snapshot(net), "contrastive", history, abort)
 
 
 def random_backbone(arch: ArchSpec, rng: np.random.Generator) -> InitializedStudent:

@@ -9,16 +9,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .layers import Network
 from .losses import cross_entropy, cross_entropy_grad, softmax
-from .optim import SGD, Schedule
-
-
-def minibatches(n: int, batch_size: int, rng: np.random.Generator):
-    """Shuffled minibatch index blocks; drops a trailing singleton (batchnorm)."""
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        block = perm[start : start + batch_size]
-        if len(block) >= 2:
-            yield block
+from .optim import SGD, fit
 
 
 @dataclass
@@ -29,31 +20,24 @@ class SourceConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     smoothing: float = 0.1
-    schedule: str = "cosine"
 
 
 def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
-                 rng: np.random.Generator) -> tuple[Network, list[dict]]:
-    """Minimize label-smoothed cross-entropy; returns the net and loss history."""
+                 rng: np.random.Generator) -> tuple[Network, list[dict], dict | None]:
+    """Minimize label-smoothed cross-entropy; returns the net, its history and its abort."""
     if dataset.labels is None:
         raise ConfigError("source training needs labels")
+
+    def grads(idx):
+        logits, caches = net.forward(dataset.features[idx], record=True)
+        probs = softmax(logits)
+        loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)
+        net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing))
+        return {"loss": loss.scalar}
+
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    steps_per_epoch = max(1, len(dataset) // cfg.batch_size)
-    sched = Schedule(cfg.schedule, cfg.lr, total_steps=max(1, cfg.epochs * steps_per_epoch))
     net.train()
-    history = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        losses = []
-        for idx in minibatches(len(dataset), cfg.batch_size, rng):
-            logits, caches = net.forward(dataset.features[idx], record=True)
-            probs = softmax(logits)
-            loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)
-            net.zero_grad()
-            net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing))
-            opt.step(lr=sched.lr_at(min(step, sched.total_steps)))
-            losses.append(loss.scalar)
-            step += 1
-        history.append({"epoch": epoch, "loss": float(np.mean(losses))})
+    history, abort = fit(opt, net.all_tensors(), cfg.epochs, len(dataset), cfg.batch_size,
+                         rng, grads, cosine=True)
     net.eval()
-    return net, history
+    return net, history, abort

@@ -144,8 +144,8 @@ def test_criterion_03_frozen_classifier():
         view = apply_shift(src, ShiftSpec("rotation", 30.0, seed=trial + 100)) \
             .unlabeled_view()
         net = build_network(ArchSpec(8, (10, 10), c), rng)
-        _, report = adapt(net, view, AdaptConfig(epochs=1, lr=0.01, batch_size=32),
-                          np.random.default_rng(trial))
+        _, report, _ = adapt(net, view, AdaptConfig(epochs=1, lr=0.01, batch_size=32),
+                             np.random.default_rng(trial))
         if report.classifier_fingerprint_before == report.classifier_fingerprint_after:
             frozen += 1
     verdict(3, frozen == 20, f"classifier fingerprint unchanged in {frozen}/20 runs")

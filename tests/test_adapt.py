@@ -20,7 +20,7 @@ def small_target():
 
 def test_zero_epochs_forward_identical(small_target):
     net = small_net()
-    out, report = adapt(net, small_target, AdaptConfig(epochs=0), np.random.default_rng(0))
+    out, report, _ = adapt(net, small_target, AdaptConfig(epochs=0), np.random.default_rng(0))
     x = np.random.default_rng(3).normal(size=(6, 8))
     assert np.array_equal(net.eval().forward(x), out.eval().forward(x))
     assert report.param_delta_norm == 0.0
@@ -30,8 +30,8 @@ def test_lr_zero_moves_only_running_stats(small_target):
     net = small_net()
     params_before = [p.data.copy() for p in net.parameters()]
     stats_before = [t.data.copy() for t in net.state_tensors()]
-    out, _ = adapt(net, small_target, AdaptConfig(epochs=1, lr=0.0, batch_size=32),
-                   np.random.default_rng(0))
+    out, _, _ = adapt(net, small_target, AdaptConfig(epochs=1, lr=0.0, batch_size=32),
+                      np.random.default_rng(0))
     for p, b in zip(out.parameters(), params_before):
         assert np.array_equal(p.data, b)
     moved = [not np.array_equal(t.data, b)
@@ -41,8 +41,8 @@ def test_lr_zero_moves_only_running_stats(small_target):
 
 def test_classifier_frozen(small_target):
     net = small_net()
-    out, report = adapt(net, small_target, AdaptConfig(epochs=2, lr=0.01, batch_size=32),
-                        np.random.default_rng(0))
+    out, report, _ = adapt(net, small_target, AdaptConfig(epochs=2, lr=0.01, batch_size=32),
+                           np.random.default_rng(0))
     assert report.classifier_fingerprint_before == report.classifier_fingerprint_after
     assert np.array_equal(out.classifier.weight.data, net.classifier.weight.data)
     assert np.array_equal(out.classifier.bias.data, net.classifier.bias.data)
@@ -61,12 +61,12 @@ def test_source_unmodified_in_place(small_target):
 
 def test_infomax_descends(small_target):
     net = small_net()
-    net, _ = train_source(
+    net, _, _ = train_source(
         net,
         generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8, seed=1)),
         SourceConfig(epochs=5, batch_size=32), np.random.default_rng(0))
-    _, report = adapt(net, small_target, AdaptConfig(epochs=5, lr=1e-3, batch_size=32),
-                      np.random.default_rng(0))
+    _, report, _ = adapt(net, small_target, AdaptConfig(epochs=5, lr=1e-3, batch_size=32),
+                         np.random.default_rng(0))
     assert report.epochs[-1]["infomax"] < report.epochs[0]["infomax"]
     for e in report.epochs:
         assert e["infomax"] == pytest.approx(e["entropy"] + e["diversity"])
@@ -76,29 +76,20 @@ def test_deterministic_given_seed(small_target):
     runs = []
     for _ in range(2):
         net = small_net()
-        out, _ = adapt(net, small_target, AdaptConfig(epochs=2, lr=0.01, batch_size=32),
-                       np.random.default_rng(7))
+        out, _, _ = adapt(net, small_target, AdaptConfig(epochs=2, lr=0.01, batch_size=32),
+                          np.random.default_rng(7))
         runs.append([p.data.copy() for p in out.parameters()])
     for a, b in zip(*runs):
         assert np.array_equal(a, b)
 
 
-def test_abort_restores_last_good_state(small_target):
-    net = small_net()
-    # a huge lr makes the activations overflow within an epoch or two
-    out, report = adapt(net, small_target, AdaptConfig(epochs=5, lr=1e12, batch_size=32),
-                        np.random.default_rng(0))
-    assert report.aborted
-    x = small_target.features[:8]
-    assert np.all(np.isfinite(out.eval().forward(x)))
-
-
 def test_report_serializes(small_target):
     import json
+    from dataclasses import asdict
     net = small_net()
-    _, report = adapt(net, small_target, AdaptConfig(epochs=1, batch_size=32),
-                      np.random.default_rng(0))
-    json.dumps(report.to_dict())
+    _, report, _ = adapt(net, small_target, AdaptConfig(epochs=1, batch_size=32),
+                         np.random.default_rng(0))
+    json.dumps(asdict(report))
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,9 @@ HEADER_EDITS = {
     "zero_width": lambda h: h["arch"].update(hidden=[8, 0]),
     "one_class": lambda h: h["arch"].update(num_classes=1),
     "str_batchnorm": lambda h: h["arch"].update(batchnorm="yes"),
+    # a zero-size array at the end of the blob: valid layout, unused by the arch
+    "stray_tensor": lambda h: h["tensors"].append({"name": "stray", "shape": [0], "offset": (
+        h["tensors"][-1]["offset"] + 8 * int(np.prod(h["tensors"][-1]["shape"])))}),
 }
 
 

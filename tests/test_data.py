@@ -10,7 +10,7 @@ from adaptkit.data import (AugmentationPolicy, Dataset, GeneratorSpec,
                            ImbalanceSpec, ShiftSpec, apply_shift, augment,
                            bucket_thresholds, generate, load_dataset,
                            longtail_counts, save_dataset, subsample_longtail)
-from adaptkit.errors import ConfigError, StorageError
+from adaptkit.errors import ConfigError, NumericalError, StorageError
 
 
 def small_spec(**kw):
@@ -229,6 +229,23 @@ def test_dataset_file_unlabeled(tmp_path):
     path = tmp_path / "x.ds"
     save_dataset(ds, path)
     assert load_dataset(path).labels is None
+
+
+def test_non_finite_features_rejected(tmp_path):
+    ds = generate(small_spec())
+    ds.features[3, 1] = np.nan
+    path = tmp_path / "nan.ds"
+    save_dataset(ds, path)
+    with pytest.raises(NumericalError):
+        load_dataset(path)
+    with pytest.raises(NumericalError):
+        Dataset(ds.features, ds.labels, ds.num_classes, "source", ds.spec)
+
+
+def test_empty_dataset_rejected():
+    for labels in (np.zeros(0, dtype=np.int64), None):
+        with pytest.raises(ConfigError, match="at least one row"):
+            Dataset(np.zeros((0, 8)), labels, 4, "source", small_spec())
 
 
 def _edit_header(edit):

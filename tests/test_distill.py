@@ -70,8 +70,8 @@ def test_run_phase_zero_epochs_is_identity():
     student = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(0))
     before = fingerprint_all(student.parameters())
     labels = pseudo_label(student, view, AugmentationPolicy(), np.random.default_rng(0))
-    out = run_phase(student, labels, view, 0, "hard", DistillConfig(batch_size=32),
-                    np.random.default_rng(0))
+    out, _ = run_phase(student, labels, view, 0, "hard", DistillConfig(batch_size=32),
+                       np.random.default_rng(0))
     assert fingerprint_all(out.parameters()) == before
 
 
@@ -175,7 +175,7 @@ def longtail_model_and_target(seed=0):
     tgt.bucket_thresholds = src.bucket_thresholds
     from adaptkit.source import SourceConfig, train_source
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(seed))
-    net, _ = train_source(net, src, SourceConfig(), np.random.default_rng(seed))
+    net, _, _ = train_source(net, src, SourceConfig(), np.random.default_rng(seed))
     return net, src, tgt
 
 
@@ -211,8 +211,8 @@ def test_calibration_touches_only_the_scales():
               for t in net.representation_parameters() + net.state_tensors()}
     before["classifier.bias"] = net.classifier.bias.data.copy()
     w_before = net.classifier.weight.data.copy()
-    scale, cal = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
-                                      np.random.default_rng(0))
+    scale, cal, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+                                         np.random.default_rng(0))
     assert backbone_fingerprint(cal) == backbone_fingerprint(net)
     assert np.array_equal(cal.classifier.bias.data, before["classifier.bias"])
     # weight rows are exactly the original rows times the learned scales
@@ -225,8 +225,8 @@ def test_calibration_improves_few_shot_bucket():
     counts = src.class_counts
     thresholds = src.bucket_thresholds
     pre = evaluate(net, tgt, train_counts=counts, thresholds=thresholds)
-    _, cal = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
-                                  np.random.default_rng(0))
+    _, cal, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+                                     np.random.default_rng(0))
     post = evaluate(cal, tgt, train_counts=counts, thresholds=thresholds)
     assert post.buckets["few"] > pre.buckets["few"]
     assert post.overall_acc >= pre.overall_acc - 0.01
@@ -234,8 +234,8 @@ def test_calibration_improves_few_shot_bucket():
 
 def test_calibration_deterministic():
     net, _, tgt = longtail_model_and_target()
-    s1, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
-                                 np.random.default_rng(3))
-    s2, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
-                                 np.random.default_rng(3))
+    s1, _, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+                                    np.random.default_rng(3))
+    s2, _, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+                                    np.random.default_rng(3))
     assert np.array_equal(s1.s, s2.s)

@@ -1,10 +1,10 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from adaptkit import cli
+from adaptkit import cli, store
 from adaptkit.adapt import AdaptConfig
 from adaptkit.data import Dataset, GeneratorSpec, ShiftSpec, generate, save_dataset
 from adaptkit.distill import DistillConfig, PhaseSchedule
@@ -132,6 +132,34 @@ def test_run_experiment_outputs(tmp_path):
     assert "seconds" not in json.dumps(per_seed)
 
 
+# A learning rate that drives each stage's training non-finite in its first epoch. The
+# floored calibration scales stayed finite through epoch 0 at every finite lr tried.
+ABORT_TRIGGERS = {"stage0": ("source_cfg", 1e305), "stage1": ("adapt_cfg", 1e305),
+                  "stage2": ("contrastive_cfg", 1e305), "stage3": ("distill_cfg", 1e305),
+                  "calibrate": ("calibrate_cfg", float("inf"))}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stage", sorted(ABORT_TRIGGERS))
+def test_stage_abort_restores_and_records(tmp_path, stage):
+    section, lr = ABORT_TRIGGERS[stage]
+    base = tiny_config(calibrate=True)
+    cfg = replace(base, **{section: replace(getattr(base, section), lr=lr)})
+    report = run_seed(cfg, 0, tmp_path)
+    assert list(report["aborts"]) == [stage]
+    assert report["aborts"][stage]["epoch"] == 0
+    assert "non-finite" in report["aborts"][stage]["reason"]
+    assert report["adapt"]["aborted"] == (stage == "stage1")
+    # the later stages still ran, on finite models
+    assert set(report["metrics"]) == {"source_only", "stage1", "stage3", "calibrated"}
+    written = sorted(p.name for p in tmp_path.glob("*.ckpt"))
+    assert written == ["backbone.ckpt", "calibrated.ckpt", "source.ckpt", "stage1.ckpt",
+                       "stage3.ckpt"]
+    for name in written:
+        _, arrays = store.read(tmp_path / name, b"OTAC")
+        assert all(np.all(np.isfinite(a)) for a in arrays.values()), name
+
+
 # ---------------------------------------------------------------------------
 # summaries and comparison
 
@@ -220,12 +248,32 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("section.json", json.dumps({"adapt_cfg": 5})),
     ("bench.json", json.dumps({"benchmark": {"bogus": 1}})),
     ("shift.yaml", "shift:\n  bogus: 1\n"),
+    ("epochs.json", json.dumps({"source_cfg": {"epochs": "ten"}})),
+    ("lr.json", json.dumps({"adapt_cfg": {"lr": [1]}})),
+    ("classes.json", json.dumps({"benchmark": {"num_classes": None}})),
+    ("seeds.json", json.dumps({"seeds": "ab"})),
+    ("stage1.json", json.dumps({"stage1": "no"})),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
-     "unknown_shift_key"])
+     "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
+     "str_stage1"])
 def test_cli_malformed_config_is_config_error(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     assert cli.main(["run", "--config", str(path)]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,section,data_flag", [
+    ("train-source", "source_cfg", "--data"), ("pretrain", "contrastive_cfg", "--target")])
+def test_cli_prints_abort_record(tmp_path, capsys, command, section, data_flag):
+    data = tmp_path / "d.ds"
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {"lr": 1e305, "epochs": 2, "batch_size": 32}}))
+    assert cli.main([command, data_flag, str(data), "--out", str(tmp_path / "x.ckpt"),
+                     "--config", str(cfg), "--hidden", "8"]) == 0
+    err = capsys.readouterr().err
+    assert f"{command} aborted" in err and '"epoch": 0' in err
 
 
 def test_cli_numerical_error(tmp_path):

@@ -7,7 +7,7 @@ from adaptkit import store
 from adaptkit.checkpoint import load_checkpoint, save_checkpoint
 from adaptkit.data import (GeneratorSpec, ShiftSpec, apply_shift, generate, load_dataset,
                            save_dataset)
-from adaptkit.errors import StorageError
+from adaptkit.errors import NumericalError, StorageError
 from adaptkit.layers import ArchSpec, build_network
 
 
@@ -60,3 +60,7 @@ def test_mutated_file_loads_or_raises_storage_error(valid_files, kind, data):
         LOADERS[kind](path)
     except StorageError:
         pass
+    except NumericalError:
+        # a mutated feature can decode as NaN/Inf: non-finite input data is exit 2
+        _, arrays = store.read(path, b"OTAD")
+        assert kind == "ds" and not np.all(np.isfinite(arrays["features"]))
