@@ -10,7 +10,7 @@ from .distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabel
 from .harness import ExperimentConfig, compare, run_experiment, run_seed
 from .layers import ArchSpec, Network, build_network
 from .metrics import MetricsReport, evaluate
-from .optim import SGD, Schedule
+from .optim import SGD
 from .selfsup import (ContrastiveConfig, InitializedStudent, make_student,
                       pretrain, random_backbone)
 from .source import SourceConfig, train_source

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .layers import Network
 from .losses import (diversity_loss, diversity_loss_grad, entropy_loss,
                      entropy_loss_grad, softmax)
-from .optim import SGD, fit
+from .optim import SGD, check_fit_sizes, fit
 
 
 @dataclass
@@ -29,10 +29,8 @@ class AdaptConfig:
     weight_decay: float = 1e-4
     update_set: str = "representation_all"
 
-    def validate(self) -> "AdaptConfig":
-        if self.batch_size < 2:
-            raise ConfigError("batch size must be at least 2 (batchnorm)")
-        return self
+    def __post_init__(self):
+        check_fit_sizes(self.batch_size, self.epochs)
 
 
 @dataclass
@@ -61,7 +59,6 @@ def partition_parameters(net: Network, update_set: str):
 def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
           rng: np.random.Generator) -> tuple[Network, AdaptReport, dict | None]:
     """Return an adapted copy of the source model, its report and its abort record."""
-    cfg.validate()
     net = source.copy()
     report = AdaptReport(classifier_fingerprint_before=net.classifier_fingerprint())
     trainable, _ = partition_parameters(net, cfg.update_set)

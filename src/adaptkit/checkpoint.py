@@ -1,8 +1,8 @@
 """Checkpoint files: a network's tensors in the store container.
 
 Magic b"OTAC". Besides the store's tensor table the header records the
-architecture and, for a stage-2 backbone, backbone_only. The architecture
-is checked as outside input before a network is built from it.
+architecture and, for a stage-2 backbone, backbone_only. An architecture
+that ArchSpec rejects is a malformed file.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import store
-from .errors import StorageError
+from .errors import ConfigError, StorageError
 from .layers import ArchSpec, Network, build_network
 
 MAGIC = b"OTAC"
@@ -22,12 +22,8 @@ def _read(path) -> tuple[ArchSpec, dict, dict[str, np.ndarray]]:
     try:
         d = header["arch"]
         arch = ArchSpec(d["input_dim"], tuple(d["hidden"]), d["num_classes"], d["batchnorm"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ConfigError) as e:
         raise StorageError(f"{path}: malformed checkpoint arch: {e!r}") from e
-    if not (all(store.is_count(w, 1) for w in (arch.input_dim, *arch.hidden))
-            and store.is_count(arch.num_classes, 2) and isinstance(arch.batchnorm, bool)):
-        raise StorageError(f"{path}: checkpoint arch needs positive integer widths, "
-                           f"at least 2 classes and a boolean batchnorm, got {arch}")
     return arch, header, tensors
 
 

@@ -18,7 +18,7 @@ from . import checkpoint, harness
 from .adapt import adapt
 from .data import (GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
                    generate, load_dataset, save_dataset, subsample_longtail)
-from .distill import PhaseSchedule, calibrate_classifier, distill
+from .distill import calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, NumericalError, StorageError
 from .layers import ArchSpec, build_network
 from .metrics import evaluate
@@ -51,9 +51,8 @@ def cmd_train_source(args) -> int:
     ds = load_dataset(args.data)
     cfg = harness.load_section(args.config, "source_cfg")
     arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
-    rng = harness.stream(args.seed, "stage0")
-    net = build_network(arch, rng)
-    net, history, abort = train_source(net, ds, cfg, rng)
+    net = build_network(arch, harness.stream(args.seed, "stage0"))
+    net, history, abort = train_source(net, ds, cfg, harness.stream(args.seed, "stage0"))
     _warn_abort("train-source", abort)
     checkpoint.save_checkpoint(net, args.out)
     print(f"wrote {args.out}" + (f": final loss {history[-1]['loss']:.4f}" if history else ""))
@@ -91,8 +90,6 @@ def cmd_distill(args) -> int:
     teacher, _ = checkpoint.load_checkpoint(args.teacher)
     ds = load_dataset(args.target)
     cfg = harness.load_section(args.config, "distill_cfg")
-    cfg.schedule = PhaseSchedule(args.phases, args.epochs_per_phase,
-                                 args.soft_interleave, args.soft_epochs)
     if args.student_init:
         arch, tensors, _ = checkpoint.load_backbone(args.student_init)
         pretrained = InitializedStudent(arch, tensors, "contrastive")
@@ -209,11 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.add_argument("--student-init", help="backbone checkpoint (default: random student)")
     d.add_argument("--hidden", type=int, nargs="+", default=[32, 32])
-    d.add_argument("--config")
-    d.add_argument("--phases", type=int, default=3)
-    d.add_argument("--epochs-per-phase", type=int, default=4)
-    d.add_argument("--soft-interleave", action="store_true")
-    d.add_argument("--soft-epochs", type=int, default=1)
+    d.add_argument("--config", help="distill_cfg section, phase schedule included")
     d.add_argument("--trace")
     d.add_argument("--seed", type=int, default=0)
     d.set_defaults(fn=cmd_distill)

@@ -33,14 +33,13 @@ class GeneratorSpec:
     seed: int = 0
     geometry_seed: int = 7
 
-    def validate(self) -> "GeneratorSpec":
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.input_dim < 2:
             raise ConfigError("need at least 2 input dimensions")
         if self.n_per_class < 1:
             raise ConfigError("need at least 1 sample per class")
-        return self
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,9 @@ class ShiftSpec:
     magnitude: float = 45.0  # degrees for rotation
     seed: int = 0
 
-    def validate(self) -> "ShiftSpec":
+    def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -60,10 +58,9 @@ class ImbalanceSpec:
     imbalance_ratio: float = 100.0
     seed: int = 0
 
-    def validate(self) -> "ImbalanceSpec":
+    def __post_init__(self):
         if self.imbalance_ratio < 1:
             raise ConfigError("imbalance ratio must be >= 1")
-        return self
 
 
 @dataclass(frozen=True)
@@ -73,12 +70,13 @@ class AugmentationPolicy:
     dropout_prob: float = 0.2
     scale_range: tuple[float, float] = (0.8, 1.25)
 
-    def validate(self) -> "AugmentationPolicy":
+    def __post_init__(self):
         if self.weak_sigma > self.strong_sigma:
             raise ConfigError("weak jitter must not exceed strong jitter")
         if not 0 <= self.dropout_prob <= 1:
             raise ConfigError("dropout probability must be in [0, 1]")
-        return self
+        if self.scale_range[0] > self.scale_range[1]:
+            raise ConfigError(f"scale_range low must not exceed high, got {self.scale_range}")
 
     @staticmethod
     def identity() -> "AugmentationPolicy":
@@ -170,7 +168,6 @@ def _latent_samples(spec: GeneratorSpec, seed: int) -> tuple[np.ndarray, np.ndar
 
 def generate(spec: GeneratorSpec) -> Dataset:
     """Draw a balanced source dataset for the spec."""
-    spec.validate()
     latent, labels = _latent_samples(spec, spec.seed)
     _, q = _geometry(spec)
     return Dataset(latent @ q.T, labels, spec.num_classes, "source", spec)
@@ -207,7 +204,6 @@ def apply_shift(src: Dataset, shift: ShiftSpec) -> Dataset:
     exactly. Labels ride along for evaluation only; adaptation consumers go
     through unlabeled_view().
     """
-    shift.validate()
     spec = src.spec
     latent, labels = _latent_samples(spec, shift.seed)
     latent = _plane_transform(latent, shift)
@@ -235,7 +231,6 @@ def bucket_thresholds(n_max: int) -> tuple[int, int]:
 
 
 def subsample_longtail(src: Dataset, imb: ImbalanceSpec) -> Dataset:
-    imb.validate()
     if src.labels is None:
         raise ConfigError("long-tail subsampling needs labels")
     counts = src.class_counts
@@ -262,7 +257,6 @@ def subsample_longtail(src: Dataset, imb: ImbalanceSpec) -> Dataset:
 def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
             rng: np.random.Generator) -> np.ndarray:
     """Weak: gaussian jitter. Strong: jitter, feature dropout, scale jitter."""
-    policy.validate()
     x = np.asarray(x, dtype=np.float64)
     if mode == "weak":
         return x + rng.normal(0.0, 1.0, size=x.shape) * policy.weak_sigma
@@ -304,7 +298,7 @@ def load_dataset(path) -> Dataset:
         spec = GeneratorSpec(**header["generator"])
         bt = tuple(header["bucket_thresholds"]) if header.get("bucket_thresholds") else None
         c, tag = header["c"], header["domain_tag"]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ConfigError) as e:
         raise StorageError(f"{path}: malformed dataset header: {e!r}") from e
     features, labels = arrays.pop("features", None), arrays.pop("labels", None)
     if features is None or features.ndim != 2 or len(features) == 0 or arrays:

@@ -18,7 +18,7 @@ from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError
 from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
-from .optim import SGD, fit
+from .optim import SGD, check_fit_sizes, fit
 from .selfsup import InitializedStudent, backbone_fingerprint, make_student
 from .tensor import Tensor, fingerprint_all
 
@@ -30,10 +30,9 @@ class PhaseSchedule:
     soft_label_interleave: bool = False
     soft_phase_epochs: int = 1
 
-    def validate(self) -> "PhaseSchedule":
+    def __post_init__(self):
         if self.num_phases < 1 or self.epochs_per_phase < 1 or self.soft_phase_epochs < 1:
             raise ConfigError("phase counts and epoch budgets must be at least 1")
-        return self
 
     def mode_for(self, phase: int) -> str:
         """Phase numbering starts at 1; even phases run soft when interleaving."""
@@ -54,6 +53,9 @@ class DistillConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
+
+    def __post_init__(self):
+        check_fit_sizes(self.batch_size)
 
 
 @dataclass
@@ -110,7 +112,6 @@ def distill(teacher: Network, init_kind: str, student_arch: ArchSpec,
     eval_fn, when given, maps a Network to an accuracy in [0, 1]; it is the
     only place evaluation labels may enter, and it never feeds training.
     """
-    cfg.schedule.validate()
     trace = []
     prev_hard = None
     student = None
@@ -158,6 +159,11 @@ class CalibrateConfig:
     momentum: float = 0.9
     batch_size: int = 128
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
+
+    def __post_init__(self):
+        check_fit_sizes(self.batch_size, self.epochs)
+        if self.rounds < 0:
+            raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
 
 
 def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateConfig,

@@ -70,7 +70,8 @@ def _fits(v, hint) -> bool:
 
 def _subconfig(cls, d: dict | None, what: str = ""):
     """Build config dataclass `cls` from a parsed mapping, nested sections
-    included; an unknown key or a value of the wrong type is a ConfigError."""
+    included; an unknown key, a value of the wrong type or a value that `cls`
+    rejects is a ConfigError."""
     what = what or cls.__name__
     if d is not None and not isinstance(d, dict):
         raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
@@ -87,7 +88,10 @@ def _subconfig(cls, d: dict | None, what: str = ""):
         if not _fits(v, hints[key]):
             raise ConfigError(f"{what}.{key} must be {written[key]}, got {v!r}")
         kw[key] = v
-    return cls(**kw)
+    try:
+        return cls(**kw)
+    except ConfigError as e:
+        raise ConfigError(f"{what}: {e}") from e
 
 
 @dataclass
@@ -117,6 +121,13 @@ class ExperimentConfig:
             raise ConfigError("stage 2 output is only consumed by stage 3")
         if bool(self.source_data) != bool(self.target_data):
             raise ConfigError("source_data and target_data must be given together")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must be distinct non-negative integers, at least one, "
+                              f"got {list(self.seeds)}")
+        if any(w < 1 for w in (*self.teacher_hidden, *self.student_hidden)):
+            raise ConfigError("hidden widths must be at least 1")
+        if self.imbalance_ratio is not None:
+            ImbalanceSpec(self.imbalance_ratio)  # raises on a bad ratio
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .store import is_count
 from .tensor import Tensor, check_finite, fingerprint_all
 
 BN_EPS = 1e-5
@@ -158,6 +159,12 @@ class ArchSpec:
     num_classes: int
     batchnorm: bool = True
 
+    def __post_init__(self):
+        if not (all(is_count(w, 1) for w in (self.input_dim, *self.hidden))
+                and is_count(self.num_classes, 2) and isinstance(self.batchnorm, bool)):
+            raise ConfigError("an architecture needs positive integer widths, at least 2 "
+                              f"classes and a boolean batchnorm, got {self}")
+
 
 class Network:
     """Ordered layer stack whose final layer is the dense classifier."""
@@ -252,8 +259,6 @@ class Network:
 
 def build_network(arch: ArchSpec, rng: np.random.Generator) -> Network:
     """Construct a fresh network for an ArchSpec with Glorot-uniform init."""
-    if arch.num_classes < 2:
-        raise ConfigError("need at least 2 classes")
     layers: list = []
     prev = arch.input_dim
     for i, width in enumerate(arch.hidden):

@@ -1,8 +1,6 @@
-"""SGD with momentum and selective weight decay, lr schedules, and the one
-epoch x minibatch training loop every stage runs through."""
+"""SGD with momentum and selective weight decay, and the one epoch x minibatch
+training loop every stage runs through, with the rule for its loop sizes."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,26 +40,6 @@ class SGD:
             p.data = p.data - lr * self.velocity[i]
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Constant or cosine-annealed learning rate over a fixed step budget."""
-
-    kind: str  # "constant" | "cosine"
-    base_lr: float
-    min_lr: float = 0.0
-    total_steps: int = 1
-
-    def lr_at(self, step: int) -> float:
-        if not 0 <= step <= self.total_steps:
-            raise ConfigError(f"step {step} outside [0, {self.total_steps}]")
-        if self.kind == "constant":
-            return self.base_lr
-        if self.kind == "cosine":
-            frac = step / self.total_steps
-            return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + np.cos(np.pi * frac))
-        raise ConfigError(f"unknown schedule kind {self.kind!r}")
-
-
 def minibatches(n: int, batch_size: int, rng: np.random.Generator):
     """Shuffled minibatch index blocks; drops a trailing singleton (batchnorm)."""
     perm = rng.permutation(n)
@@ -71,6 +49,15 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
             yield block
 
 
+def check_fit_sizes(batch_size: int, epochs: int = 0) -> None:
+    """The rule for the loop sizes a stage config hands to `fit`, which skips one-row
+    minibatches (batchnorm needs two rows), so a batch size of 1 would train nothing."""
+    if batch_size < 2:
+        raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
+    if epochs < 0:
+        raise ConfigError(f"epochs must be non-negative, got {epochs}")
+
+
 def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
         rng: np.random.Generator, grads, cosine: bool = False) -> tuple[list[dict], dict | None]:
     """The one epoch x minibatch loop: grads(idx) runs forward and backward and returns
@@ -78,7 +65,6 @@ def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
     losses and None, or, if a NumericalError put `tensors` back as they were at the start
     of its epoch and ended the run, the losses so far and the abort {"epoch", "reason"}."""
     total = max(1, epochs * max(1, n // batch_size))
-    sched = Schedule("cosine" if cosine else "constant", opt.lr, total_steps=total)
     history, step = [], 0
     for epoch in range(epochs):
         start, losses = [t.data.copy() for t in tensors], []
@@ -87,7 +73,8 @@ def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
                 for t in tensors:
                     t.zero_grad()
                 losses.append(grads(idx))
-                opt.step(lr=sched.lr_at(min(step, total)))
+                opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (min(step, total) / total)))
+                         if cosine else opt.lr)
                 step += 1
             for t in tensors:
                 check_finite(t.data, t.name)

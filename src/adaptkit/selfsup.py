@@ -16,7 +16,7 @@ from .errors import ConfigError, NumericalError
 from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
                      forward_layers)
 from .losses import infonce_loss, infonce_loss_grad
-from .optim import SGD, fit
+from .optim import SGD, check_fit_sizes, fit
 
 INIT_KINDS = ("contrastive", "source_copy", "random")
 
@@ -32,12 +32,12 @@ class ContrastiveConfig:
     embedding_dim: int = 32
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
-    def validate(self) -> "ContrastiveConfig":
+    def __post_init__(self):
+        check_fit_sizes(self.batch_size, self.epochs)
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if self.embedding_dim < 2:
             raise ConfigError("embedding dim must be at least 2")
-        return self
 
 
 @dataclass
@@ -61,7 +61,6 @@ def _backbone_snapshot(net: Network) -> dict[str, np.ndarray]:
 def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
              rng: np.random.Generator) -> InitializedStudent:
     """Train the backbone of `arch` on unlabeled target data with InfoNCE."""
-    cfg.validate()
     if len(target) < 2 * cfg.batch_size:
         raise ConfigError(
             f"target too small for contrastive pretraining: {len(target)} rows, "

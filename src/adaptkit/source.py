@@ -9,7 +9,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .layers import Network
 from .losses import cross_entropy, cross_entropy_grad, softmax
-from .optim import SGD, fit
+from .optim import SGD, check_fit_sizes, fit
 
 
 @dataclass
@@ -20,6 +20,9 @@ class SourceConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-4
     smoothing: float = 0.1
+
+    def __post_init__(self):
+        check_fit_sizes(self.batch_size, self.epochs)
 
 
 def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,

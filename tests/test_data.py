@@ -43,7 +43,7 @@ def test_generate_balanced_counts():
 def test_generate_rejects_degenerate_params():
     for kw in (dict(num_classes=1), dict(input_dim=1), dict(n_per_class=0)):
         with pytest.raises(ConfigError):
-            generate(small_spec(**kw)).validate if False else generate(small_spec(**kw))
+            generate(small_spec(**kw))
 
 
 def test_source_linear_probe_separable():
@@ -190,9 +190,9 @@ def test_independent_rng_states_give_distinct_views():
 
 def test_invalid_policies_rejected():
     with pytest.raises(ConfigError):
-        AugmentationPolicy(weak_sigma=0.5, strong_sigma=0.1).validate()
+        AugmentationPolicy(weak_sigma=0.5, strong_sigma=0.1)
     with pytest.raises(ConfigError):
-        AugmentationPolicy(dropout_prob=1.5).validate()
+        AugmentationPolicy(dropout_prob=1.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,6 +273,9 @@ def _edit_arrays(edit):
 DATASET_EDITS = {
     "no_c": _edit_header(lambda h, t: h.pop("c")),
     "float_c": _edit_header(lambda h, t: h.update(c=4.0)),
+    "unknown_shift_kind": _edit_header(lambda h, t: h.update(
+        shift={"kind": "warp", "magnitude": 1.0, "seed": 0})),
+    "one_class_generator": _edit_header(lambda h, t: h["generator"].update(num_classes=1)),
     "negative_n": _edit_header(lambda h, t: t["features"].update(shape=[-1, 8])),
     "float_d": _edit_header(lambda h, t: t["features"].update(shape=[80, 2.5])),
     "no_features": _edit_header(lambda h, t: t["features"].update(name="feature")),

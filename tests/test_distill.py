@@ -98,9 +98,9 @@ def test_schedule_modes_and_budgets():
     plain = PhaseSchedule(num_phases=3)
     assert all(plain.mode_for(p) == "hard" for p in (1, 2, 3))
     with pytest.raises(ConfigError):
-        PhaseSchedule(num_phases=0).validate()
+        PhaseSchedule(num_phases=0)
     with pytest.raises(ConfigError):
-        PhaseSchedule(epochs_per_phase=0).validate()
+        PhaseSchedule(epochs_per_phase=0)
 
 
 def test_distill_trace_bookkeeping():

@@ -1,17 +1,18 @@
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from adaptkit import cli, store
+from adaptkit import checkpoint, cli, store
 from adaptkit.adapt import AdaptConfig
 from adaptkit.data import Dataset, GeneratorSpec, ShiftSpec, generate, save_dataset
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.errors import ConfigError
-from adaptkit.harness import (SCHEMA_VERSION, ExperimentConfig, compare,
-                              load_config, run_experiment, run_seed, stream_seed,
-                              summarize)
+from adaptkit.harness import (_SECTIONS, SCHEMA_VERSION, ExperimentConfig, _subconfig,
+                              compare, load_config, make_datasets, run_experiment,
+                              run_seed, stream_seed, summarize)
+from adaptkit.layers import ArchSpec, build_network
 from adaptkit.selfsup import ContrastiveConfig
 from adaptkit.source import SourceConfig
 
@@ -253,13 +254,70 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("classes.json", json.dumps({"benchmark": {"num_classes": None}})),
     ("seeds.json", json.dumps({"seeds": "ab"})),
     ("stage1.json", json.dumps({"stage1": "no"})),
+    ("c.json", json.dumps({"source_cfg": {"batch_size": 0}})),
+    ("c.json", json.dumps({"source_cfg": {"batch_size": 1}})),
+    ("c.json", json.dumps({"calibrate_cfg": {"batch_size": 0}})),
+    ("c.json", json.dumps({"source_cfg": {"epochs": -3}})),
+    ("c.json", json.dumps({"calibrate_cfg": {"rounds": -1}})),
+    ("c.json", json.dumps({"distill_cfg": {"policy": {"scale_range": [1.25, 0.8]}}})),
+    ("c.json", json.dumps({"teacher_hidden": [0]})),
+    ("c.json", json.dumps({"seeds": []})),
+    ("c.json", json.dumps({"seeds": [0, 0]})),
+    ("c.json", json.dumps({"seeds": [-1]})),
+    ("c.json", json.dumps({"contrastive_cfg": {"temperature": -1}})),
+    ("c.json", json.dumps({"shift": {"kind": "warp"}})),
+    ("c.json", json.dumps({"distill_cfg": {"policy": {"dropout_prob": 2}}})),
+    ("c.json", json.dumps({"imbalance_ratio": 0.5})),
+    ("c.json", json.dumps({"distill_cfg": {"schedule": {"num_phases": 0}}})),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
-     "str_stage1"])
-def test_cli_malformed_config_is_config_error(tmp_path, name, text):
+     "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
+     "negative_rounds", "reversed_scale_range", "zero_width", "no_seeds", "repeated_seeds",
+     "negative_seed", "negative_temperature", "unknown_shift_kind", "dropout_above_one",
+     "imbalance_below_one", "zero_phases"])
+def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
-    assert cli.main(["run", "--config", str(path)]) == 1
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "exp")]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("exp/seed_*"))
+
+
+@pytest.mark.parametrize("key", sorted(_SECTIONS))
+def test_sections_reject_untrainable_loop_sizes(key):
+    names = {f.name for f in fields(_SECTIONS[key])}
+    for field_name, bad in (("batch_size", 1), ("epochs", -1)):
+        if field_name in names:
+            with pytest.raises(ConfigError, match=field_name):
+                _subconfig(_SECTIONS[key], {field_name: bad})
+
+
+def test_cli_distill_takes_schedule_from_config(tmp_path):
+    data, teacher = tmp_path / "d.ds", tmp_path / "teacher.ckpt"
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
+    checkpoint.save_checkpoint(build_network(ArchSpec(8, (8,), 4), np.random.default_rng(0)),
+                               teacher)
+    cfg, trace = tmp_path / "cfg.json", tmp_path / "trace.json"
+    cfg.write_text(json.dumps(
+        {"distill_cfg": {"schedule": {"num_phases": 1, "epochs_per_phase": 1}}}))
+    assert cli.main(["distill", "--teacher", str(teacher), "--target", str(data),
+                     "--out", str(tmp_path / "student.ckpt"), "--config", str(cfg),
+                     "--hidden", "8", "--trace", str(trace)]) == 0
+    assert len(json.loads(trace.read_text())) == 1
+
+
+def test_cli_train_source_matches_run(tmp_path):
+    cfg = tiny_config(seeds=(0,), stage1=False, stage2=False, stage3=False,
+                      source_cfg=SourceConfig(epochs=2, batch_size=32),
+                      outdir=str(tmp_path / "exp"))
+    path, data = tmp_path / "cfg.json", tmp_path / "src.ds"
+    path.write_text(json.dumps(asdict(cfg)))
+    save_dataset(make_datasets(cfg, 0)[0], data)
+    assert cli.main(["run", "--config", str(path)]) == 0
+    assert cli.main(["train-source", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                     "--config", str(path), "--hidden", "12", "--seed", "0"]) == 0
+    assert (tmp_path / "x.ckpt").read_bytes() \
+        == (tmp_path / "exp" / "seed_0" / "source.ckpt").read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

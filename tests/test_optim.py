@@ -3,7 +3,7 @@ import pytest
 
 from adaptkit.errors import ConfigError
 from adaptkit.layers import ArchSpec, build_network
-from adaptkit.optim import SGD, Schedule, decays
+from adaptkit.optim import SGD, decays, fit
 from adaptkit.tensor import Tensor
 
 
@@ -70,24 +70,36 @@ def test_lr_zero_leaves_network_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# lr schedule in fit
 
 
-def test_cosine_endpoints_and_midpoint():
-    s = Schedule("cosine", base_lr=0.1, min_lr=0.001, total_steps=100)
-    assert s.lr_at(0) == pytest.approx(0.1, abs=1e-15)
-    assert s.lr_at(100) == pytest.approx(0.001, abs=1e-15)
-    assert s.lr_at(50) == pytest.approx((0.1 + 0.001) / 2, abs=1e-12)
+class RecordingSGD(SGD):
+    """SGD that records the lr `fit` passes to every step."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.lrs = []
+
+    def step(self, lr=None):
+        self.lrs.append(lr)
+        super().step(lr)
 
 
-def test_constant_schedule():
-    s = Schedule("constant", base_lr=0.3, total_steps=10)
-    assert s.lr_at(0) == s.lr_at(10) == 0.3
+def test_fit_lr_constant_or_cosine():
+    for cosine in (False, True):
+        p = scalar_param(1.0)
+        opt = RecordingSGD([p], lr=0.1, momentum=0.9)
 
+        def grads(idx):
+            p.add_grad(np.array([0.5]))
+            return {}
 
-def test_schedule_step_out_of_range():
-    s = Schedule("cosine", 0.1, total_steps=10)
-    with pytest.raises(ConfigError):
-        s.lr_at(11)
-    with pytest.raises(ConfigError):
-        s.lr_at(-1)
+        fit(opt, [p], 3, 10, 4, np.random.default_rng(0), grads, cosine=cosine)
+        lrs = opt.lrs
+        assert len(lrs) == 9  # blocks of 4, 4 and 2 rows per epoch
+        if not cosine:
+            assert lrs == [0.1] * 9
+        else:
+            assert lrs[0] == 0.1 and lrs[-1] < 0.1
+            assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+            assert min(lrs) >= 0
