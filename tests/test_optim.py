@@ -85,21 +85,39 @@ class RecordingSGD(SGD):
         super().step(lr)
 
 
-def test_fit_lr_constant_or_cosine():
-    for cosine in (False, True):
-        p = scalar_param(1.0)
-        opt = RecordingSGD([p], lr=0.1, momentum=0.9)
+def fit_lrs(cosine, epochs, n, batch_size, lr=0.1):
+    """Every lr `fit` passes to SGD.step over `epochs` passes of `n` rows."""
+    p = scalar_param(1.0)
+    opt = RecordingSGD([p], lr=lr, momentum=0.9)
 
-        def grads(idx):
-            p.add_grad(np.array([0.5]))
-            return {}
+    def grads(idx):
+        p.add_grad(np.array([0.5]))
+        return {}
 
-        fit(opt, [p], 3, 10, 4, np.random.default_rng(0), grads, cosine=cosine)
-        lrs = opt.lrs
-        assert len(lrs) == 9  # blocks of 4, 4 and 2 rows per epoch
-        if not cosine:
-            assert lrs == [0.1] * 9
-        else:
-            assert lrs[0] == 0.1 and lrs[-1] < 0.1
-            assert all(b <= a for a, b in zip(lrs, lrs[1:]))
-            assert min(lrs) >= 0
+    fit(opt, [p], epochs, n, batch_size, np.random.default_rng(0), grads, cosine=cosine)
+    return opt.lrs
+
+
+def test_constant_schedule():
+    lrs = fit_lrs(False, 3, 10, 4, lr=0.3)
+    assert lrs == [0.3] * 9  # blocks of 4, 4 and 2 rows per epoch
+
+
+def test_cosine_endpoints_and_midpoint():
+    # 2 epochs x 10 // 4 = 4 scheduled steps; 3 blocks per epoch make 6 steps.
+    lrs = fit_lrs(True, 2, 10, 4)
+    assert len(lrs) == 6
+    assert lrs[0] == 0.1
+    assert lrs[2] == pytest.approx(0.05, abs=1e-15)
+    assert lrs[4] == pytest.approx(0.0, abs=1e-15)
+    assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+    assert min(lrs) >= 0
+
+
+def test_schedule_step_out_of_range():
+    # Steps past the scheduled total are clamped to it: the lr stays at its floor
+    # instead of following the cosine back up.
+    lrs = fit_lrs(True, 3, 10, 4)
+    assert len(lrs) == 9  # 6 scheduled steps, 3 past the total
+    assert lrs[6:] == [lrs[6]] * 3
+    assert lrs[6] == pytest.approx(0.0, abs=1e-15) and lrs[6] >= 0
