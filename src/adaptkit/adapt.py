@@ -15,9 +15,10 @@ import numpy as np
 from .data import UnlabeledView
 from .errors import ConfigError
 from .layers import Network
-from .losses import (diversity_loss, diversity_loss_grad, entropy_loss,
-                     entropy_loss_grad, softmax)
-from .optim import SGD, check_fit_sizes, fit
+from .losses import diversity_loss, entropy_loss, infomax_loss_grad, softmax
+from .optim import SGD, check_fit_args, fit
+
+UPDATE_SETS = ("representation_all", "batchnorm_only")
 
 
 @dataclass
@@ -30,7 +31,9 @@ class AdaptConfig:
     update_set: str = "representation_all"
 
     def __post_init__(self):
-        check_fit_sizes(self.batch_size, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs)
+        if self.update_set not in UPDATE_SETS:
+            raise ConfigError(f"unknown update set {self.update_set!r}")
 
 
 @dataclass
@@ -66,7 +69,7 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
     def grads(idx):
         logits, caches = net.forward(target.features[idx], record=True)
         probs = softmax(logits)
-        net.backward(caches, entropy_loss_grad(probs) + diversity_loss_grad(probs))
+        net.backward(caches, infomax_loss_grad(probs))
         return {"entropy": entropy_loss(probs).scalar, "diversity": diversity_loss(probs).scalar}
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)

@@ -9,26 +9,17 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint, harness
-from .adapt import adapt
 from .data import (GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
                    generate, load_dataset, save_dataset, subsample_longtail)
-from .distill import calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, NumericalError, StorageError
-from .layers import ArchSpec, build_network
 from .metrics import evaluate
-from .selfsup import InitializedStudent, pretrain
-from .source import train_source
-
-
-def _warn_abort(stage: str, abort: dict | None) -> None:
-    if abort:  # the run hit a non-finite value and kept its last good state
-        print(f"{stage} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)
+from .selfsup import InitializedStudent
 
 
 def cmd_gen_data(args) -> int:
@@ -47,75 +38,25 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train_source(args) -> int:
-    ds = load_dataset(args.data)
-    cfg = harness.load_section(args.config, "source_cfg")
-    arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
-    net = build_network(arch, harness.stream(args.seed, "stage0"))
-    net, history, abort = train_source(net, ds, cfg, harness.stream(args.seed, "stage0"))
-    _warn_abort("train-source", abort)
-    checkpoint.save_checkpoint(net, args.out)
-    print(f"wrote {args.out}" + (f": final loss {history[-1]['loss']:.4f}" if history else ""))
-    return 0
-
-
-def cmd_adapt(args) -> int:
-    net, _ = checkpoint.load_checkpoint(args.source)
-    ds = load_dataset(args.target)
-    cfg = harness.load_section(args.config, "adapt_cfg")
-    net, report, abort = adapt(net, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage1"))
-    _warn_abort("adapt", abort)
-    checkpoint.save_checkpoint(net, args.out)
-    payload = json.dumps(asdict(report), sort_keys=True, indent=2)
-    if args.report:
-        Path(args.report).write_text(payload + "\n")
-    else:
-        print(payload)
-    return 0
-
-
-def cmd_pretrain(args) -> int:
-    ds = load_dataset(args.target)
-    cfg = harness.load_section(args.config, "contrastive_cfg")
-    arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
-    student = pretrain(arch, ds.unlabeled_view(), cfg, harness.stream(args.seed, "stage2"))
-    _warn_abort("pretrain", student.abort)
-    checkpoint.save_backbone(arch, student.tensors, args.out)
-    h = [e["infonce"] for e in student.loss_history]
-    print(f"wrote {args.out}" + (f": infonce {h[0]:.4f} -> {h[-1]:.4f}" if h else ""))
-    return 0
-
-
-def cmd_distill(args) -> int:
-    teacher, _ = checkpoint.load_checkpoint(args.teacher)
-    ds = load_dataset(args.target)
-    cfg = harness.load_section(args.config, "distill_cfg")
-    if args.student_init:
+def cmd_stage(args) -> int:
+    """train-source, adapt, pretrain, distill and calibrate: one step of `run`'s stage
+    table on files, so the same --seed and --config give the same checkpoint bytes."""
+    stage, data = args.stage, load_dataset(args.data)
+    hidden = getattr(args, "hidden", ())
+    inputs = harness.StageInputs(data, data.unlabeled_view(), hidden, hidden)
+    if getattr(args, "model", None):
+        inputs.model, _ = checkpoint.load_checkpoint(args.model)
+    if getattr(args, "student_init", None):
         arch, tensors, _ = checkpoint.load_backbone(args.student_init)
-        pretrained = InitializedStudent(arch, tensors, "contrastive")
-        init_kind = "contrastive"
-    else:
-        arch = ArchSpec(ds.dim, tuple(args.hidden), ds.num_classes)
-        pretrained, init_kind = None, "random"
-    student, trace = distill(teacher, init_kind, arch, pretrained, ds.unlabeled_view(),
-                             cfg, harness.stream(args.seed, "stage3"))
-    _warn_abort("distill", {e["phase"]: e["abort"] for e in trace if "abort" in e})
-    checkpoint.save_checkpoint(student, args.out)
-    if args.trace:
-        Path(args.trace).write_text(json.dumps(trace, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {args.out}: {len(trace)} phases")
-    return 0
-
-
-def cmd_calibrate(args) -> int:
-    net, _ = checkpoint.load_checkpoint(args.model)
-    ds = load_dataset(args.target)
-    cfg = harness.load_section(args.config, "calibrate_cfg")
-    scale, net, abort = calibrate_classifier(net, ds.unlabeled_view(), cfg,
-                                             harness.stream(args.seed, "calibrate"))
-    _warn_abort("calibrate", abort)
-    checkpoint.save_checkpoint(net, args.out)
-    print(f"wrote {args.out}: scales {np.array2string(scale.s, precision=3)}")
+        inputs.pretrained = InitializedStudent(arch, tensors, "contrastive")
+    cfg = harness.load_section(args.config, stage.section)
+    fragment, abort = harness.run_stage(stage, cfg, args.seed, inputs, args.out)
+    if abort:  # the stage hit a non-finite value and kept its last good state
+        print(f"{args.command} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)
+    if getattr(args, "report", None):
+        Path(args.report).write_text(json.dumps(reduce(getitem, args.report_keys, fragment),
+                                                sort_keys=True, indent=2) + "\n")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -175,49 +116,36 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--imbalance-ratio", type=float)
     g.set_defaults(fn=cmd_gen_data)
 
-    t = sub.add_parser("train-source", help="stage 0: supervised source training")
-    t.add_argument("--data", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--config")
+    def stage_parser(command, name, help, data_flag="--target"):
+        stage = next(st for st in harness.STAGES if st.name == name)
+        sp = sub.add_parser(command, help=help)
+        sp.add_argument(data_flag, dest="data", metavar=data_flag[2:].upper(), required=True)
+        sp.add_argument("--out", required=True)
+        sp.add_argument("--config", help=f"{stage.section} section, alone or in a full config")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(fn=cmd_stage, stage=stage)
+        return sp
+
+    t = stage_parser("train-source", "stage0", "stage 0: supervised source training", "--data")
     t.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
-    t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(fn=cmd_train_source)
 
-    a = sub.add_parser("adapt", help="stage 1: InfoMax test-time adaptation")
-    a.add_argument("--source", required=True)
-    a.add_argument("--target", required=True)
-    a.add_argument("--out", required=True)
-    a.add_argument("--config")
+    a = stage_parser("adapt", "stage1", "stage 1: InfoMax test-time adaptation")
+    a.add_argument("--source", dest="model", metavar="SOURCE", required=True)
     a.add_argument("--report")
-    a.add_argument("--seed", type=int, default=0)
-    a.set_defaults(fn=cmd_adapt)
+    a.set_defaults(report_keys=("adapt",))
 
-    pr = sub.add_parser("pretrain", help="stage 2: contrastive backbone pretraining")
-    pr.add_argument("--target", required=True)
-    pr.add_argument("--out", required=True)
-    pr.add_argument("--config")
+    pr = stage_parser("pretrain", "stage2", "stage 2: contrastive backbone pretraining")
     pr.add_argument("--hidden", type=int, nargs="+", default=[32, 32])
-    pr.add_argument("--seed", type=int, default=0)
-    pr.set_defaults(fn=cmd_pretrain)
 
-    d = sub.add_parser("distill", help="stage 3: phased teacher-student transfer")
-    d.add_argument("--teacher", required=True)
-    d.add_argument("--target", required=True)
-    d.add_argument("--out", required=True)
+    d = stage_parser("distill", "stage3", "stage 3: phased teacher-student transfer")
+    d.add_argument("--teacher", dest="model", metavar="TEACHER", required=True)
     d.add_argument("--student-init", help="backbone checkpoint (default: random student)")
     d.add_argument("--hidden", type=int, nargs="+", default=[32, 32])
-    d.add_argument("--config", help="distill_cfg section, phase schedule included")
-    d.add_argument("--trace")
-    d.add_argument("--seed", type=int, default=0)
-    d.set_defaults(fn=cmd_distill)
+    d.add_argument("--trace", dest="report", metavar="TRACE")
+    d.set_defaults(report_keys=("distill", "trace"))
 
-    c = sub.add_parser("calibrate", help="test-time classifier rescaling")
+    c = stage_parser("calibrate", "calibrate", "test-time classifier rescaling")
     c.add_argument("--model", required=True)
-    c.add_argument("--target", required=True)
-    c.add_argument("--out", required=True)
-    c.add_argument("--config")
-    c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(fn=cmd_calibrate)
 
     e = sub.add_parser("evaluate", help="accuracy metrics on a labeled dataset")
     e.add_argument("--model", required=True)

@@ -18,7 +18,7 @@ from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError
 from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
-from .optim import SGD, check_fit_sizes, fit
+from .optim import SGD, check_fit_args, fit
 from .selfsup import InitializedStudent, backbone_fingerprint, make_student
 from .tensor import Tensor, fingerprint_all
 
@@ -55,7 +55,7 @@ class DistillConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
     def __post_init__(self):
-        check_fit_sizes(self.batch_size)
+        check_fit_args(self.batch_size, self.lr)
 
 
 @dataclass
@@ -161,7 +161,7 @@ class CalibrateConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
     def __post_init__(self):
-        check_fit_sizes(self.batch_size, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs)
         if self.rounds < 0:
             raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
 
@@ -175,7 +175,9 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     the objective and the scales drift further toward them; with it the
     rarely-predicted classes get the larger scales, which is what rebalances
     the class prior at test time. Scales are floored at 1e-3 before each use.
-    An abort (see optim.fit) keeps the last good scales and ends the rounds.
+    An abort (see optim.fit) ends the rounds and keeps the last good scales, or if
+    their calibrated logits overflow, the latest round-start scales whose logits do
+    not, else unit scales.
     """
     model = model.copy()
     model.eval()
@@ -192,7 +194,9 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         s.add_grad((dlogits * raw_scores[idx]).sum(axis=0))
         return {}
 
+    starts = []  # the scales at the start of each round
     for _ in range(cfg.rounds):
+        starts.append(s.data.copy())
         # refresh pseudo-labels with the current scales
         feats = model.forward_features(augment(target.features, cfg.policy, "weak", rng))
         probs = softmax(feats @ (s.data[:, None] * w).T + bias)
@@ -204,6 +208,10 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         s.data = np.maximum(s.data, 1e-3)
         if abort:
             break
+    if abort:  # keep the latest scales whose calibrated logits are finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            s.data = next((v for v in (s.data, *reversed(starts))
+                           if np.all(np.isfinite(raw_scores * v + bias))), np.ones_like(s.data))
     calibrated = model.copy()
     calibrated.classifier.weight.data = s.data[:, None] * calibrated.classifier.weight.data
     return ScaleVector(s.data), calibrated, abort

@@ -14,19 +14,19 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import checkpoint
 from .adapt import AdaptConfig, adapt
-from .data import (Dataset, GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
-                   generate, load_dataset, subsample_longtail)
+from .data import (Dataset, GeneratorSpec, ImbalanceSpec, ShiftSpec, UnlabeledView,
+                   apply_shift, generate, load_dataset, subsample_longtail)
 from .distill import CalibrateConfig, DistillConfig, calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, StorageError
-from .layers import ArchSpec, build_network
+from .layers import ArchSpec, Network, build_network
 from .metrics import MetricsReport, evaluate
-from .selfsup import ContrastiveConfig, pretrain
+from .selfsup import ContrastiveConfig, InitializedStudent, pretrain
 from .source import SourceConfig, train_source
 
 SCHEMA_VERSION = 1
@@ -38,14 +38,20 @@ _STREAMS = {
 }
 
 
-def stream_seed(master_seed: int, name: str) -> int:
+def _seed_sequence(master_seed: int, name: str) -> np.random.SeedSequence:
     if name not in _STREAMS:
         raise ConfigError(f"unknown rng stream {name!r}")
-    return int(np.random.SeedSequence([master_seed, _STREAMS[name]]).generate_state(1)[0])
+    if master_seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {master_seed}")
+    return np.random.SeedSequence([master_seed, _STREAMS[name]])
+
+
+def stream_seed(master_seed: int, name: str) -> int:
+    return int(_seed_sequence(master_seed, name).generate_state(1)[0])
 
 
 def stream(master_seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, _STREAMS[name]]))
+    return np.random.default_rng(_seed_sequence(master_seed, name))
 
 
 _SECTIONS = {"benchmark": GeneratorSpec, "shift": ShiftSpec, "source_cfg": SourceConfig,
@@ -193,60 +199,112 @@ def _eval(model, tgt: Dataset, src: Dataset) -> MetricsReport:
     return evaluate(model, tgt, train_counts=counts, thresholds=src.bucket_thresholds)
 
 
+@dataclass
+class StageInputs:
+    """What the stage steps read and hand on: the labeled data (stage 0 trains on it,
+    and every new network takes its input width and class count from it), the
+    unlabeled target, the hidden widths, and what the last steps made."""
+    data: Dataset
+    target: UnlabeledView
+    teacher_hidden: tuple[int, ...]
+    student_hidden: tuple[int, ...]
+    model: Network | None = None  # the latest classifier; a given one stands in for stage 0
+    pretrained: InitializedStudent | None = None  # stage 2's backbone
+    phase_acc: Callable[[Network], float] | None = None  # stage 3's eval_fn
+
+    def arch(self, hidden) -> ArchSpec:
+        return ArchSpec(self.data.dim, tuple(hidden), self.data.num_classes)
+
+
+# Each step(section config, master seed, inputs) draws from its stage's stream, runs
+# the stage, updates `inputs` and returns (what to save, report fragment, abort record).
+# Steps look the stage functions up by name when called, so tracers can swap them.
+
+def _stage0(c: SourceConfig, seed: int, s: StageInputs):
+    if s.model is not None:
+        return None, {}, None
+    net = build_network(s.arch(s.teacher_hidden), stream(seed, "stage0"))
+    s.model, _, abort = train_source(net, s.data, c, stream(seed, "stage0"))
+    return s.model, {}, abort
+
+
+def _stage1(c: AdaptConfig, seed: int, s: StageInputs):
+    s.model, rep, abort = adapt(s.model, s.target, c, stream(seed, "stage1"))
+    return s.model, {"adapt": asdict(rep)}, abort
+
+
+def _stage2(c: ContrastiveConfig, seed: int, s: StageInputs):
+    s.pretrained = pretrain(s.arch(s.student_hidden), s.target, c, stream(seed, "stage2"))
+    return s.pretrained, {"contrastive": {"loss_history": s.pretrained.loss_history}}, \
+        s.pretrained.abort
+
+
+def _stage3(c: DistillConfig, seed: int, s: StageInputs):
+    kind, arch = (("random", s.arch(s.student_hidden)) if s.pretrained is None
+                  else ("contrastive", s.pretrained.arch))
+    s.model, trace = distill(s.model, kind, arch, s.pretrained, s.target, c,
+                             stream(seed, "stage3"), eval_fn=s.phase_acc)
+    abort = next(({"phase": e["phase"], **e["abort"]} for e in trace if "abort" in e), None)
+    return s.model, {"distill": {"init_kind": kind, "trace": trace}}, abort
+
+
+def _calibrate(c: CalibrateConfig, seed: int, s: StageInputs):
+    scale, s.model, abort = calibrate_classifier(s.model, s.target, c,
+                                                 stream(seed, "calibrate"))
+    return s.model, {"calibration": {"scales": [float(v) for v in scale.s]}}, abort
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str  # its rng stream and its key under report["aborts"]
+    section: str  # its config section, a key of _SECTIONS
+    flag: str | None  # the ExperimentConfig switch that enables it; None: always on
+    ckpt: str  # the file `run` saves its product to
+    metric: str | None  # its key under report["metrics"]; None: it makes no classifier
+    step: Callable
+
+
+STAGES = (
+    Stage("stage0", "source_cfg", None, "source.ckpt", "source_only", _stage0),
+    Stage("stage1", "adapt_cfg", "stage1", "stage1.ckpt", "stage1", _stage1),
+    Stage("stage2", "contrastive_cfg", "stage2", "backbone.ckpt", None, _stage2),
+    Stage("stage3", "distill_cfg", "stage3", "stage3.ckpt", "stage3", _stage3),
+    Stage("calibrate", "calibrate_cfg", "calibrate", "calibrated.ckpt", "calibrated",
+          _calibrate),
+)
+
+
+def run_stage(stage: Stage, c, seed: int, inputs: StageInputs, path) -> tuple[dict, dict | None]:
+    """Run one stage's step and save what it made to `path` (a backbone or a
+    network; nothing for a given source model); returns (report fragment, abort)."""
+    product, fragment, abort = stage.step(c, seed, inputs)
+    if isinstance(product, InitializedStudent):
+        checkpoint.save_backbone(product.arch, product.tensors, path)
+    elif product is not None:
+        checkpoint.save_checkpoint(product, path)
+    return fragment, abort
+
+
 def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
     """Execute the enabled stages for one seed and write its artifacts."""
     outdir.mkdir(parents=True, exist_ok=True)
     src, tgt = make_datasets(cfg, seed)
-    view = tgt.unlabeled_view()
+    s = StageInputs(src, tgt.unlabeled_view(), cfg.teacher_hidden, cfg.student_hidden,
+                    phase_acc=lambda net: _eval(net, tgt, src).overall_acc)
+    if cfg.source_checkpoint:
+        s.model, _ = checkpoint.load_checkpoint(cfg.source_checkpoint,
+                                                expect_arch=s.arch(cfg.teacher_hidden))
     report: dict = {"schema_version": SCHEMA_VERSION, "seed": seed,
                     "label": cfg.stage_label(), "metrics": {}}
     aborts: dict = {}  # stage -> abort record (see optim.fit)
-
-    teacher_arch = ArchSpec(src.dim, cfg.teacher_hidden, src.num_classes)
-    if cfg.source_checkpoint:
-        model, _ = checkpoint.load_checkpoint(cfg.source_checkpoint, expect_arch=teacher_arch)
-    else:
-        model = build_network(teacher_arch, stream(seed, "stage0"))
-        model, _, aborts["stage0"] = train_source(model, src, cfg.source_cfg,
-                                                  stream(seed, "stage0"))
-        checkpoint.save_checkpoint(model, outdir / "source.ckpt")
-    report["metrics"]["source_only"] = _eval(model, tgt, src).to_dict()
-
-    if cfg.stage1:
-        model, adapt_report, aborts["stage1"] = adapt(model, view, cfg.adapt_cfg,
-                                                      stream(seed, "stage1"))
-        checkpoint.save_checkpoint(model, outdir / "stage1.ckpt")
-        report["adapt"] = asdict(adapt_report)
-        report["metrics"]["stage1"] = _eval(model, tgt, src).to_dict()
-    teacher = model
-
-    pretrained = None
-    if cfg.stage2:
-        student_arch = ArchSpec(src.dim, cfg.student_hidden, src.num_classes)
-        pretrained = pretrain(student_arch, view, cfg.contrastive_cfg, stream(seed, "stage2"))
-        checkpoint.save_backbone(student_arch, pretrained.tensors, outdir / "backbone.ckpt")
-        report["contrastive"] = {"loss_history": pretrained.loss_history}
-        aborts["stage2"] = pretrained.abort
-
-    if cfg.stage3:
-        student_arch = ArchSpec(src.dim, cfg.student_hidden, src.num_classes)
-        init_kind = "contrastive" if cfg.stage2 else "random"
-        model, trace = distill(teacher, init_kind, student_arch, pretrained, view,
-                               cfg.distill_cfg, stream(seed, "stage3"),
-                               eval_fn=lambda net: _eval(net, tgt, src).overall_acc)
-        checkpoint.save_checkpoint(model, outdir / "stage3.ckpt")
-        report["distill"] = {"init_kind": init_kind, "trace": trace}
-        aborts["stage3"] = next(({"phase": e["phase"], **e["abort"]}
-                                 for e in trace if "abort" in e), None)
-        report["metrics"]["stage3"] = _eval(model, tgt, src).to_dict()
-
-    if cfg.calibrate:
-        scale, model, aborts["calibrate"] = calibrate_classifier(
-            model, view, cfg.calibrate_cfg, stream(seed, "calibrate"))
-        checkpoint.save_checkpoint(model, outdir / "calibrated.ckpt")
-        report["calibration"] = {"scales": [float(v) for v in scale.s]}
-        report["metrics"]["calibrated"] = _eval(model, tgt, src).to_dict()
-
+    for stage in STAGES:
+        if stage.flag and not getattr(cfg, stage.flag):
+            continue
+        fragment, aborts[stage.name] = run_stage(stage, getattr(cfg, stage.section), seed, s,
+                                                 outdir / stage.ckpt)
+        report.update(fragment)
+        if stage.metric:
+            report["metrics"][stage.metric] = _eval(s.model, tgt, src).to_dict()
     if any(aborts.values()):
         report["aborts"] = {stage: a for stage, a in aborts.items() if a}
     _write_report_files(report, outdir)

@@ -3,7 +3,7 @@ many/medium/few shot buckets when imbalance metadata is available.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,17 +23,7 @@ class MetricsReport:
     bucket_classes: dict[str, list[int]] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "overall_acc": self.overall_acc,
-            "class_mean_acc": self.class_mean_acc,
-            "per_class": self.per_class,
-            "per_class_counts": self.per_class_counts,
-            "n": self.n,
-        }
-        if self.buckets is not None:
-            out["buckets"] = self.buckets
-            out["bucket_classes"] = self.bucket_classes
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def bucket_split(train_counts: np.ndarray, thresholds: tuple[int, int]) -> dict[str, list[int]]:

@@ -1,5 +1,5 @@
 """SGD with momentum and selective weight decay, and the one epoch x minibatch
-training loop every stage runs through, with the rule for its loop sizes."""
+training loop every stage runs through, with the rule for its arguments."""
 from __future__ import annotations
 
 import numpy as np
@@ -49,13 +49,16 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
             yield block
 
 
-def check_fit_sizes(batch_size: int, epochs: int = 0) -> None:
-    """The rule for the loop sizes a stage config hands to `fit`, which skips one-row
-    minibatches (batchnorm needs two rows), so a batch size of 1 would train nothing."""
+def check_fit_args(batch_size: int, lr: float, epochs: int = 0) -> None:
+    """The rule for what a stage config hands to `fit`: it skips one-row minibatches
+    (batchnorm needs two rows), so a batch size of 1 would train nothing; the lr may
+    be infinite but not negative or NaN."""
     if batch_size < 2:
         raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
     if epochs < 0:
         raise ConfigError(f"epochs must be non-negative, got {epochs}")
+    if not lr >= 0:
+        raise ConfigError(f"lr must be non-negative, got {lr}")
 
 
 def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,

@@ -16,7 +16,7 @@ from .errors import ConfigError, NumericalError
 from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
                      forward_layers)
 from .losses import infonce_loss, infonce_loss_grad
-from .optim import SGD, check_fit_sizes, fit
+from .optim import SGD, check_fit_args, fit
 
 INIT_KINDS = ("contrastive", "source_copy", "random")
 
@@ -33,7 +33,7 @@ class ContrastiveConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
     def __post_init__(self):
-        check_fit_sizes(self.batch_size, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs)
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
         if self.embedding_dim < 2:

@@ -9,7 +9,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .layers import Network
 from .losses import cross_entropy, cross_entropy_grad, softmax
-from .optim import SGD, check_fit_sizes, fit
+from .optim import SGD, check_fit_args, fit
 
 
 @dataclass
@@ -22,7 +22,7 @@ class SourceConfig:
     smoothing: float = 0.1
 
     def __post_init__(self):
-        check_fit_sizes(self.batch_size, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs)
 
 
 def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,

@@ -27,6 +27,12 @@ GOLDEN_CHECKPOINT_SHA256 = {
     "seed_1/stage3.ckpt": "0c1391adc875fa7c5fc664f7eb7e2919699f78b43770221bb1d0d5c3b0695aa5",
 }
 
+# one seed with calibration on: its report and the calibrated checkpoint
+GOLDEN_CALIBRATED_SHA256 = {
+    "seed_0/report.json": "1e3673c4750984553419fa4fbf843bcd7dfccf3040d241978e30a57f9088e40d",
+    "seed_0/calibrated.ckpt": "d6ed8404b94dfe6dcbea5858e156b25dbf7e61d017096ba6da6fe532c261568b",
+}
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -49,3 +55,9 @@ def test_checkpoint_digests_pinned(tiny_run):
     assert written == sorted(GOLDEN_CHECKPOINT_SHA256)
     got = {name: _sha256(tiny_run / name) for name in GOLDEN_CHECKPOINT_SHA256}
     assert got == GOLDEN_CHECKPOINT_SHA256
+
+
+def test_calibrated_run_digests_pinned(tmp_path):
+    run_experiment(tiny_config(seeds=(0,), calibrate=True, outdir=str(tmp_path)))
+    got = {name: _sha256(tmp_path / name) for name in GOLDEN_CALIBRATED_SHA256}
+    assert got == GOLDEN_CALIBRATED_SHA256

@@ -1,5 +1,7 @@
+import argparse
 import json
 from dataclasses import asdict, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from adaptkit.adapt import AdaptConfig
 from adaptkit.data import Dataset, GeneratorSpec, ShiftSpec, generate, save_dataset
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.errors import ConfigError
-from adaptkit.harness import (_SECTIONS, SCHEMA_VERSION, ExperimentConfig, _subconfig,
-                              compare, load_config, make_datasets, run_experiment,
-                              run_seed, stream_seed, summarize)
+from adaptkit.harness import (_SECTIONS, _STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig,
+                              _subconfig, compare, load_config, make_datasets,
+                              run_experiment, run_seed, stream, stream_seed, summarize)
 from adaptkit.layers import ArchSpec, build_network
+from adaptkit.metrics import evaluate
 from adaptkit.selfsup import ContrastiveConfig
 from adaptkit.source import SourceConfig
 
@@ -38,12 +41,31 @@ def tiny_config(**kw):
 # seed streams
 
 
+def test_stage_table_matches_streams_sections_and_cli():
+    assert [st.name for st in STAGES] == ["stage0", "stage1", "stage2", "stage3", "calibrate"]
+    assert set(_STREAMS) - {st.name for st in STAGES} \
+        == {"source_data", "target_data", "imbalance", "probe"}
+    assert {st.section for st in STAGES} == set(_SECTIONS) - {"benchmark", "shift"}
+    hints = get_type_hints(ExperimentConfig)
+    for st in STAGES:
+        assert hints[st.section] is _SECTIONS[st.section]
+        assert st.flag is None or hints[st.flag] is bool
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {sp.get_default("stage").name: command for command, sp in commands.items()
+            if sp.get_default("stage")} == {
+        "stage0": "train-source", "stage1": "adapt", "stage2": "pretrain", "stage3": "distill",
+        "calibrate": "calibrate"}
+
+
 def test_stream_seed_stable_and_stage_scoped():
     assert stream_seed(0, "stage1") == stream_seed(0, "stage1")
     assert stream_seed(0, "stage1") != stream_seed(0, "stage2")
     assert stream_seed(0, "stage1") != stream_seed(1, "stage1")
-    with pytest.raises(ConfigError):
-        stream_seed(0, "stage9")
+    for seed, name in ((0, "stage9"), (-1, "stage1")):
+        for draw in (stream, stream_seed):
+            with pytest.raises(ConfigError):
+                draw(seed, name)
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +155,29 @@ def test_run_experiment_outputs(tmp_path):
     assert "seconds" not in json.dumps(per_seed)
 
 
-# A learning rate that drives each stage's training non-finite in its first epoch. The
-# floored calibration scales stayed finite through epoch 0 at every finite lr tried.
-ABORT_TRIGGERS = {"stage0": ("source_cfg", 1e305), "stage1": ("adapt_cfg", 1e305),
-                  "stage2": ("contrastive_cfg", 1e305), "stage3": ("distill_cfg", 1e305),
-                  "calibrate": ("calibrate_cfg", float("inf"))}
+# A learning rate that drives a stage's training non-finite, and the epoch it aborts
+# in. The floored calibration scales stayed finite through epoch 0 at every finite lr
+# tried; at 1.7e308 the scales they are restored to overflow the calibrated logits.
+ABORT_TRIGGERS = {"stage0": ("source_cfg", 1e305, 0), "stage1": ("adapt_cfg", 1e305, 0),
+                  "stage2": ("contrastive_cfg", 1e305, 0), "stage3": ("distill_cfg", 1e305, 0),
+                  "calibrate": ("calibrate_cfg", float("inf"), 0),
+                  "calibrate_overflow": ("calibrate_cfg", 1.7e308, 1)}
+
+
+def stage_of(section: str) -> str:
+    return next(st.name for st in STAGES if st.section == section)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("stage", sorted(ABORT_TRIGGERS))
-def test_stage_abort_restores_and_records(tmp_path, stage):
-    section, lr = ABORT_TRIGGERS[stage]
+@pytest.mark.parametrize("case", sorted(ABORT_TRIGGERS))
+def test_stage_abort_restores_and_records(tmp_path, case):
+    section, lr, epoch = ABORT_TRIGGERS[case]
+    stage = stage_of(section)
     base = tiny_config(calibrate=True)
     cfg = replace(base, **{section: replace(getattr(base, section), lr=lr)})
     report = run_seed(cfg, 0, tmp_path)
     assert list(report["aborts"]) == [stage]
-    assert report["aborts"][stage]["epoch"] == 0
+    assert report["aborts"][stage]["epoch"] == epoch
     assert "non-finite" in report["aborts"][stage]["reason"]
     assert report["adapt"]["aborted"] == (stage == "stage1")
     # the later stages still ran, on finite models
@@ -156,9 +185,12 @@ def test_stage_abort_restores_and_records(tmp_path, stage):
     written = sorted(p.name for p in tmp_path.glob("*.ckpt"))
     assert written == ["backbone.ckpt", "calibrated.ckpt", "source.ckpt", "stage1.ckpt",
                        "stage3.ckpt"]
+    _, tgt = make_datasets(cfg, 0)
     for name in written:
         _, arrays = store.read(tmp_path / name, b"OTAC")
         assert all(np.all(np.isfinite(a)) for a in arrays.values()), name
+        if name != "backbone.ckpt":
+            evaluate(checkpoint.load_checkpoint(tmp_path / name)[0], tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +301,21 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("c.json", json.dumps({"distill_cfg": {"policy": {"dropout_prob": 2}}})),
     ("c.json", json.dumps({"imbalance_ratio": 0.5})),
     ("c.json", json.dumps({"distill_cfg": {"schedule": {"num_phases": 0}}})),
+    ("c.json", json.dumps({"source_cfg": {"lr": -1}})),
+    ("c.json", json.dumps({"adapt_cfg": {"lr": -1}})),
+    ("c.json", json.dumps({"contrastive_cfg": {"lr": -1}})),
+    ("c.json", json.dumps({"distill_cfg": {"lr": -1}})),
+    ("c.json", json.dumps({"calibrate_cfg": {"lr": -1}})),
+    ("c.json", json.dumps({"adapt_cfg": {"lr": float("nan")}})),
+    ("c.json", json.dumps({"adapt_cfg": {"update_set": "classifier"}})),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
      "negative_rounds", "reversed_scale_range", "zero_width", "no_seeds", "repeated_seeds",
      "negative_seed", "negative_temperature", "unknown_shift_kind", "dropout_above_one",
-     "imbalance_below_one", "zero_phases"])
+     "imbalance_below_one", "zero_phases", "negative_source_lr", "negative_adapt_lr",
+     "negative_contrastive_lr", "negative_distill_lr", "negative_calibrate_lr", "nan_lr",
+     "unknown_update_set"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -307,31 +348,76 @@ def test_cli_distill_takes_schedule_from_config(tmp_path):
 
 
 def test_cli_train_source_matches_run(tmp_path):
-    cfg = tiny_config(seeds=(0,), stage1=False, stage2=False, stage3=False,
+    # each stage command runs run's step for its stage: same bytes from the same inputs
+    cfg = tiny_config(seeds=(0,), calibrate=True,
                       source_cfg=SourceConfig(epochs=2, batch_size=32),
                       outdir=str(tmp_path / "exp"))
-    path, data = tmp_path / "cfg.json", tmp_path / "src.ds"
+    path, src, tgt = tmp_path / "cfg.json", tmp_path / "src.ds", tmp_path / "tgt.ds"
     path.write_text(json.dumps(asdict(cfg)))
-    save_dataset(make_datasets(cfg, 0)[0], data)
+    for ds, file in zip(make_datasets(cfg, 0), (src, tgt)):
+        save_dataset(ds, file)
     assert cli.main(["run", "--config", str(path)]) == 0
-    assert cli.main(["train-source", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
-                     "--config", str(path), "--hidden", "12", "--seed", "0"]) == 0
-    assert (tmp_path / "x.ckpt").read_bytes() \
-        == (tmp_path / "exp" / "seed_0" / "source.ckpt").read_bytes()
+    ran = tmp_path / "exp" / "seed_0"
+    commands = {
+        "source.ckpt": ["train-source", "--data", src, "--hidden", "12"],
+        "stage1.ckpt": ["adapt", "--source", ran / "source.ckpt", "--target", tgt],
+        "backbone.ckpt": ["pretrain", "--target", tgt, "--hidden", "8"],
+        "stage3.ckpt": ["distill", "--teacher", ran / "stage1.ckpt", "--target", tgt,
+                        "--student-init", ran / "backbone.ckpt"],
+        "calibrated.ckpt": ["calibrate", "--model", ran / "stage3.ckpt", "--target", tgt]}
+    for name, argv in commands.items():
+        out = tmp_path / name
+        assert cli.main([*map(str, argv), "--out", str(out), "--config", str(path),
+                         "--seed", "0"]) == 0
+        assert out.read_bytes() == (ran / name).read_bytes(), name
+
+
+# (command, its config section, its data flag); MODEL_FLAGS names the model flag of
+# the commands that take one
+STAGE_COMMANDS = [("train-source", "source_cfg", "--data"),
+                  ("pretrain", "contrastive_cfg", "--target"),
+                  ("adapt", "adapt_cfg", "--target"), ("distill", "distill_cfg", "--target"),
+                  ("calibrate", "calibrate_cfg", "--target")]
+MODEL_FLAGS = {"adapt": "--source", "distill": "--teacher", "calibrate": "--model"}
+
+
+def stage_argv(tmp_path, command, data_flag) -> list[str]:
+    """argv for a stage command on a 160-row dataset and, if it takes one, an
+    untrained 8-wide network."""
+    data, model = tmp_path / "d.ds", tmp_path / "m.ckpt"
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
+    argv = [command, data_flag, str(data), "--out", str(tmp_path / "x.ckpt")]
+    if command in MODEL_FLAGS:
+        checkpoint.save_checkpoint(
+            build_network(ArchSpec(8, (8,), 4), np.random.default_rng(0)), model)
+        argv += [MODEL_FLAGS[command], str(model)]
+    if command in ("train-source", "pretrain", "distill"):
+        argv += ["--hidden", "8"]
+    return argv
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command,section,data_flag", [
-    ("train-source", "source_cfg", "--data"), ("pretrain", "contrastive_cfg", "--target")])
+@pytest.mark.parametrize("command,section,data_flag", STAGE_COMMANDS)
 def test_cli_prints_abort_record(tmp_path, capsys, command, section, data_flag):
-    data = tmp_path / "d.ds"
-    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({section: {"lr": 1e305, "epochs": 2, "batch_size": 32}}))
-    assert cli.main([command, data_flag, str(data), "--out", str(tmp_path / "x.ckpt"),
-                     "--config", str(cfg), "--hidden", "8"]) == 0
+    cfg = {"lr": ABORT_TRIGGERS[stage_of(section)][1], "batch_size": 32}
+    cfg.update({"schedule": {"num_phases": 1, "epochs_per_phase": 2}}
+               if section == "distill_cfg" else {"epochs": 2})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: cfg}))
+    assert cli.main(stage_argv(tmp_path, command, data_flag) + ["--config", str(path)]) == 0
     err = capsys.readouterr().err
-    assert f"{command} aborted" in err and '"epoch": 0' in err
+    assert f"{command} aborted: " in err
+    record = json.loads(err.split(" aborted: ", 1)[1])
+    assert record["epoch"] == 0 and "non-finite" in record["reason"]
+    # distill prints run's record: the phase folded into the epoch's record
+    assert set(record) == {"epoch", "reason"} | ({"phase"} if command == "distill" else set())
+
+
+@pytest.mark.parametrize("command,data_flag", [(c, f) for c, _, f in STAGE_COMMANDS])
+def test_cli_negative_seed_is_config_error(tmp_path, capsys, command, data_flag):
+    assert cli.main(stage_argv(tmp_path, command, data_flag) + ["--seed", "-1"]) == 1
+    assert "config error: seed must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_cli_numerical_error(tmp_path):
