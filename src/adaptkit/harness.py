@@ -235,8 +235,8 @@ def _stage1(c: AdaptConfig, seed: int, s: StageInputs):
 
 def _stage2(c: ContrastiveConfig, seed: int, s: StageInputs):
     s.pretrained = pretrain(s.arch(s.student_hidden), s.target, c, stream(seed, "stage2"))
-    return s.pretrained, {"contrastive": {"loss_history": s.pretrained.loss_history}}, \
-        s.pretrained.abort
+    fragment = {"contrastive": {"loss_history": s.pretrained.loss_history}}
+    return s.pretrained, fragment, s.pretrained.abort
 
 
 def _stage3(c: DistillConfig, seed: int, s: StageInputs):
