@@ -22,6 +22,13 @@ from .tensor import check_finite
 SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
 
 
+def _check_seeds(spec, *names: str) -> None:
+    for name in names:
+        if not store.is_count(getattr(spec, name)):
+            raise ConfigError(f"{name} must be a non-negative integer, "
+                              f"got {getattr(spec, name)!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     n_per_class: int = 500
@@ -40,6 +47,7 @@ class GeneratorSpec:
             raise ConfigError("need at least 2 input dimensions")
         if self.n_per_class < 1:
             raise ConfigError("need at least 1 sample per class")
+        _check_seeds(self, "seed", "geometry_seed")
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
+        _check_seeds(self, "seed")
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,7 @@ class ImbalanceSpec:
     def __post_init__(self):
         if self.imbalance_ratio < 1:
             raise ConfigError("imbalance ratio must be >= 1")
+        _check_seeds(self, "seed")
 
 
 @dataclass(frozen=True)

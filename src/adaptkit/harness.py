@@ -134,6 +134,10 @@ class ExperimentConfig:
             raise ConfigError("hidden widths must be at least 1")
         if self.imbalance_ratio is not None:
             ImbalanceSpec(self.imbalance_ratio)  # raises on a bad ratio
+        rows = self.benchmark.n_per_class * self.benchmark.num_classes  # a generated target
+        if self.stage2 and not self.target_data and 2 * self.contrastive_cfg.batch_size > rows:
+            raise ConfigError(f"contrastive_cfg.batch_size {self.contrastive_cfg.batch_size} "
+                              f"needs at least twice as many target rows, the target has {rows}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

@@ -5,10 +5,18 @@ classifier. The parameter set is partitioned into representation parameters
 (everything before the classifier) and classifier parameters (final dense
 weight + bias); the partition is what lets the adaptation stage freeze the
 classifier while updating the features.
+
+A batch is a B x d array or a V x B x d stack of V views of the same B rows
+(stage 2 runs its two augmented views as one stack). Every layer treats the
+views independently: train-mode BatchNorm takes its statistics per view and
+updates its running statistics once per view, in view order, and a parameter
+grad is the sum of the per-view grads in view order. Each view's numbers are
+bit for bit those of a separate B x d pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,6 +26,12 @@ from .tensor import Tensor, check_finite, fingerprint_all
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new = 0.9 * old + 0.1 * batch
+
+
+def _sum_views(g: np.ndarray, ndim: int) -> np.ndarray:
+    """A parameter grad from a V-stack of per-view grads: their sum, added one view
+    after the other as V separate passes would accumulate it."""
+    return reduce(np.add, g) if g.ndim > ndim else g
 
 
 class Dense:
@@ -48,14 +62,14 @@ class Dense:
         return new
 
     def forward(self, x: np.ndarray, train: bool):
-        if x.shape[1] != self.in_dim:
-            raise ShapeError(f"dense expected width {self.in_dim}, got {x.shape[1]}")
+        if x.shape[-1] != self.in_dim:
+            raise ShapeError(f"dense expected width {self.in_dim}, got {x.shape[-1]}")
         return x @ self.weight.data.T + self.bias.data, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         x = cache
-        self.weight.add_grad(dy.T @ x)
-        self.bias.add_grad(dy.sum(axis=0))
+        self.weight.add_grad(_sum_views(np.swapaxes(dy, -1, -2) @ x, 2))
+        self.bias.add_grad(_sum_views(dy.sum(axis=-2), 1))
         return dy @ self.weight.data
 
 
@@ -88,29 +102,35 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, train: bool):
         if train:
-            if x.shape[0] < 2:
+            n = x.shape[-2]
+            if n < 2:
                 raise ConfigError("batchnorm in train mode needs a batch of at least 2")
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean.data = (1 - BN_MOMENTUM) * self.running_mean.data + BN_MOMENTUM * mean
-            self.running_var.data = (1 - BN_MOMENTUM) * self.running_var.data + BN_MOMENTUM * var
+            # mean and biased variance per view, as x.mean and x.var compute them
+            mean = x.sum(axis=-2, keepdims=True) / n
+            d = x - mean
+            var = (d * d).sum(axis=-2, keepdims=True) / n
+            rm, rv = self.running_mean, self.running_var
+            for m, v in zip(mean.reshape(-1, self.dim), var.reshape(-1, self.dim)):
+                rm.data = (1 - BN_MOMENTUM) * rm.data + BN_MOMENTUM * m
+                rv.data = (1 - BN_MOMENTUM) * rv.data + BN_MOMENTUM * v
         else:
-            mean = self.running_mean.data
+            d = x - self.running_mean.data
             var = self.running_var.data
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean) * inv_std
+        xhat = d * inv_std
         y = self.gamma.data * xhat + self.beta.data
         return y, (xhat, inv_std, train)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = cache
-        self.gamma.add_grad((dy * xhat).sum(axis=0))
-        self.beta.add_grad(dy.sum(axis=0))
+        self.gamma.add_grad(_sum_views((dy * xhat).sum(axis=-2), 1))
+        self.beta.add_grad(_sum_views(dy.sum(axis=-2), 1))
         dxhat = dy * self.gamma.data
         if train:
             # Batch statistics participate in the forward pass.
-            dx = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) * inv_std
-            return dx
+            n = dy.shape[-2]
+            return (dxhat - dxhat.sum(axis=-2, keepdims=True) / n
+                    - xhat * ((dxhat * xhat).sum(axis=-2, keepdims=True) / n)) * inv_std
         return dxhat * inv_std
 
 
@@ -227,9 +247,9 @@ class Network:
     # -- forward / backward ----------------------------------------------
     def _forward(self, layers: list, batch: np.ndarray, record: bool, what: str):
         x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"expected a 2-d batch, got shape {x.shape}")
-        if x.shape[0] < 1:
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"expected a 2-d batch or a 3-d stack of views, got shape {x.shape}")
+        if 0 in x.shape[:-1]:
             raise ShapeError("empty batch")
         x, caches = forward_layers(layers, x, self.mode == "train")
         check_finite(x, what)

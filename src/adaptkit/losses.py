@@ -137,7 +137,7 @@ def kl_soft_loss_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     if np.any(norms == 0):
         raise NumericalError(f"zero-norm row in {what}")
     return x / norms, norms
@@ -156,8 +156,8 @@ def infonce_loss(queries: np.ndarray, keys: np.ndarray, temperature: float) -> L
     q, _ = _normalize_rows(queries, "queries")
     k, _ = _normalize_rows(keys, "keys")
     sims = q @ k.T / temperature
-    z = sims - sims.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1)) + sims.max(axis=1)
+    top = sims.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(sims - top).sum(axis=1)) + top[:, 0]
     per = lse - np.diag(sims)
     return LossValue(float(per.mean()), per)
 
@@ -170,8 +170,9 @@ def infonce_loss_grad(queries: np.ndarray, keys: np.ndarray,
     b = queries.shape[0]
     q, qn = _normalize_rows(queries, "queries")
     k, kn = _normalize_rows(keys, "keys")
-    p = softmax(q @ k.T / temperature)
-    ds = (p - np.eye(b)) / (b * temperature)
+    ds = softmax(q @ k.T / temperature)
+    ds[np.diag_indices(b)] -= 1.0
+    ds /= b * temperature
     dqhat = ds @ k
     dkhat = ds.T @ q
     # project through the row-normalization jacobian

@@ -16,7 +16,10 @@ def decays(param: Tensor) -> bool:
 
 
 class SGD:
-    """v <- momentum*v + grad + wd*param;  param <- param - lr*v."""
+    """v <- momentum*v + grad + wd*param;  param <- param - lr*v.
+
+    Both updates are in place: a caller that keeps a parameter's values across a
+    step must hold a copy of `p.data`, not the array itself."""
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
@@ -27,17 +30,19 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.decay = [bool(weight_decay) and decays(p) for p in self.params]
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        for i, p in enumerate(self.params):
+        for p, v, decay in zip(self.params, self.velocity, self.decay):
             if p.grad is None:
                 raise ConfigError(f"step() before backward: {p.name or 'parameter'} has no grad")
             g = p.grad
-            if self.weight_decay and decays(p):
+            if decay:
                 g = g + self.weight_decay * p.data
-            self.velocity[i] = self.momentum * self.velocity[i] + g
-            p.data = p.data - lr * self.velocity[i]
+            v *= self.momentum
+            v += g
+            p.data -= lr * v
 
 
 def minibatches(n: int, batch_size: int, rng: np.random.Generator):

@@ -73,18 +73,16 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
 
     def grads(idx):
         x = target.features[idx]
-        v1 = augment(x, cfg.policy, "strong", rng)
-        v2 = augment(x, cfg.policy, "strong", rng)
-        f1, c1 = net.forward_features(v1, record=True)
-        q, hc1 = forward_layers(head, f1, train=True)
-        f2, c2 = net.forward_features(v2, record=True)
-        k, hc2 = forward_layers(head, f2, train=True)
+        # both views go through backbone and head as one 2 x B x d stack
+        views = np.stack([augment(x, cfg.policy, "strong", rng),
+                          augment(x, cfg.policy, "strong", rng)])
+        feats, caches = net.forward_features(views, record=True)
+        (q, k), head_caches = forward_layers(head, feats, train=True)
         loss = infonce_loss(q, k, cfg.temperature)
         if not np.isfinite(loss.scalar):
             raise NumericalError("non-finite contrastive loss")
         dq, dk = infonce_loss_grad(q, k, cfg.temperature)
-        net.backward_features(c1, backward_layers(head, hc1, dq))
-        net.backward_features(c2, backward_layers(head, hc2, dk))
+        net.backward_features(caches, backward_layers(head, head_caches, np.stack([dq, dk])))
         return {"infonce": loss.scalar}
 
     opt = SGD(net.representation_parameters() + head_params, cfg.lr, cfg.momentum, cfg.weight_decay)

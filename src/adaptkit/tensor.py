@@ -46,15 +46,17 @@ class Tensor:
         self.grad = None
 
     def add_grad(self, g: np.ndarray) -> None:
+        """Accumulate g. The first call keeps g itself and later calls add into it,
+        so g must be a fresh array that the caller does not hold on to."""
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.data.shape:
             raise ShapeError(
                 f"grad shape {g.shape} does not match parameter shape {self.data.shape}"
             )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def copy(self) -> "Tensor":
         t = Tensor(self.data.copy(), self.name)

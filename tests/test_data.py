@@ -46,6 +46,16 @@ def test_generate_rejects_degenerate_params():
             generate(small_spec(**kw))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GeneratorSpec(seed=-1), lambda: GeneratorSpec(geometry_seed=-1),
+    lambda: GeneratorSpec(seed=1.5), lambda: ShiftSpec(seed=-1),
+    lambda: ImbalanceSpec(10.0, seed=-1)],
+    ids=["seed", "geometry_seed", "float_seed", "shift_seed", "imbalance_seed"])
+def test_specs_reject_negative_or_non_integer_seeds(make):
+    with pytest.raises(ConfigError, match="non-negative integer"):
+        make()
+
+
 def test_source_linear_probe_separable():
     # train a least-squares one-vs-all probe on half, test on the other half
     ds = generate(GeneratorSpec(n_per_class=500, num_classes=10, input_dim=32, seed=3))
@@ -275,6 +285,10 @@ DATASET_EDITS = {
     "float_c": _edit_header(lambda h, t: h.update(c=4.0)),
     "unknown_shift_kind": _edit_header(lambda h, t: h.update(
         shift={"kind": "warp", "magnitude": 1.0, "seed": 0})),
+    "negative_shift_seed": _edit_header(lambda h, t: h.update(
+        shift={"kind": "rotation", "magnitude": 1.0, "seed": -1})),
+    "negative_generator_seed": _edit_header(lambda h, t: h["generator"].update(seed=-1)),
+    "float_geometry_seed": _edit_header(lambda h, t: h["generator"].update(geometry_seed=7.5)),
     "one_class_generator": _edit_header(lambda h, t: h["generator"].update(num_classes=1)),
     "negative_n": _edit_header(lambda h, t: t["features"].update(shape=[-1, 8])),
     "float_d": _edit_header(lambda h, t: t["features"].update(shape=[80, 2.5])),

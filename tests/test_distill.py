@@ -9,7 +9,7 @@ from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule,
 from adaptkit.errors import ConfigError
 from adaptkit.layers import ArchSpec, Dense, Network, build_network
 from adaptkit.metrics import evaluate
-from adaptkit.selfsup import backbone_fingerprint
+from adaptkit.selfsup import ContrastiveConfig, backbone_fingerprint, pretrain
 from adaptkit.tensor import fingerprint_all
 
 
@@ -239,3 +239,26 @@ def test_calibration_deterministic():
     s2, _, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
                                     np.random.default_rng(3))
     assert np.array_equal(s1.s, s2.s)
+
+
+@pytest.mark.parametrize("kind", ["source_copy", "contrastive"])
+def test_distill_trains_copies_of_its_inputs(kind):
+    # SGD updates parameters in place: the student must own its arrays, so neither
+    # the teacher nor the backbone it was initialized from moves
+    _, tgt = small_benchmark()
+    view = tgt.unlabeled_view()
+    arch = ArchSpec(8, (12,), 4)
+    teacher = build_network(arch, np.random.default_rng(0))
+    pretrained = (pretrain(arch, view, ContrastiveConfig(epochs=1, batch_size=64),
+                           np.random.default_rng(1)) if kind == "contrastive" else None)
+    backbone = {} if pretrained is None else {k: v.copy() for k, v in pretrained.tensors.items()}
+    teacher_before = fingerprint_all(teacher.all_tensors())
+    student, _ = distill(teacher, kind, arch, pretrained, view,
+                         DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
+                                       batch_size=32), np.random.default_rng(2))
+    assert fingerprint_all(teacher.all_tensors()) == teacher_before
+    if pretrained is not None:
+        assert set(pretrained.tensors) == set(backbone)
+        for name, data in backbone.items():
+            assert pretrained.tensors[name].tobytes() == data.tobytes(), name
+    assert backbone_fingerprint(student) != backbone_fingerprint(teacher)

@@ -5,10 +5,14 @@ A deliberate change to the numbers or to the checkpoint layout updates these
 digests and says why in CHANGES.md.
 """
 import hashlib
+import json
+from dataclasses import replace
 
 import pytest
 
-from adaptkit.harness import run_experiment
+from adaptkit.harness import ExperimentConfig, make_datasets, run_experiment, stream
+from adaptkit.layers import ArchSpec
+from adaptkit.selfsup import pretrain
 from test_harness import tiny_config
 
 GOLDEN_REPORT_SHA256 = {
@@ -61,3 +65,23 @@ def test_calibrated_run_digests_pinned(tmp_path):
     run_experiment(tiny_config(seeds=(0,), calibrate=True, outdir=str(tmp_path)))
     got = {name: _sha256(tmp_path / name) for name in GOLDEN_CALIBRATED_SHA256}
     assert got == GOLDEN_CALIBRATED_SHA256
+
+
+# Stage 2 at the default shapes (backbone widths 32, batch 128 and a trailing
+# 8-row block from 5000 target rows), two epochs, seed 0: SHA-256 over the
+# sorted backbone tensors and the loss history.
+GOLDEN_DEFAULT_PRETRAIN_SHA256 = "08244b8bdf18539010e81b80de89c4e05a63d9e7d84c17073e5f357176c833c7"
+
+
+def test_default_shape_pretrain_digest_pinned():
+    cfg = ExperimentConfig()
+    src, tgt = make_datasets(cfg, 0)
+    student = pretrain(ArchSpec(src.dim, cfg.student_hidden, src.num_classes),
+                       tgt.unlabeled_view(), replace(cfg.contrastive_cfg, epochs=2),
+                       stream(0, "stage2"))
+    h = hashlib.sha256()
+    for name, arr in sorted(student.tensors.items()):
+        h.update(name.encode())
+        h.update(arr.astype("<f8").tobytes())
+    h.update(json.dumps(student.loss_history, sort_keys=True).encode())
+    assert h.hexdigest() == GOLDEN_DEFAULT_PRETRAIN_SHA256

@@ -308,6 +308,9 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("c.json", json.dumps({"calibrate_cfg": {"lr": -1}})),
     ("c.json", json.dumps({"adapt_cfg": {"lr": float("nan")}})),
     ("c.json", json.dumps({"adapt_cfg": {"update_set": "classifier"}})),
+    ("c.json", json.dumps({"benchmark": {"n_per_class": 10, "num_classes": 4},
+                           "contrastive_cfg": {"batch_size": 21}})),
+    ("c.json", json.dumps({"benchmark": {"seed": -1}})),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
@@ -315,7 +318,7 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
      "negative_seed", "negative_temperature", "unknown_shift_kind", "dropout_above_one",
      "imbalance_below_one", "zero_phases", "negative_source_lr", "negative_adapt_lr",
      "negative_contrastive_lr", "negative_distill_lr", "negative_calibrate_lr", "nan_lr",
-     "unknown_update_set"])
+     "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -418,6 +421,17 @@ def test_cli_negative_seed_is_config_error(tmp_path, capsys, command, data_flag)
     assert cli.main(stage_argv(tmp_path, command, data_flag) + ["--seed", "-1"]) == 1
     assert "config error: seed must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--geometry-seed", "-1"],
+                                   ["--shift-kind", "rotation", "--shift-seed", "-1"]],
+                         ids=["seed", "geometry_seed", "shift_seed"])
+def test_cli_gen_data_negative_seed_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "x.ds"
+    assert cli.main(["gen-data", "--out", str(out), "--classes", "4", "--dim", "8",
+                     "--n-per-class", "10"] + flags) == 1
+    assert "must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_numerical_error(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from adaptkit.errors import ConfigError, ShapeError
-from adaptkit.layers import ArchSpec, BatchNorm, Dense, Network, build_network
+from adaptkit.layers import (ArchSpec, BatchNorm, Dense, Network, ReLU, backward_layers,
+                             build_network, forward_layers)
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, infomax_loss,
-                             infomax_loss_grad, kl_soft_loss, kl_soft_loss_grad,
-                             softmax)
-from fdcheck import fd_param_grads, max_rel_error
+                             infomax_loss_grad, infonce_loss, infonce_loss_grad,
+                             kl_soft_loss, kl_soft_loss_grad, softmax)
+from fdcheck import fd_grad, fd_param_grads, max_rel_error
 
 
 def small_net(seed=0, input_dim=6, hidden=(8,), classes=3, batchnorm=True):
@@ -196,3 +197,85 @@ def test_randomized_nets_and_losses_match_fd(trial):
     x = rng.normal(size=(b, net.arch.input_dim))
     name, value_fn, grad_fn = loss_cases(rng, b, c)[trial % 3]
     check_net_grads(net, x, value_fn, grad_fn)
+
+
+# ---------------------------------------------------------------------------
+# a V x B x d stack of views against V separate B x d passes
+
+
+def _backbone_and_head(rng):
+    net = build_network(ArchSpec(32, (32, 32), 10), rng)
+    return net.layers[: net.classifier_index] + [Dense(32, 32, rng), ReLU(), Dense(32, 16, rng)]
+
+
+def _batchnorm_with_stats(rng):
+    bn = BatchNorm(32)
+    bn.gamma.data = rng.uniform(0.5, 1.5, 32)
+    bn.beta.data = rng.normal(size=32)
+    bn.running_mean.data = rng.normal(size=32)
+    bn.running_var.data = rng.uniform(0.5, 2.0, 32)
+    return [bn]
+
+
+STACK_CASES = {
+    "dense": (lambda rng: [Dense(32, 16, rng)], True),
+    "batchnorm_train": (_batchnorm_with_stats, True),
+    "batchnorm_eval": (_batchnorm_with_stats, False),
+    "relu": (lambda rng: [ReLU()], True),
+    "backbone_and_head": (_backbone_and_head, True),
+}
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("b", [2, 8, 55, 128])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_views_match_separate_passes_bit_for_bit(case, b):
+    make, train = STACK_CASES[case]
+    rng = np.random.default_rng(b)
+    separate = make(rng)
+    stacked = [layer.copy() for layer in separate]
+    x = rng.normal(size=(2, b, 32))
+    # the separate passes run as stage 2 ran them: both forwards, then both backwards
+    outs = [forward_layers(separate, view, train) for view in x]
+    dy = rng.normal(size=(2,) + outs[0][0].shape)
+    dxs = [backward_layers(separate, caches, g) for (_, caches), g in zip(outs, dy)]
+    y, caches = forward_layers(stacked, x, train)
+    dx = backward_layers(stacked, caches, dy)
+    assert _bits(y) == _bits(np.stack([out for out, _ in outs]))
+    assert _bits(dx) == _bits(np.stack(dxs))
+    for a, s in zip(separate, stacked):
+        for ta, ts in zip(a.parameters(), s.parameters()):
+            assert _bits(ts.grad) == _bits(ta.grad), ta.name
+        for ta, ts in zip(getattr(a, "state_tensors", list)(), getattr(s, "state_tensors", list)()):
+            assert _bits(ts.data) == _bits(ta.data), ta.name
+
+
+def test_stacked_backward_matches_fd():
+    # InfoNCE between the two views of one stack, through batchnorm in train mode
+    rng = np.random.default_rng(4)
+    net = build_network(ArchSpec(5, (6,), 3), rng)
+    layers = net.layers[: net.classifier_index] + [Dense(6, 4, rng), ReLU(), Dense(4, 3, rng)]
+    params = [p for layer in layers for p in layer.parameters()]
+    x = rng.normal(size=(2, 4, 5))
+
+    def loss(x):
+        q, k = forward_layers(layers, x, True)[0]
+        return infonce_loss(q, k, 0.5).scalar
+
+    (q, k), caches = forward_layers(layers, x, True)
+    dx = backward_layers(layers, caches, np.stack(infonce_loss_grad(q, k, 0.5)))
+    assert max_rel_error([p.grad for p in params], fd_param_grads(lambda: loss(x), params)) < 1e-4
+    assert max_rel_error([dx], [fd_grad(loss, x)]) < 1e-4
+
+
+def test_network_forward_takes_a_stack_of_views():
+    net = small_net().eval()
+    x = np.random.default_rng(2).normal(size=(2, 5, 6))
+    assert _bits(net.forward(x)) == _bits(np.stack([net.forward(v) for v in x]))
+    with pytest.raises(ShapeError):
+        net.forward(np.zeros((2, 2, 5, 6)))
+    with pytest.raises(ShapeError):
+        net.forward(np.zeros((2, 0, 6)))
