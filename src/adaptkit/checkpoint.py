@@ -2,7 +2,8 @@
 
 Magic b"OTAC". Besides the store's tensor table the header records the
 architecture and, for a stage-2 backbone, backbone_only. An architecture
-that ArchSpec rejects is a malformed file.
+that ArchSpec rejects is a malformed file, and so is a tensor table that does
+not match the architecture's tensors.
 """
 from __future__ import annotations
 
@@ -13,18 +14,37 @@ import numpy as np
 from . import store
 from .errors import ConfigError, StorageError
 from .layers import ArchSpec, Network, build_network
+from .selfsup import InitializedStudent
 
 MAGIC = b"OTAC"
 
 
-def _read(path) -> tuple[ArchSpec, dict, dict[str, np.ndarray]]:
+def _read(path, backbone_only: bool) -> tuple[Network, dict]:
+    """Rebuild a network from a full or (backbone_only) a backbone file. Every
+    tensor the file should hold is checked: a stray, missing or misshaped one
+    is a StorageError. A backbone file leaves the classifier at its draw."""
     header, tensors = store.read(path, MAGIC)
     try:
         d = header["arch"]
         arch = ArchSpec(d["input_dim"], tuple(d["hidden"]), d["num_classes"], d["batchnorm"])
     except (KeyError, TypeError, ConfigError) as e:
         raise StorageError(f"{path}: malformed checkpoint arch: {e!r}") from e
-    return arch, header, tensors
+    if bool(header.get("backbone_only")) != backbone_only:
+        raise StorageError(f"{path}: expected a backbone-only checkpoint" if backbone_only
+                           else f"{path}: backbone-only checkpoint, expected a full network")
+    net = build_network(arch, np.random.default_rng(0))
+    wanted = net.backbone_tensors() if backbone_only else net.all_tensors()
+    unused = set(tensors) - {t.name for t in wanted}
+    if unused:
+        raise StorageError(f"{path}: tensors {sorted(unused)} are not used by {arch}")
+    for t in wanted:
+        if t.name not in tensors:
+            raise StorageError(f"{path}: missing tensor {t.name!r}")
+        if tensors[t.name].shape != t.shape:
+            raise StorageError(f"{path}: architecture mismatch for {t.name!r}: "
+                               f"{tensors[t.name].shape} vs {t.shape}")
+        t.data = tensors[t.name]
+    return net.eval(), header
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -34,25 +54,11 @@ def save_checkpoint(net: Network, path) -> None:
 
 def load_checkpoint(path, expect_arch: ArchSpec | None = None) -> tuple[Network, dict]:
     """Rebuild a Network from a checkpoint; returns (net, header)."""
-    arch, header, tensors = _read(path)
-    if expect_arch is not None and arch != expect_arch:
+    net, header = _read(path, backbone_only=False)
+    if expect_arch is not None and net.arch != expect_arch:
         raise StorageError(
-            f"architecture mismatch: checkpoint has {arch}, expected {expect_arch}"
+            f"architecture mismatch: checkpoint has {net.arch}, expected {expect_arch}"
         )
-    if header.get("backbone_only"):
-        raise StorageError(f"{path}: backbone-only checkpoint, expected a full network")
-    net = build_network(arch, np.random.default_rng(0))
-    unused = set(tensors) - {t.name for t in net.all_tensors()}
-    if unused:
-        raise StorageError(f"{path}: tensors {sorted(unused)} are not used by {arch}")
-    for t in net.all_tensors():
-        if t.name not in tensors:
-            raise StorageError(f"{path}: missing tensor {t.name!r}")
-        if tensors[t.name].shape != t.shape:
-            raise StorageError(f"{path}: architecture mismatch for {t.name!r}: "
-                               f"{tensors[t.name].shape} vs {t.shape}")
-        t.data = tensors[t.name]
-    net.eval()
     return net, header
 
 
@@ -62,9 +68,7 @@ def save_backbone(arch: ArchSpec, tensors: dict[str, np.ndarray], path) -> None:
                 dict(sorted(tensors.items())))
 
 
-def load_backbone(path) -> tuple[ArchSpec, dict[str, np.ndarray], dict]:
-    arch, header, tensors = _read(path)
-    if not header.get("backbone_only"):
-        raise StorageError(f"{path}: expected a backbone-only checkpoint")
-    return arch, tensors, header
-
+def load_backbone(path) -> InitializedStudent:
+    """Read a backbone file, checked as load_checkpoint checks a full one."""
+    net, _ = _read(path, backbone_only=True)
+    return InitializedStudent(net.arch, {t.name: t.data for t in net.backbone_tensors()})

@@ -17,9 +17,8 @@ from pathlib import Path
 from . import checkpoint, harness
 from .data import (GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
                    generate, load_dataset, save_dataset, subsample_longtail)
-from .errors import AdaptkitError, ConfigError, NumericalError, StorageError
+from .errors import ConfigError, NumericalError, StorageError
 from .metrics import evaluate
-from .selfsup import InitializedStudent
 
 
 def cmd_gen_data(args) -> int:
@@ -47,8 +46,7 @@ def cmd_stage(args) -> int:
     if getattr(args, "model", None):
         inputs.model, _ = checkpoint.load_checkpoint(args.model)
     if getattr(args, "student_init", None):
-        arch, tensors, _ = checkpoint.load_backbone(args.student_init)
-        inputs.pretrained = InitializedStudent(arch, tensors, "contrastive")
+        inputs.pretrained = checkpoint.load_backbone(args.student_init)
     cfg = harness.load_section(args.config, stage.section)
     fragment, abort = harness.run_stage(stage, cfg, args.seed, inputs, args.out)
     if abort:  # the stage hit a non-finite value and kept its last good state
@@ -166,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 EXIT_STATUS = {ConfigError: (1, "config error"), NumericalError: (2, "numerical failure"),
-               StorageError: (3, "i/o error")}
+               StorageError: (3, "i/o error"), OSError: (3, "i/o error")}
 
 
-def exit_status(err: AdaptkitError) -> tuple[int, str]:
+def exit_status(err: Exception) -> tuple[int, str]:
     """(exit code, message prefix) for an error, from EXIT_STATUS."""
     return next(status for cls, status in EXIT_STATUS.items() if isinstance(err, cls))
 

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
-from .selfsup import InitializedStudent, backbone_fingerprint, make_student
+from .selfsup import InitializedStudent, make_student
 from .tensor import Tensor, fingerprint_all
 
 
@@ -103,11 +103,11 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
     return student, abort
 
 
-def distill(teacher: Network, init_kind: str, student_arch: ArchSpec,
-            pretrained: InitializedStudent | None, target: UnlabeledView,
-            cfg: DistillConfig, rng: np.random.Generator,
+def distill(teacher: Network, arch: ArchSpec, backbone: InitializedStudent | None,
+            target: UnlabeledView, cfg: DistillConfig, rng: np.random.Generator,
             eval_fn=None) -> tuple[Network, list[dict]]:
-    """Run the full phase loop; returns the final student and the trace.
+    """Run the full phase loop; returns the final student and the trace. Each phase
+    starts a new `arch` student from `backbone`, or without one from a random draw.
 
     eval_fn, when given, maps a Network to an accuracy in [0, 1]; it is the
     only place evaluation labels may enter, and it never feeds training.
@@ -120,8 +120,8 @@ def distill(teacher: Network, init_kind: str, student_arch: ArchSpec,
         if prev_hard is not None:
             labels.agreement_with_previous = float((labels.hard == prev_hard).mean())
         prev_hard = labels.hard
-        student = make_student(init_kind, teacher, pretrained, student_arch, rng)
-        reset_fp = backbone_fingerprint(student)
+        student = make_student(arch, backbone, rng)
+        reset_fp = fingerprint_all(student.backbone_tensors())
         mode = cfg.schedule.mode_for(phase)
         epochs = cfg.schedule.epochs_for(phase)
         student, abort = run_phase(student, labels, target, epochs, mode, cfg, rng)

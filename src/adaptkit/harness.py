@@ -175,9 +175,13 @@ def load_config(path) -> ExperimentConfig:
 
 def load_section(path, key: str):
     """One sub-config (a key of _SECTIONS) from a config file holding either a
-    full experiment config or just that section; defaults when path is None."""
+    full experiment config or just that section. A mapping whose keys are all
+    ExperimentConfig fields is a full one (no section field shares a name with
+    them); without the section, as with no path, the section's defaults apply."""
     d = _read_mapping(path) if path else {}
-    return _subconfig(_SECTIONS[key], d.get(key, d))
+    if set(d) <= {f.name for f in fields(ExperimentConfig)}:  # a full config
+        d = d.get(key)
+    return _subconfig(_SECTIONS[key], d)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +250,8 @@ def _stage2(c: ContrastiveConfig, seed: int, s: StageInputs):
 def _stage3(c: DistillConfig, seed: int, s: StageInputs):
     kind, arch = (("random", s.arch(s.student_hidden)) if s.pretrained is None
                   else ("contrastive", s.pretrained.arch))
-    s.model, trace = distill(s.model, kind, arch, s.pretrained, s.target, c,
-                             stream(seed, "stage3"), eval_fn=s.phase_acc)
+    s.model, trace = distill(s.model, arch, s.pretrained, s.target, c, stream(seed, "stage3"),
+                             eval_fn=s.phase_acc)
     abort = next(({"phase": e["phase"], **e["abort"]} for e in trace if "abort" in e), None)
     return s.model, {"distill": {"init_kind": kind, "trace": trace}}, abort
 

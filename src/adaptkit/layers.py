@@ -237,6 +237,10 @@ class Network:
     def all_tensors(self) -> list[Tensor]:
         return self.parameters() + self.state_tensors()
 
+    def backbone_tensors(self) -> list[Tensor]:
+        """What a stage-2 backbone holds: representation parameters, then running stats."""
+        return self.representation_parameters() + self.state_tensors()
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()

@@ -2,8 +2,8 @@
 
 The backbone is trained with in-batch InfoNCE over two independently
 strong-augmented views per sample, through a small projection head that is
-discarded afterwards. The initializer interface is deliberately pluggable:
-make_student accepts contrastive, source_copy, or random backbones.
+discarded afterwards. Stage 3 starts each student from this backbone or, without
+one, from a random draw.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_netw
                      forward_layers)
 from .losses import infonce_loss, infonce_loss_grad
 from .optim import SGD, check_fit_args, fit
-
-INIT_KINDS = ("contrastive", "source_copy", "random")
 
 
 @dataclass
@@ -45,17 +43,9 @@ class InitializedStudent:
     """Representation-only checkpoint: no classifier parameters."""
 
     arch: ArchSpec
-    tensors: dict[str, np.ndarray]  # representation params + batchnorm stats
-    provenance: str  # "contrastive" | "source_copy" | "random"
+    tensors: dict[str, np.ndarray]  # name -> array, over Network.backbone_tensors()
     loss_history: list[dict] = field(default_factory=list)
     abort: dict | None = None  # pretrain's abort record (see optim.fit)
-
-
-def _backbone_snapshot(net: Network) -> dict[str, np.ndarray]:
-    out = {}
-    for t in net.representation_parameters() + net.state_tensors():
-        out[t.name] = t.data.copy()
-    return out
 
 
 def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
@@ -90,47 +80,20 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
     history, abort = fit(opt, net.all_tensors() + head_params, cfg.epochs, len(target),
                          cfg.batch_size, rng, grads)
     net.eval()
-    return InitializedStudent(arch, _backbone_snapshot(net), "contrastive", history, abort)
+    return InitializedStudent(arch, {t.name: t.data.copy() for t in net.backbone_tensors()},
+                              history, abort)
 
 
-def random_backbone(arch: ArchSpec, rng: np.random.Generator) -> InitializedStudent:
-    return InitializedStudent(arch, _backbone_snapshot(build_network(arch, rng)), "random")
-
-
-def backbone_from_teacher(teacher: Network) -> InitializedStudent:
-    return InitializedStudent(teacher.arch, _backbone_snapshot(teacher), "source_copy")
-
-
-def make_student(init_kind: str, teacher: Network | None,
-                 pretrained: InitializedStudent | None, arch: ArchSpec,
+def make_student(arch: ArchSpec, backbone: InitializedStudent | None,
                  rng: np.random.Generator) -> Network:
-    """Build a student: chosen backbone plus a freshly initialized classifier."""
-    if init_kind not in INIT_KINDS:
-        raise ConfigError(f"unknown student init {init_kind!r}")
-    student = build_network(arch, rng)  # classifier init comes from this draw
-    if init_kind == "random":
-        return student
-    if init_kind == "source_copy":
-        if teacher is None:
-            raise ConfigError("source_copy needs a teacher")
-        if teacher.arch != arch:
-            raise ConfigError(
-                f"source_copy needs matching architectures: {teacher.arch} vs {arch}")
-        source = backbone_from_teacher(teacher)
-    else:
-        if pretrained is None:
-            raise ConfigError("contrastive init needs a pretrained backbone")
-        if pretrained.arch != arch:
-            raise ConfigError(
-                f"pretrained backbone is for {pretrained.arch}, student is {arch}")
-        source = pretrained
-    for t in student.representation_parameters() + student.state_tensors():
-        if t.name not in source.tensors:
-            raise ConfigError(f"backbone is missing tensor {t.name!r}")
-        t.data = source.tensors[t.name].copy()
+    """Build a student from `rng`; with a backbone, its tensors replace the drawn ones
+    and only the classifier keeps the draw."""
+    student = build_network(arch, rng)
+    if backbone is not None:
+        if backbone.arch != arch:
+            raise ConfigError(f"backbone is for {backbone.arch}, student is {arch}")
+        for t in student.backbone_tensors():
+            if t.name not in backbone.tensors:
+                raise ConfigError(f"backbone is missing tensor {t.name!r}")
+            t.data = backbone.tensors[t.name].copy()
     return student
-
-
-def backbone_fingerprint(net: Network) -> str:
-    from .tensor import fingerprint_all
-    return fingerprint_all(net.representation_parameters() + net.state_tensors())

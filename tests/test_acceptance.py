@@ -25,8 +25,7 @@ from adaptkit.losses import (cross_entropy, cross_entropy_grad, diversity_loss,
                              entropy_loss, infomax_loss, infomax_loss_grad,
                              infonce_loss, infonce_loss_grad, kl_soft_loss,
                              kl_soft_loss_grad, softmax)
-from adaptkit.selfsup import (ContrastiveConfig, InitializedStudent,
-                              make_student)
+from adaptkit.selfsup import ContrastiveConfig, make_student
 from adaptkit.source import SourceConfig
 
 
@@ -177,11 +176,8 @@ def test_criterion_06_contrastive_initialization(pipeline):
         _, tgt = make_datasets(cfg, seed)
         arch = ArchSpec(tgt.dim, cfg.student_hidden, tgt.num_classes)
         ckpt = pipeline["outdirs"]["stage1+2+3"] / f"seed_{seed}" / "backbone.ckpt"
-        loaded_arch, tensors, _ = checkpoint.load_backbone(ckpt)
-        pre = InitializedStudent(loaded_arch, tensors, "contrastive")
-        contrastive = make_student("contrastive", None, pre, arch,
-                                   stream(seed, "probe"))
-        rand = make_student("random", None, None, arch, stream(seed, "probe"))
+        contrastive = make_student(arch, checkpoint.load_backbone(ckpt), stream(seed, "probe"))
+        rand = make_student(arch, None, stream(seed, "probe"))
         probe_gaps.append(_probe(contrastive, tgt) - _probe(rand, tgt))
     probe_gap = 100 * float(np.median(probe_gaps))
     ok = gap >= 2.0 and probe_gap >= 15.0

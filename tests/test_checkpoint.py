@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from adaptkit import cli
 from adaptkit.checkpoint import (load_backbone, load_checkpoint, save_backbone,
                                  save_checkpoint)
+from adaptkit.data import GeneratorSpec, generate, save_dataset
 from adaptkit.errors import StorageError
 from adaptkit.layers import ArchSpec, build_network
 from adaptkit.tensor import Tensor
@@ -121,14 +123,54 @@ def test_version_field_and_magic(net, tmp_path):
 
 
 def test_backbone_round_trip(tmp_path, net):
-    arch = net.arch
-    tensors = net.representation_parameters() + net.state_tensors()
     path = tmp_path / "backbone.ckpt"
-    save_backbone(arch, {t.name: t.data for t in tensors}, path)
-    loaded_arch, loaded, header = load_backbone(path)
-    assert loaded_arch == arch
-    assert header["backbone_only"]
-    for t in tensors:
-        assert np.array_equal(loaded[t.name], t.data)
-    with pytest.raises(StorageError, match="backbone-only"):
-        load_checkpoint(path)
+    save_backbone(net.arch, {t.name: t.data for t in net.backbone_tensors()}, path)
+    loaded = load_backbone(path)
+    assert loaded.arch == net.arch
+    assert list(loaded.tensors) == [t.name for t in net.backbone_tensors()]
+    for t in net.backbone_tensors():
+        assert np.array_equal(loaded.tensors[t.name], t.data)
+
+
+def _save_edited_backbone(net, path, **edits):
+    """A backbone file of `net` with tensors replaced, added or (None) dropped."""
+    tensors = {**{t.name: t.data for t in net.backbone_tensors()}, **edits}
+    save_backbone(net.arch, {k: v for k, v in tensors.items() if v is not None}, path)
+
+
+# (how to write the file, how to read it)
+BAD_FILES = {
+    "stray_tensor": (lambda net, p: _save_edited_backbone(net, p, stray=np.zeros(3)),
+                     load_backbone),
+    "missing_tensor": (lambda net, p: _save_edited_backbone(
+        net, p, **{"block1.bn.running_var": None}), load_backbone),
+    "misshaped_bias": (lambda net, p: _save_edited_backbone(
+        net, p, **{"block0.dense.bias": np.zeros(1)}), load_backbone),
+    "misshaped_gamma": (lambda net, p: _save_edited_backbone(
+        net, p, **{"block1.bn.gamma": np.ones((1, 6))}), load_backbone),
+    "full_as_backbone": (save_checkpoint, load_backbone),
+    "backbone_as_full": (_save_edited_backbone, load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_backbone_files_rejected(net, tmp_path, case):
+    write, read = BAD_FILES[case]
+    path = tmp_path / "backbone.ckpt"
+    write(net, path)
+    with pytest.raises(StorageError):
+        read(path)
+
+
+@pytest.mark.parametrize("case", ["missing_tensor", "misshaped_bias", "misshaped_gamma",
+                                  "stray_tensor"])
+def test_cli_distill_rejects_bad_backbone(net, tmp_path, capsys, case):
+    data, teacher, backbone = tmp_path / "d.ds", tmp_path / "t.ckpt", tmp_path / "b.ckpt"
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=5)), data)
+    save_checkpoint(net, teacher)
+    BAD_FILES[case][0](net, backbone)
+    out = tmp_path / "student.ckpt"
+    assert cli.main(["distill", "--teacher", str(teacher), "--target", str(data),
+                     "--student-init", str(backbone), "--out", str(out)]) == 3
+    assert "i/o error:" in capsys.readouterr().err
+    assert not out.exists()

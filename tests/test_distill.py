@@ -9,7 +9,7 @@ from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule,
 from adaptkit.errors import ConfigError
 from adaptkit.layers import ArchSpec, Dense, Network, build_network
 from adaptkit.metrics import evaluate
-from adaptkit.selfsup import ContrastiveConfig, backbone_fingerprint, pretrain
+from adaptkit.selfsup import ContrastiveConfig, InitializedStudent, pretrain
 from adaptkit.tensor import fingerprint_all
 
 
@@ -110,7 +110,7 @@ def test_distill_trace_bookkeeping():
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=3, epochs_per_phase=1,
                                                soft_label_interleave=True),
                         batch_size=32)
-    student, trace = distill(teacher, "random", ArchSpec(8, (10,), 4), None, view,
+    student, trace = distill(teacher, ArchSpec(8, (10,), 4), None, view,
                              cfg, np.random.default_rng(0))
     assert [e["phase"] for e in trace] == [1, 2, 3]
     assert [e["mode"] for e in trace] == ["hard", "soft", "hard"]
@@ -123,19 +123,20 @@ def test_distill_trace_bookkeeping():
 
 
 def test_student_reset_each_phase():
-    # with a random init the reset draws a fresh backbone every phase
+    # a backbone resets every phase's student to the same tensors; without one
+    # each phase draws a fresh backbone
     _, tgt = small_benchmark()
     view = tgt.unlabeled_view()
     teacher = build_network(ArchSpec(8, (12, 12), 4), np.random.default_rng(1))
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                         batch_size=32)
-    from adaptkit.selfsup import random_backbone
-    pre = random_backbone(ArchSpec(8, (10,), 4), np.random.default_rng(5))
-    _, trace = distill(teacher, "contrastive", ArchSpec(8, (10,), 4), pre, view,
-                       cfg, np.random.default_rng(0))
-    # contrastive init resets to the same checkpoint in every phase
-    fps = [e["backbone_reset_fingerprint"] for e in trace]
-    assert fps[0] == fps[1]
+    arch = ArchSpec(8, (10,), 4)
+    drawn = build_network(arch, np.random.default_rng(5))
+    pre = InitializedStudent(arch, {t.name: t.data for t in drawn.backbone_tensors()})
+    for backbone, same in ((pre, True), (None, False)):
+        _, trace = distill(teacher, arch, backbone, view, cfg, np.random.default_rng(0))
+        fps = [e["backbone_reset_fingerprint"] for e in trace]
+        assert (fps[0] == fps[1]) == same
 
 
 def test_cross_architecture_distillation():
@@ -144,7 +145,7 @@ def test_cross_architecture_distillation():
     teacher = build_network(ArchSpec(8, (16, 16), 4), np.random.default_rng(1))
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=1, epochs_per_phase=1),
                         batch_size=32)
-    student, _ = distill(teacher, "random", ArchSpec(8, (6,), 4), None, view, cfg,
+    student, _ = distill(teacher, ArchSpec(8, (6,), 4), None, view, cfg,
                          np.random.default_rng(0))
     assert student.arch == ArchSpec(8, (6,), 4)
     evaluate(student, tgt)  # forward path intact
@@ -158,7 +159,7 @@ def test_distill_deterministic():
     fps = []
     for _ in range(2):
         teacher = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(1))
-        student, _ = distill(teacher, "random", ArchSpec(8, (10,), 4), None, view,
+        student, _ = distill(teacher, ArchSpec(8, (10,), 4), None, view,
                              cfg, np.random.default_rng(4))
         fps.append(fingerprint_all(student.parameters()))
     assert fps[0] == fps[1]
@@ -207,13 +208,12 @@ def test_uniform_doubling_preserves_argmax_zero_bias():
 
 def test_calibration_touches_only_the_scales():
     net, _, tgt = longtail_model_and_target()
-    before = {t.name: t.data.copy()
-              for t in net.representation_parameters() + net.state_tensors()}
+    before = {t.name: t.data.copy() for t in net.backbone_tensors()}
     before["classifier.bias"] = net.classifier.bias.data.copy()
     w_before = net.classifier.weight.data.copy()
     scale, cal, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
                                          np.random.default_rng(0))
-    assert backbone_fingerprint(cal) == backbone_fingerprint(net)
+    assert fingerprint_all(cal.backbone_tensors()) == fingerprint_all(net.backbone_tensors())
     assert np.array_equal(cal.classifier.bias.data, before["classifier.bias"])
     # weight rows are exactly the original rows times the learned scales
     assert np.allclose(cal.classifier.weight.data, scale.s[:, None] * w_before)
@@ -241,7 +241,7 @@ def test_calibration_deterministic():
     assert np.array_equal(s1.s, s2.s)
 
 
-@pytest.mark.parametrize("kind", ["source_copy", "contrastive"])
+@pytest.mark.parametrize("kind", ["random", "contrastive"])
 def test_distill_trains_copies_of_its_inputs(kind):
     # SGD updates parameters in place: the student must own its arrays, so neither
     # the teacher nor the backbone it was initialized from moves
@@ -253,7 +253,7 @@ def test_distill_trains_copies_of_its_inputs(kind):
                            np.random.default_rng(1)) if kind == "contrastive" else None)
     backbone = {} if pretrained is None else {k: v.copy() for k, v in pretrained.tensors.items()}
     teacher_before = fingerprint_all(teacher.all_tensors())
-    student, _ = distill(teacher, kind, arch, pretrained, view,
+    student, _ = distill(teacher, arch, pretrained, view,
                          DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                                        batch_size=32), np.random.default_rng(2))
     assert fingerprint_all(teacher.all_tensors()) == teacher_before
@@ -261,4 +261,5 @@ def test_distill_trains_copies_of_its_inputs(kind):
         assert set(pretrained.tensors) == set(backbone)
         for name, data in backbone.items():
             assert pretrained.tensors[name].tobytes() == data.tobytes(), name
-    assert backbone_fingerprint(student) != backbone_fingerprint(teacher)
+    assert (fingerprint_all(student.backbone_tensors())
+            != fingerprint_all(teacher.backbone_tensors()))

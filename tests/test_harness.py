@@ -49,6 +49,8 @@ def test_stage_table_matches_streams_sections_and_cli():
     hints = get_type_hints(ExperimentConfig)
     for st in STAGES:
         assert hints[st.section] is _SECTIONS[st.section]
+        # load_section tells a full config from a section by its keys
+        assert not {f.name for f in fields(_SECTIONS[st.section])} & set(hints)
         assert st.flag is None or hints[st.flag] is bool
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -350,6 +352,22 @@ def test_cli_distill_takes_schedule_from_config(tmp_path):
     assert len(json.loads(trace.read_text())) == 1
 
 
+ONE_PHASE = {"schedule": {"num_phases": 1, "epochs_per_phase": 1}}
+
+
+@pytest.mark.parametrize("config,code,phases", [
+    (ONE_PHASE, 0, 1), ({"seeds": [0], "stage2": False}, 0, 3), ({}, 0, 3),
+    ({"seeds": [0], "lr": 0.1}, 1, None),
+], ids=["section", "full_without_section", "empty", "mixed"])
+def test_cli_stage_reads_section_or_full_config(tmp_path, config, code, phases):
+    # a full config without the stage's section gives the section's defaults, as in run
+    path, trace = tmp_path / "cfg.json", tmp_path / "trace.json"
+    path.write_text(json.dumps(config))
+    argv = stage_argv(tmp_path, "distill", "--target")
+    assert cli.main(argv + ["--config", str(path), "--trace", str(trace)]) == code
+    assert (len(json.loads(trace.read_text())) if code == 0 else None) == phases
+
+
 def test_cli_train_source_matches_run(tmp_path):
     # each stage command runs run's step for its stage: same bytes from the same inputs
     cfg = tiny_config(seeds=(0,), calibrate=True,
@@ -441,3 +459,22 @@ def test_cli_numerical_error(tmp_path):
     save_dataset(ds, path)
     assert cli.main(["train-source", "--data", str(path),
                      "--out", str(tmp_path / "x.ckpt"), "--hidden", "8"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "adapt", "distill", "compare"])
+def test_cli_unwritable_output_is_io_error(tmp_path, capsys, command):
+    (tmp_path / "afile").write_text("")
+    missing = str(tmp_path / "nodir" / "x")
+    if command == "run":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(asdict(tiny_config(seeds=(0,)))))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "afile" / "sub")]
+    elif command == "compare":
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "metrics": {}}))
+        argv = ["compare", str(report), "--csv", missing]
+    else:
+        flag = "--report" if command == "adapt" else "--trace"
+        argv = stage_argv(tmp_path, command, "--target") + [flag, missing]
+    assert cli.main(argv) == 3
+    assert "i/o error:" in capsys.readouterr().err

@@ -1,6 +1,9 @@
-"""Every module under src/adaptkit uses what it imports.
+"""Every module under src/adaptkit uses what it imports, and imports its
+package siblings in its import block, not inside a function, so that its
+dependencies on them show at the top.
 
-__init__.py is exempt: its imports are the package's public re-exports.
+__init__.py is exempt from the first check: its imports are the package's
+public re-exports.
 """
 import ast
 from pathlib import Path
@@ -29,3 +32,17 @@ def unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def imports_in_functions(path: Path) -> list[str]:
+    """Package-internal imports (`from .x import ...`) inside a function body."""
+    funcs = [n for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [f"{path.name}:{node.lineno}: from {'.' * node.level}{node.module or ''}"
+            for f in funcs for node in ast.walk(f)
+            if isinstance(node, ast.ImportFrom) and node.level > 0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_package_imports_in_functions(path):
+    assert imports_in_functions(path) == []

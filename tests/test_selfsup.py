@@ -5,9 +5,8 @@ from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec,
                            apply_shift, generate)
 from adaptkit.errors import ConfigError
 from adaptkit.layers import ArchSpec, build_network
-from adaptkit.selfsup import (ContrastiveConfig, backbone_fingerprint,
-                              backbone_from_teacher, make_student, pretrain,
-                              random_backbone)
+from adaptkit.selfsup import (ContrastiveConfig, InitializedStudent, make_student,
+                              pretrain)
 
 ARCH = ArchSpec(32, (32, 32), 10)
 
@@ -40,7 +39,7 @@ def test_zero_epochs_equals_random_init():
     view = tgt.unlabeled_view()
     pre = pretrain(ARCH, view, ContrastiveConfig(epochs=0), np.random.default_rng(5))
     fresh = build_network(ARCH, np.random.default_rng(5))
-    for t in fresh.representation_parameters() + fresh.state_tensors():
+    for t in fresh.backbone_tensors():
         assert np.array_equal(pre.tensors[t.name], t.data)
     assert pre.loss_history == []
 
@@ -100,8 +99,8 @@ def test_probe_gap_vs_random_backbone():
     tgt = default_target()
     view = tgt.unlabeled_view()
     pre = pretrain(ARCH, view, ContrastiveConfig(epochs=100), np.random.default_rng(0))
-    contrastive = make_student("contrastive", None, pre, ARCH, np.random.default_rng(1))
-    random_student = make_student("random", None, None, ARCH, np.random.default_rng(1))
+    contrastive = make_student(ARCH, pre, np.random.default_rng(1))
+    random_student = make_student(ARCH, None, np.random.default_rng(1))
     gap = linear_probe(contrastive, tgt) - linear_probe(random_student, tgt)
     assert gap >= 0.15
 
@@ -114,8 +113,8 @@ def test_identity_augmentation_gives_no_representation_benefit():
     view = tgt.unlabeled_view()
     cfg = ContrastiveConfig(epochs=10, policy=AugmentationPolicy.identity())
     pre = pretrain(ARCH, view, cfg, np.random.default_rng(0))
-    degenerate = make_student("contrastive", None, pre, ARCH, np.random.default_rng(1))
-    random_student = make_student("random", None, None, ARCH, np.random.default_rng(1))
+    degenerate = make_student(ARCH, pre, np.random.default_rng(1))
+    random_student = make_student(ARCH, None, np.random.default_rng(1))
     assert linear_probe(degenerate, tgt) <= linear_probe(random_student, tgt) + 0.05
 
 
@@ -126,42 +125,16 @@ def test_identity_augmentation_gives_no_representation_benefit():
 def test_make_student_contrastive_copies_backbone_not_classifier():
     view = default_target().unlabeled_view()
     pre = pretrain(ARCH, view, ContrastiveConfig(epochs=1), np.random.default_rng(0))
-    student = make_student("contrastive", None, pre, ARCH, np.random.default_rng(9))
-    for t in student.representation_parameters() + student.state_tensors():
+    student = make_student(ARCH, pre, np.random.default_rng(9))
+    for t in student.backbone_tensors():
         assert np.array_equal(t.data, pre.tensors[t.name])
     fresh = build_network(ARCH, np.random.default_rng(9))
     assert np.array_equal(student.classifier.weight.data, fresh.classifier.weight.data)
 
 
-def test_make_student_source_copy_and_random():
-    teacher = build_network(ARCH, np.random.default_rng(2))
-    student = make_student("source_copy", teacher, None, ARCH, np.random.default_rng(3))
-    assert backbone_fingerprint(student) == backbone_fingerprint(teacher)
-    rand = make_student("random", None, None, ARCH, np.random.default_rng(3))
-    assert backbone_fingerprint(rand) != backbone_fingerprint(teacher)
-
-
 def test_make_student_arch_mismatch_rejected():
-    teacher = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
-    with pytest.raises(ConfigError, match="matching architectures"):
-        make_student("source_copy", teacher, None, ARCH, np.random.default_rng(0))
-    pre = random_backbone(ArchSpec(32, (16,), 10), np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        make_student("contrastive", None, pre, ARCH, np.random.default_rng(0))
-
-
-def test_make_student_missing_inputs_rejected():
-    with pytest.raises(ConfigError):
-        make_student("contrastive", None, None, ARCH, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        make_student("source_copy", None, None, ARCH, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        make_student("finetuned", None, None, ARCH, np.random.default_rng(0))
-
-
-def test_backbone_helpers_round_trip():
-    net = build_network(ARCH, np.random.default_rng(4))
-    snap = backbone_from_teacher(net)
-    assert snap.provenance == "source_copy"
-    rebuilt = make_student("source_copy", net, None, ARCH, np.random.default_rng(5))
-    assert backbone_fingerprint(rebuilt) == backbone_fingerprint(net)
+    pre = InitializedStudent(ArchSpec(32, (16,), 10), {})
+    with pytest.raises(ConfigError, match="backbone is for"):
+        make_student(ARCH, pre, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="missing tensor"):
+        make_student(ARCH, InitializedStudent(ARCH, {}), np.random.default_rng(0))

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adaptkit import store
-from adaptkit.checkpoint import load_checkpoint, save_checkpoint
+from adaptkit.checkpoint import load_backbone, load_checkpoint, save_backbone, save_checkpoint
 from adaptkit.data import (GeneratorSpec, ShiftSpec, apply_shift, generate, load_dataset,
                            save_dataset)
 from adaptkit.errors import NumericalError, StorageError
@@ -27,15 +27,18 @@ def test_round_trip_keeps_order_and_bits(tmp_path):
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
-    """A small checkpoint and a small labeled target dataset, as bytes."""
+    """A small checkpoint, its backbone and a small labeled target dataset, as bytes."""
     d = tmp_path_factory.mktemp("valid")
-    save_checkpoint(build_network(ArchSpec(4, (5,), 3), np.random.default_rng(0)), d / "net.ckpt")
+    net = build_network(ArchSpec(4, (5,), 3), np.random.default_rng(0))
+    save_checkpoint(net, d / "net.ckpt")
+    save_backbone(net.arch, {t.name: t.data for t in net.backbone_tensors()}, d / "bb.ckpt")
     src = generate(GeneratorSpec(n_per_class=3, num_classes=3, input_dim=4))
     save_dataset(apply_shift(src, ShiftSpec("rotation", 30.0, seed=1)), d / "x.ds")
-    return d, {"ckpt": (d / "net.ckpt").read_bytes(), "ds": (d / "x.ds").read_bytes()}
+    return d, {"ckpt": (d / "net.ckpt").read_bytes(), "backbone": (d / "bb.ckpt").read_bytes(),
+               "ds": (d / "x.ds").read_bytes()}
 
 
-LOADERS = {"ckpt": load_checkpoint, "ds": load_dataset}
+LOADERS = {"ckpt": load_checkpoint, "backbone": load_backbone, "ds": load_dataset}
 
 # bytes that turn JSON digits and literals into other valid JSON, plus anything
 _BYTE = st.sampled_from(b" -.0129eE\"[]{}\x00\xff") | st.integers(0, 255)
