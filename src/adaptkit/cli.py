@@ -15,45 +15,38 @@ from operator import getitem
 from pathlib import Path
 
 from . import checkpoint, harness
-from .data import (GeneratorSpec, ImbalanceSpec, ShiftSpec, apply_shift,
-                   generate, load_dataset, save_dataset, subsample_longtail)
+from .data import load_dataset, save_dataset
 from .errors import ConfigError, NumericalError, StorageError
 from .metrics import evaluate
 
 
 def cmd_gen_data(args) -> int:
-    spec = GeneratorSpec(n_per_class=args.n_per_class, num_classes=args.classes,
-                         input_dim=args.dim, ring_radius=args.ring_radius,
-                         cluster_sigma=args.cluster_sigma, ambient_scale=args.ambient_scale,
-                         seed=args.seed, geometry_seed=args.geometry_seed)
-    ds = generate(spec)
-    if args.imbalance_ratio is not None:
-        ds = subsample_longtail(ds, ImbalanceSpec(args.imbalance_ratio, args.seed))
-    if args.shift_kind:
-        ds = apply_shift(ds, ShiftSpec(args.shift_kind, args.magnitude, args.shift_seed))
-    save_dataset(ds, args.out)
-    print(f"wrote {args.out}: {len(ds)} rows, {ds.dim} dims, {ds.num_classes} classes, "
-          f"domain={ds.domain_tag}")
+    """`run`'s source and target datasets for --seed, from --config or the defaults."""
+    cfg = harness.load_config(args.config)
+    for ds, path in zip(harness.make_datasets(cfg, args.seed), (args.source, args.target)):
+        save_dataset(ds, path)
+        print(f"wrote {path}: {len(ds)} rows, {ds.dim} dims, {ds.num_classes} classes, "
+              f"domain={ds.domain_tag}")
     return 0
 
 
 def cmd_stage(args) -> int:
     """train-source, adapt, pretrain, distill and calibrate: one step of `run`'s stage
     table on files, so the same --seed and --config give the same checkpoint bytes."""
-    stage, data = args.stage, load_dataset(args.data)
-    hidden = getattr(args, "hidden", ())
-    inputs = harness.StageInputs(data, data.unlabeled_view(), hidden, hidden)
+    stage, data, cfg = args.stage, load_dataset(args.data), harness.load_config(args.config)
+    inputs = harness.StageInputs(data, data.unlabeled_view(), cfg.teacher_hidden,
+                                 cfg.student_hidden)
     if getattr(args, "model", None):
         inputs.model, _ = checkpoint.load_checkpoint(args.model)
     if getattr(args, "student_init", None):
         inputs.pretrained = checkpoint.load_backbone(args.student_init)
-    cfg = harness.load_section(args.config, stage.section)
-    fragment, abort = harness.run_stage(stage, cfg, args.seed, inputs, args.out)
+    product, fragment, abort = stage.step(getattr(cfg, stage.section), args.seed, inputs)
     if abort:  # the stage hit a non-finite value and kept its last good state
         print(f"{args.command} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)
-    if getattr(args, "report", None):
+    if getattr(args, "report", None):  # before --out, so a failed command leaves no checkpoint
         Path(args.report).write_text(json.dumps(reduce(getitem, args.report_keys, fragment),
                                                 sort_keys=True, indent=2) + "\n")
+    harness.save_product(product, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -98,20 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Test-time adaptation pipeline on synthetic shift benchmarks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, default=10)
-    g.add_argument("--dim", type=int, default=32)
-    g.add_argument("--n-per-class", type=int, default=500)
-    g.add_argument("--ring-radius", type=float, default=5.0)
-    g.add_argument("--cluster-sigma", type=float, default=1.0)
-    g.add_argument("--ambient-scale", type=float, default=3.0)
+    g = sub.add_parser("gen-data", help="write run's source and target datasets for a seed")
+    g.add_argument("--config", help="experiment config, as for run (default: the default config)")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--geometry-seed", type=int, default=7)
-    g.add_argument("--shift-kind", choices=["rotation", "scale", "translate", "composite"])
-    g.add_argument("--magnitude", type=float, default=45.0)
-    g.add_argument("--shift-seed", type=int, default=1)
-    g.add_argument("--imbalance-ratio", type=float)
+    g.add_argument("--source", required=True)
+    g.add_argument("--target", required=True)
     g.set_defaults(fn=cmd_gen_data)
 
     def stage_parser(command, name, help, data_flag="--target"):
@@ -119,26 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=help)
         sp.add_argument(data_flag, dest="data", metavar=data_flag[2:].upper(), required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--config", help=f"{stage.section} section, alone or in a full config")
+        sp.add_argument("--config", help=f"experiment config, as for run; its {stage.section} "
+                        "and hidden widths apply")
         sp.add_argument("--seed", type=int, default=0)
         sp.set_defaults(fn=cmd_stage, stage=stage)
         return sp
 
-    t = stage_parser("train-source", "stage0", "stage 0: supervised source training", "--data")
-    t.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
+    stage_parser("train-source", "stage0", "stage 0: supervised source training", "--data")
 
     a = stage_parser("adapt", "stage1", "stage 1: InfoMax test-time adaptation")
     a.add_argument("--source", dest="model", metavar="SOURCE", required=True)
     a.add_argument("--report")
     a.set_defaults(report_keys=("adapt",))
 
-    pr = stage_parser("pretrain", "stage2", "stage 2: contrastive backbone pretraining")
-    pr.add_argument("--hidden", type=int, nargs="+", default=[32, 32])
+    stage_parser("pretrain", "stage2", "stage 2: contrastive backbone pretraining")
 
     d = stage_parser("distill", "stage3", "stage 3: phased teacher-student transfer")
     d.add_argument("--teacher", dest="model", metavar="TEACHER", required=True)
     d.add_argument("--student-init", help="backbone checkpoint (default: random student)")
-    d.add_argument("--hidden", type=int, nargs="+", default=[32, 32])
     d.add_argument("--trace", dest="report", metavar="TRACE")
     d.set_defaults(report_keys=("distill", "trace"))
 

@@ -54,11 +54,6 @@ def stream(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(_seed_sequence(master_seed, name))
 
 
-_SECTIONS = {"benchmark": GeneratorSpec, "shift": ShiftSpec, "source_cfg": SourceConfig,
-             "adapt_cfg": AdaptConfig, "contrastive_cfg": ContrastiveConfig,
-             "distill_cfg": DistillConfig, "calibrate_cfg": CalibrateConfig}
-
-
 def _fits(v, hint) -> bool:
     """Whether a parsed config value fits a field's annotation: int (not bool),
     float (int allowed), bool, str, a config section, `X | None` or a tuple."""
@@ -125,6 +120,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage2 and not self.stage3:
             raise ConfigError("stage 2 output is only consumed by stage 3")
+        if self.benchmark.seed or self.shift.seed:
+            raise ConfigError("benchmark.seed and shift.seed must be 0: the data seeds come "
+                              "from the master seed")
         if bool(self.source_data) != bool(self.target_data):
             raise ConfigError("source_data and target_data must be given together")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
@@ -169,19 +167,9 @@ def _read_mapping(path) -> dict:
     return d
 
 
-def load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_read_mapping(path))
-
-
-def load_section(path, key: str):
-    """One sub-config (a key of _SECTIONS) from a config file holding either a
-    full experiment config or just that section. A mapping whose keys are all
-    ExperimentConfig fields is a full one (no section field shares a name with
-    them); without the section, as with no path, the section's defaults apply."""
-    d = _read_mapping(path) if path else {}
-    if set(d) <= {f.name for f in fields(ExperimentConfig)}:  # a full config
-        d = d.get(key)
-    return _subconfig(_SECTIONS[key], d)
+def load_config(path=None) -> ExperimentConfig:
+    """The experiment config in file `path`; the defaults without one."""
+    return ExperimentConfig.from_dict(_read_mapping(path) if path else {})
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def _calibrate(c: CalibrateConfig, seed: int, s: StageInputs):
 @dataclass(frozen=True)
 class Stage:
     name: str  # its rng stream and its key under report["aborts"]
-    section: str  # its config section, a key of _SECTIONS
+    section: str  # its config section, an ExperimentConfig field
     flag: str | None  # the ExperimentConfig switch that enables it; None: always on
     ckpt: str  # the file `run` saves its product to
     metric: str | None  # its key under report["metrics"]; None: it makes no classifier
@@ -282,15 +270,13 @@ STAGES = (
 )
 
 
-def run_stage(stage: Stage, c, seed: int, inputs: StageInputs, path) -> tuple[dict, dict | None]:
-    """Run one stage's step and save what it made to `path` (a backbone or a
-    network; nothing for a given source model); returns (report fragment, abort)."""
-    product, fragment, abort = stage.step(c, seed, inputs)
+def save_product(product, path) -> None:
+    """Save what a stage step made to `path`: a backbone or a network; nothing
+    for a given source model."""
     if isinstance(product, InitializedStudent):
         checkpoint.save_backbone(product.arch, product.tensors, path)
     elif product is not None:
         checkpoint.save_checkpoint(product, path)
-    return fragment, abort
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
@@ -308,8 +294,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
     for stage in STAGES:
         if stage.flag and not getattr(cfg, stage.flag):
             continue
-        fragment, aborts[stage.name] = run_stage(stage, getattr(cfg, stage.section), seed, s,
-                                                 outdir / stage.ckpt)
+        product, fragment, aborts[stage.name] = stage.step(getattr(cfg, stage.section), seed, s)
+        save_product(product, outdir / stage.ckpt)
         report.update(fragment)
         if stage.metric:
             report["metrics"][stage.metric] = _eval(s.model, tgt, src).to_dict()
@@ -430,10 +416,8 @@ def compare(paths: list[str]) -> tuple[str, list[list[str]]]:
 
 
 def _final_stage(metrics: dict) -> str:
-    for stage in ("calibrated", "stage3", "stage1", "source_only"):
-        if stage in metrics:
-            return stage
-    return "source_only"
+    """The metric key of the last stage in STAGES that `metrics` holds."""
+    return next((st.metric for st in reversed(STAGES) if st.metric in metrics), "source_only")
 
 
 def _fmt(v) -> str:

@@ -64,10 +64,6 @@ class Tensor:
             t.grad = self.grad.copy()
         return t
 
-    def fingerprint(self) -> str:
-        """SHA-256 of the raw little-endian bytes; used for freeze checks."""
-        return hashlib.sha256(self.data.astype("<f8").tobytes()).hexdigest()
-
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""
         return f"Tensor{nm}(shape={self.shape})"

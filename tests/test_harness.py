@@ -1,6 +1,6 @@
 import argparse
 import json
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -11,13 +11,17 @@ from adaptkit.adapt import AdaptConfig
 from adaptkit.data import Dataset, GeneratorSpec, ShiftSpec, generate, save_dataset
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.errors import ConfigError
-from adaptkit.harness import (_SECTIONS, _STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig,
-                              _subconfig, compare, load_config, make_datasets,
-                              run_experiment, run_seed, stream, stream_seed, summarize)
+from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _subconfig,
+                              compare, load_config, make_datasets, run_experiment, run_seed,
+                              stream, stream_seed, summarize)
 from adaptkit.layers import ArchSpec, build_network
 from adaptkit.metrics import evaluate
 from adaptkit.selfsup import ContrastiveConfig
 from adaptkit.source import SourceConfig
+
+
+# the config sections: ExperimentConfig's fields that are config dataclasses
+SECTIONS = {k: v for k, v in get_type_hints(ExperimentConfig).items() if is_dataclass(v)}
 
 
 def tiny_config(**kw):
@@ -45,12 +49,9 @@ def test_stage_table_matches_streams_sections_and_cli():
     assert [st.name for st in STAGES] == ["stage0", "stage1", "stage2", "stage3", "calibrate"]
     assert set(_STREAMS) - {st.name for st in STAGES} \
         == {"source_data", "target_data", "imbalance", "probe"}
-    assert {st.section for st in STAGES} == set(_SECTIONS) - {"benchmark", "shift"}
+    assert {st.section for st in STAGES} == set(SECTIONS) - {"benchmark", "shift"}
     hints = get_type_hints(ExperimentConfig)
     for st in STAGES:
-        assert hints[st.section] is _SECTIONS[st.section]
-        # load_section tells a full config from a section by its keys
-        assert not {f.name for f in fields(_SECTIONS[st.section])} & set(hints)
         assert st.flag is None or hints[st.flag] is bool
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -240,13 +241,14 @@ def test_compare_rejects_schema_mismatch(tmp_path):
 
 
 def test_cli_gen_data_and_evaluate_flow(tmp_path):
-    data = str(tmp_path / "src.ds")
+    cfg, src, tgt = tmp_path / "cfg.json", str(tmp_path / "src.ds"), str(tmp_path / "tgt.ds")
+    cfg.write_text(json.dumps({"benchmark": {"n_per_class": 40, "num_classes": 4,
+                                             "input_dim": 8},
+                               "stage2": False, "teacher_hidden": [10]}))
     ckpt = str(tmp_path / "net.ckpt")
-    assert cli.main(["gen-data", "--out", data, "--classes", "4", "--dim", "8",
-                     "--n-per-class", "40"]) == 0
-    assert cli.main(["train-source", "--data", data, "--out", ckpt,
-                     "--hidden", "10"]) == 0
-    assert cli.main(["evaluate", "--model", ckpt, "--data", data]) == 0
+    assert cli.main(["gen-data", "--config", str(cfg), "--source", src, "--target", tgt]) == 0
+    assert cli.main(["train-source", "--data", src, "--out", ckpt, "--config", str(cfg)]) == 0
+    assert cli.main(["evaluate", "--model", ckpt, "--data", tgt, "--train-data", src]) == 0
 
 
 def test_cli_missing_file_is_io_error(tmp_path):
@@ -313,6 +315,8 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("c.json", json.dumps({"benchmark": {"n_per_class": 10, "num_classes": 4},
                            "contrastive_cfg": {"batch_size": 21}})),
     ("c.json", json.dumps({"benchmark": {"seed": -1}})),
+    ("c.json", json.dumps({"benchmark": {"seed": 5}})),
+    ("c.json", json.dumps({"shift": {"seed": 9}})),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
@@ -320,7 +324,8 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
      "negative_seed", "negative_temperature", "unknown_shift_kind", "dropout_above_one",
      "imbalance_below_one", "zero_phases", "negative_source_lr", "negative_adapt_lr",
      "negative_contrastive_lr", "negative_distill_lr", "negative_calibrate_lr", "nan_lr",
-     "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed"])
+     "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed",
+     "nonzero_benchmark_seed", "nonzero_shift_seed"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -329,13 +334,13 @@ def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     assert not list(tmp_path.glob("exp/seed_*"))
 
 
-@pytest.mark.parametrize("key", sorted(_SECTIONS))
+@pytest.mark.parametrize("key", sorted(SECTIONS))
 def test_sections_reject_untrainable_loop_sizes(key):
-    names = {f.name for f in fields(_SECTIONS[key])}
+    names = {f.name for f in fields(SECTIONS[key])}
     for field_name, bad in (("batch_size", 1), ("epochs", -1)):
         if field_name in names:
             with pytest.raises(ConfigError, match=field_name):
-                _subconfig(_SECTIONS[key], {field_name: bad})
+                _subconfig(SECTIONS[key], {field_name: bad})
 
 
 def test_cli_distill_takes_schedule_from_config(tmp_path):
@@ -344,11 +349,11 @@ def test_cli_distill_takes_schedule_from_config(tmp_path):
     checkpoint.save_checkpoint(build_network(ArchSpec(8, (8,), 4), np.random.default_rng(0)),
                                teacher)
     cfg, trace = tmp_path / "cfg.json", tmp_path / "trace.json"
-    cfg.write_text(json.dumps(
-        {"distill_cfg": {"schedule": {"num_phases": 1, "epochs_per_phase": 1}}}))
+    cfg.write_text(json.dumps({"student_hidden": [8], "distill_cfg": {
+        "schedule": {"num_phases": 1, "epochs_per_phase": 1}}}))
     assert cli.main(["distill", "--teacher", str(teacher), "--target", str(data),
                      "--out", str(tmp_path / "student.ckpt"), "--config", str(cfg),
-                     "--hidden", "8", "--trace", str(trace)]) == 0
+                     "--trace", str(trace)]) == 0
     assert len(json.loads(trace.read_text())) == 1
 
 
@@ -356,41 +361,58 @@ ONE_PHASE = {"schedule": {"num_phases": 1, "epochs_per_phase": 1}}
 
 
 @pytest.mark.parametrize("config,code,phases", [
-    (ONE_PHASE, 0, 1), ({"seeds": [0], "stage2": False}, 0, 3), ({}, 0, 3),
-    ({"seeds": [0], "lr": 0.1}, 1, None),
-], ids=["section", "full_without_section", "empty", "mixed"])
-def test_cli_stage_reads_section_or_full_config(tmp_path, config, code, phases):
-    # a full config without the stage's section gives the section's defaults, as in run
-    path, trace = tmp_path / "cfg.json", tmp_path / "trace.json"
-    path.write_text(json.dumps(config))
-    argv = stage_argv(tmp_path, "distill", "--target")
-    assert cli.main(argv + ["--config", str(path), "--trace", str(trace)]) == code
+    ({"distill_cfg": ONE_PHASE}, 0, 1), (ONE_PHASE, 1, None),
+    ({"seeds": [0], "stage2": False}, 0, 3), ({}, 0, 3), ({"seeds": [0], "lr": 0.1}, 1, None),
+], ids=["full", "section", "full_without_section", "empty", "mixed"])
+def test_cli_stage_reads_section_or_full_config(tmp_path, capsys, config, code, phases):
+    # --config is run's experiment config: a full config without the stage's section gives
+    # the section's defaults, as in run, and a section's own keys are unknown config keys
+    trace = tmp_path / "trace.json"
+    argv = stage_argv(tmp_path, "distill", "--target", config)
+    assert cli.main(argv + ["--trace", str(trace)]) == code
     assert (len(json.loads(trace.read_text())) if code == 0 else None) == phases
+    assert ("config error: unknown config keys" in capsys.readouterr().err) == (code == 1)
+
+
+CHAIN_CONFIGS = {"tiny": {}, "longtail": {"imbalance_ratio": 10.0}}
+
+
+def check_cli_chain_matches_run(tmp_path, case):
+    """gen-data and the five stage commands, each reading the files the previous
+    ones wrote, give run's seed_1 checkpoints byte for byte; gen-data's files are
+    make_datasets' datasets."""
+    cfg = tiny_config(seeds=(1,), calibrate=True, outdir=str(tmp_path / "exp"),
+                      source_cfg=SourceConfig(epochs=2, batch_size=32), **CHAIN_CONFIGS[case])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(asdict(cfg)))
+    assert cli.main(["run", "--config", str(path)]) == 0
+    ran, cli_dir = tmp_path / "exp" / "seed_1", tmp_path / "cli"
+    cli_dir.mkdir()
+    src, tgt = cli_dir / "src.ds", cli_dir / "tgt.ds"
+    common = ["--config", str(path), "--seed", "1"]
+    assert cli.main(["gen-data", "--source", str(src), "--target", str(tgt), *common]) == 0
+    for ds, file in zip(make_datasets(cfg, 1), (src, tgt)):
+        save_dataset(ds, tmp_path / "expected.ds")
+        assert file.read_bytes() == (tmp_path / "expected.ds").read_bytes(), file.name
+    commands = {
+        "source.ckpt": ["train-source", "--data", src],
+        "stage1.ckpt": ["adapt", "--source", cli_dir / "source.ckpt", "--target", tgt],
+        "backbone.ckpt": ["pretrain", "--target", tgt],
+        "stage3.ckpt": ["distill", "--teacher", cli_dir / "stage1.ckpt", "--target", tgt,
+                        "--student-init", cli_dir / "backbone.ckpt"],
+        "calibrated.ckpt": ["calibrate", "--model", cli_dir / "stage3.ckpt", "--target", tgt]}
+    for name, argv in commands.items():
+        out = cli_dir / name
+        assert cli.main([*map(str, argv), "--out", str(out), *common]) == 0
+        assert out.read_bytes() == (ran / name).read_bytes(), name
 
 
 def test_cli_train_source_matches_run(tmp_path):
-    # each stage command runs run's step for its stage: same bytes from the same inputs
-    cfg = tiny_config(seeds=(0,), calibrate=True,
-                      source_cfg=SourceConfig(epochs=2, batch_size=32),
-                      outdir=str(tmp_path / "exp"))
-    path, src, tgt = tmp_path / "cfg.json", tmp_path / "src.ds", tmp_path / "tgt.ds"
-    path.write_text(json.dumps(asdict(cfg)))
-    for ds, file in zip(make_datasets(cfg, 0), (src, tgt)):
-        save_dataset(ds, file)
-    assert cli.main(["run", "--config", str(path)]) == 0
-    ran = tmp_path / "exp" / "seed_0"
-    commands = {
-        "source.ckpt": ["train-source", "--data", src, "--hidden", "12"],
-        "stage1.ckpt": ["adapt", "--source", ran / "source.ckpt", "--target", tgt],
-        "backbone.ckpt": ["pretrain", "--target", tgt, "--hidden", "8"],
-        "stage3.ckpt": ["distill", "--teacher", ran / "stage1.ckpt", "--target", tgt,
-                        "--student-init", ran / "backbone.ckpt"],
-        "calibrated.ckpt": ["calibrate", "--model", ran / "stage3.ckpt", "--target", tgt]}
-    for name, argv in commands.items():
-        out = tmp_path / name
-        assert cli.main([*map(str, argv), "--out", str(out), "--config", str(path),
-                         "--seed", "0"]) == 0
-        assert out.read_bytes() == (ran / name).read_bytes(), name
+    check_cli_chain_matches_run(tmp_path, "tiny")
+
+
+def test_cli_longtail_chain_matches_run(tmp_path):
+    check_cli_chain_matches_run(tmp_path, "longtail")
 
 
 # (command, its config section, its data flag); MODEL_FLAGS names the model flag of
@@ -402,9 +424,10 @@ STAGE_COMMANDS = [("train-source", "source_cfg", "--data"),
 MODEL_FLAGS = {"adapt": "--source", "distill": "--teacher", "calibrate": "--model"}
 
 
-def stage_argv(tmp_path, command, data_flag) -> list[str]:
+def stage_argv(tmp_path, command, data_flag, config=None) -> list[str]:
     """argv for a stage command on a 160-row dataset and, if it takes one, an
-    untrained 8-wide network."""
+    untrained 8-wide network; its --config file asks for 8-wide networks and
+    holds the keys of `config`."""
     data, model = tmp_path / "d.ds", tmp_path / "m.ckpt"
     save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
     argv = [command, data_flag, str(data), "--out", str(tmp_path / "x.ckpt")]
@@ -412,9 +435,9 @@ def stage_argv(tmp_path, command, data_flag) -> list[str]:
         checkpoint.save_checkpoint(
             build_network(ArchSpec(8, (8,), 4), np.random.default_rng(0)), model)
         argv += [MODEL_FLAGS[command], str(model)]
-    if command in ("train-source", "pretrain", "distill"):
-        argv += ["--hidden", "8"]
-    return argv
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"teacher_hidden": [8], "student_hidden": [8], **(config or {})}))
+    return argv + ["--config", str(path)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -423,9 +446,7 @@ def test_cli_prints_abort_record(tmp_path, capsys, command, section, data_flag):
     cfg = {"lr": ABORT_TRIGGERS[stage_of(section)][1], "batch_size": 32}
     cfg.update({"schedule": {"num_phases": 1, "epochs_per_phase": 2}}
                if section == "distill_cfg" else {"epochs": 2})
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({section: cfg}))
-    assert cli.main(stage_argv(tmp_path, command, data_flag) + ["--config", str(path)]) == 0
+    assert cli.main(stage_argv(tmp_path, command, data_flag, {section: cfg})) == 0
     err = capsys.readouterr().err
     assert f"{command} aborted: " in err
     record = json.loads(err.split(" aborted: ", 1)[1])
@@ -441,15 +462,17 @@ def test_cli_negative_seed_is_config_error(tmp_path, capsys, command, data_flag)
     assert not (tmp_path / "x.ckpt").exists()
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--geometry-seed", "-1"],
-                                   ["--shift-kind", "rotation", "--shift-seed", "-1"]],
-                         ids=["seed", "geometry_seed", "shift_seed"])
-def test_cli_gen_data_negative_seed_is_config_error(tmp_path, capsys, flags):
-    out = tmp_path / "x.ds"
-    assert cli.main(["gen-data", "--out", str(out), "--classes", "4", "--dim", "8",
-                     "--n-per-class", "10"] + flags) == 1
-    assert "must be a non-negative integer" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("flags,config", [
+    (["--seed", "-1"], {}), ([], {"benchmark": {"geometry_seed": -1}}),
+    ([], {"shift": {"seed": -1}})], ids=["seed", "geometry_seed", "shift_seed"])
+def test_cli_gen_data_negative_seed_is_config_error(tmp_path, capsys, flags, config):
+    path, src, tgt = tmp_path / "cfg.json", tmp_path / "s.ds", tmp_path / "t.ds"
+    path.write_text(json.dumps(config))
+    assert cli.main(["gen-data", "--config", str(path), "--source", str(src),
+                     "--target", str(tgt)] + flags) == 1
+    err = capsys.readouterr().err
+    assert "config error: " in err and "non-negative" in err
+    assert not src.exists() and not tgt.exists()
 
 
 def test_cli_numerical_error(tmp_path):
@@ -458,7 +481,7 @@ def test_cli_numerical_error(tmp_path):
     path = tmp_path / "inf.ds"
     save_dataset(ds, path)
     assert cli.main(["train-source", "--data", str(path),
-                     "--out", str(tmp_path / "x.ckpt"), "--hidden", "8"]) == 2
+                     "--out", str(tmp_path / "x.ckpt")]) == 2
 
 
 @pytest.mark.parametrize("command", ["run", "adapt", "distill", "compare"])
@@ -478,3 +501,5 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys, command):
         argv = stage_argv(tmp_path, command, "--target") + [flag, missing]
     assert cli.main(argv) == 3
     assert "i/o error:" in capsys.readouterr().err
+    # a stage command writes its report before its checkpoint
+    assert not (tmp_path / "x.ckpt").exists()
