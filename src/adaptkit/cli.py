@@ -22,11 +22,18 @@ from .metrics import evaluate
 
 def cmd_gen_data(args) -> int:
     """`run`'s source and target datasets for --seed, from --config or the defaults."""
-    cfg = harness.load_config(args.config)
-    for ds, path in zip(harness.make_datasets(cfg, args.seed), (args.source, args.target)):
-        save_dataset(ds, path)
-        print(f"wrote {path}: {len(ds)} rows, {ds.dim} dims, {ds.num_classes} classes, "
-              f"domain={ds.domain_tag}")
+    datasets = harness.make_datasets(harness.load_config(args.config), args.seed)
+    outs = {Path(p): ds for ds, p in zip(datasets, (args.source, args.target))}
+    try:  # both files or neither, renamed into place once both are written; a shared path
+        for path, ds in outs.items():  # gets the target, as when the source was written first
+            save_dataset(ds, f"{path}.tmp")
+        for path, ds in outs.items():
+            Path(f"{path}.tmp").replace(path)
+            print(f"wrote {path}: {len(ds)} rows, {ds.dim} dims, {ds.num_classes} classes, "
+                  f"domain={ds.domain_tag}")
+    finally:
+        for path in outs:
+            Path(f"{path}.tmp").unlink(missing_ok=True)
     return 0
 
 

@@ -268,16 +268,16 @@ def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
             rng: np.random.Generator) -> np.ndarray:
     """Weak: gaussian jitter. Strong: jitter, feature dropout, scale jitter."""
     x = np.asarray(x, dtype=np.float64)
-    if mode == "weak":
-        return x + rng.normal(0.0, 1.0, size=x.shape) * policy.weak_sigma
+    if mode not in ("weak", "strong"):
+        raise ConfigError(f"unknown augmentation mode {mode!r}")
+    out = rng.normal(0.0, 1.0, size=x.shape)  # x + noise * sigma, built in this one buffer
+    out *= policy.weak_sigma if mode == "weak" else policy.strong_sigma
+    out += x
     if mode == "strong":
-        out = x + rng.normal(0.0, 1.0, size=x.shape) * policy.strong_sigma
         if policy.dropout_prob > 0:
-            out = out * (rng.random(size=x.shape) >= policy.dropout_prob)
-        lo, hi = policy.scale_range
-        out = out * rng.uniform(lo, hi, size=(x.shape[0], 1))
-        return out
-    raise ConfigError(f"unknown augmentation mode {mode!r}")
+            out *= rng.random(size=x.shape) >= policy.dropout_prob
+        out *= rng.uniform(*policy.scale_range, size=(x.shape[0], 1))
+    return out
 
 
 # ---------------------------------------------------------------------------

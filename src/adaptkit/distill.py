@@ -189,9 +189,10 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
 
     def grads(idx):
         s.data = np.maximum(s.data, 1e-3)
-        p = softmax(raw_scores[idx] * s.data + bias)
+        scores = raw_scores[idx]
+        p = softmax(scores * s.data + bias)
         dlogits = cross_entropy_grad(p, hard[idx]) * weights[idx][:, None]
-        s.add_grad((dlogits * raw_scores[idx]).sum(axis=0))
+        s.add_grad((dlogits * scores).sum(axis=0))
         return {}
 
     starts = []  # the scales at the start of each round

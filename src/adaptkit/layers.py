@@ -62,9 +62,13 @@ class Dense:
         return new
 
     def forward(self, x: np.ndarray, train: bool):
+        return self._infer(x, False), x
+
+    def _infer(self, x: np.ndarray, own: bool) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"dense expected width {self.in_dim}, got {x.shape[-1]}")
-        return x @ self.weight.data.T + self.bias.data, x
+        y = x @ self.weight.data.T
+        return np.add(y, self.bias.data, out=y)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         x = cache
@@ -121,6 +125,12 @@ class BatchNorm:
         y = self.gamma.data * xhat + self.beta.data
         return y, (xhat, inv_std, train)
 
+    def _infer(self, x: np.ndarray, own: bool) -> np.ndarray:
+        y = np.subtract(x, self.running_mean.data, out=x if own else None)
+        y *= 1.0 / np.sqrt(self.running_var.data + BN_EPS)
+        y *= self.gamma.data
+        return np.add(y, self.beta.data, out=y)
+
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = cache
         self.gamma.add_grad(_sum_views((dy * xhat).sum(axis=-2), 1))
@@ -146,6 +156,9 @@ class ReLU:
     def forward(self, x: np.ndarray, train: bool):
         mask = x > 0
         return x * mask, mask
+
+    def _infer(self, x: np.ndarray, own: bool) -> np.ndarray:
+        return np.multiply(x, x > 0, out=x if own else None)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         return dy * cache
@@ -255,7 +268,11 @@ class Network:
             raise ShapeError(f"expected a 2-d batch or a 3-d stack of views, got shape {x.shape}")
         if 0 in x.shape[:-1]:
             raise ShapeError("empty batch")
-        x, caches = forward_layers(layers, x, self.mode == "train")
+        if record or self.mode == "train":
+            x, caches = forward_layers(layers, x, self.mode == "train")
+        else:  # forward(x, False)'s expressions, no cache, in place on all but the batch
+            for i, layer in enumerate(layers):
+                x = layer._infer(x, i > 0)
         check_finite(x, what)
         return (x, caches) if record else x
 

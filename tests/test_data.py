@@ -205,6 +205,25 @@ def test_invalid_policies_rejected():
         AugmentationPolicy(dropout_prob=1.5)
 
 
+@pytest.mark.parametrize("mode,dropout_prob", [("weak", 0.2), ("strong", 0.2), ("strong", 0.0)])
+def test_augment_matches_its_expressions_and_leaves_x_alone(mode, dropout_prob):
+    x = np.random.default_rng(0).normal(size=(128, 32))
+    kept = x.copy()
+    pol = AugmentationPolicy(dropout_prob=dropout_prob)
+    out = augment(x, pol, mode, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    if mode == "weak":
+        expected = x + rng.normal(0.0, 1.0, size=x.shape) * pol.weak_sigma
+    else:
+        expected = x + rng.normal(0.0, 1.0, size=x.shape) * pol.strong_sigma
+        if pol.dropout_prob > 0:
+            expected = expected * (rng.random(size=x.shape) >= pol.dropout_prob)
+        lo, hi = pol.scale_range
+        expected = expected * rng.uniform(lo, hi, size=(x.shape[0], 1))
+    assert out.tobytes() == expected.tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_augment_deterministic_in_seed(seed):

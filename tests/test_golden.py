@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from adaptkit.distill import PhaseSchedule
 from adaptkit.harness import ExperimentConfig, make_datasets, run_experiment, stream
 from adaptkit.layers import ArchSpec
 from adaptkit.selfsup import pretrain
@@ -85,3 +86,31 @@ def test_default_shape_pretrain_digest_pinned():
         h.update(arr.astype("<f8").tobytes())
     h.update(json.dumps(student.loss_history, sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_DEFAULT_PRETRAIN_SHA256
+
+
+# The long-tailed benchmark (imbalance ratio 10) at the default shapes, seed 0,
+# with stage 3 and calibration on short budgets: evaluate, pseudo_label and the
+# calibration passes each predict on the full 5000-row target.
+GOLDEN_DEFAULT_LONGTAIL_SHA256 = {
+    "seed_0/report.json": "8b0c20bf95ff91241a1f2b3a7b961d5a2250f65e769df010d156b17e4227d493",
+    "seed_0/per_class.csv": "697f792c1302ae2bec8ca65c33c3dc290414ced19a157c089442ed31bd983971",
+    "seed_0/trace.csv": "3ede7ccacf2c512cf3a938d5418abde68ea4a1f98657e9df46485cb9ca56ded5",
+    "seed_0/source.ckpt": "e5d4ab2508da3ff3f263894511e2e867af449f204a44b39cf33f32b005bcb760",
+    "seed_0/stage3.ckpt": "a3cde1f35e33fa67790bbe393dea239a46eda0fd24c73b1613e9e44f8e1b4928",
+    "seed_0/calibrated.ckpt": "e1a7fa3a68a78b25654c0467ffe37c14a72111dda00f1b4ce72a789f47fa2e74",
+}
+
+
+def test_default_shape_longtail_calibrated_digests_pinned(tmp_path):
+    d = ExperimentConfig()
+    run_experiment(ExperimentConfig(
+        imbalance_ratio=10.0, stage1=False, stage2=False, stage3=True, calibrate=True,
+        source_cfg=replace(d.source_cfg, epochs=2),
+        distill_cfg=replace(d.distill_cfg, schedule=PhaseSchedule(num_phases=1,
+                                                                  epochs_per_phase=1)),
+        calibrate_cfg=replace(d.calibrate_cfg, rounds=1, epochs=1),
+        seeds=(0,), outdir=str(tmp_path)))
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("seed_0/*.ckpt"))
+    assert written == sorted(k for k in GOLDEN_DEFAULT_LONGTAIL_SHA256 if k.endswith(".ckpt"))
+    got = {name: _sha256(tmp_path / name) for name in GOLDEN_DEFAULT_LONGTAIL_SHA256}
+    assert got == GOLDEN_DEFAULT_LONGTAIL_SHA256

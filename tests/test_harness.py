@@ -8,7 +8,8 @@ import pytest
 
 from adaptkit import checkpoint, cli, store
 from adaptkit.adapt import AdaptConfig
-from adaptkit.data import Dataset, GeneratorSpec, ShiftSpec, generate, save_dataset
+from adaptkit.data import (Dataset, GeneratorSpec, ShiftSpec, generate, load_dataset,
+                           save_dataset)
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.errors import ConfigError
 from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _subconfig,
@@ -473,6 +474,30 @@ def test_cli_gen_data_negative_seed_is_config_error(tmp_path, capsys, flags, con
     err = capsys.readouterr().err
     assert "config error: " in err and "non-negative" in err
     assert not src.exists() and not tgt.exists()
+
+
+@pytest.mark.parametrize("unwritable", ["--source", "--target"])
+def test_cli_gen_data_writes_both_datasets_or_neither(tmp_path, capsys, unwritable):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"benchmark": {"n_per_class": 40, "num_classes": 4,
+                                             "input_dim": 8}, "stage2": False}))
+    paths = {"--source": tmp_path / "s.ds", "--target": tmp_path / "t.ds"}
+    paths[unwritable] = tmp_path / "nodir" / paths[unwritable].name
+    argv = ["gen-data", "--config", str(cfg)] + [str(v) for kv in paths.items() for v in kv]
+    assert cli.main(argv) == 3
+    assert "i/o error:" in capsys.readouterr().err
+    assert not any(p.exists() for p in paths.values())
+    assert list(tmp_path.iterdir()) == [cfg]  # no temporary file left behind either
+
+
+def test_cli_gen_data_shared_path_holds_the_target(tmp_path):
+    cfg, path = tmp_path / "cfg.json", tmp_path / "x.ds"
+    cfg.write_text(json.dumps({"benchmark": {"n_per_class": 40, "num_classes": 4,
+                                             "input_dim": 8}, "stage2": False}))
+    assert cli.main(["gen-data", "--config", str(cfg), "--source", str(path),
+                     "--target", str(path)]) == 0
+    assert load_dataset(path).domain_tag == "target"
+    assert sorted(tmp_path.iterdir()) == [cfg, path]
 
 
 def test_cli_numerical_error(tmp_path):

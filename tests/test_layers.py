@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,89 @@ def test_network_forward_takes_a_stack_of_views():
         net.forward(np.zeros((2, 2, 5, 6)))
     with pytest.raises(ShapeError):
         net.forward(np.zeros((2, 0, 6)))
+
+
+# ---------------------------------------------------------------------------
+# eval mode without record: no backprop cache, and no write into the batch
+
+
+def _old_eval_expressions(layers, x):
+    """Each layer's eval-mode forward as the expressions read before the walk."""
+    for layer in layers:
+        if layer.kind == "dense":
+            x = x @ layer.weight.data.T + layer.bias.data
+        elif layer.kind == "batchnorm":
+            xhat = (x - layer.running_mean.data) * (1.0 / np.sqrt(layer.running_var.data + 1e-5))
+            x = layer.gamma.data * xhat + layer.beta.data
+        else:
+            x = x * (x > 0)
+    return x
+
+
+def _random_bn_state(net, rng):
+    for layer in net.layers:
+        if layer.kind == "batchnorm":
+            for t in (layer.gamma, layer.beta, layer.running_mean):
+                t.data = rng.normal(size=t.shape)
+            layer.running_var.data = rng.uniform(0.5, 2.0, size=layer.dim)
+    return net
+
+
+@pytest.mark.parametrize("rows", [8, 128, 5000])
+@pytest.mark.parametrize("views", [(), (2,)], ids=["batch", "stack"])
+@pytest.mark.parametrize("batchnorm", [True, False])
+def test_eval_forward_matches_recorded_forward_bit_for_bit(rows, views, batchnorm):
+    rng = np.random.default_rng(rows)
+    net = _random_bn_state(build_network(ArchSpec(32, (64, 64), 10, batchnorm), rng), rng)
+    net.eval()
+    x = rng.normal(size=(*views, rows, 32))
+    kept = x.copy()
+    y, feats = net.forward(x), net.forward_features(x)
+    assert _bits(y) == _bits(net.forward(x, record=True)[0])
+    assert _bits(y) == _bits(_old_eval_expressions(net.layers, x))
+    assert _bits(feats) == _bits(net.forward_features(x, record=True)[0])
+    assert _bits(x) == _bits(kept)
+
+
+@pytest.mark.parametrize("first", ["dense", "relu", "batchnorm"])
+def test_eval_forward_never_writes_into_the_batch(first):
+    rng = np.random.default_rng(5)
+    head = {"dense": [Dense(6, 6, rng), BatchNorm(6), ReLU()], "relu": [ReLU()],
+            "batchnorm": [BatchNorm(6), ReLU()]}[first]
+    layers = head + [Dense(6, 3, rng)]
+    net = _random_bn_state(Network(layers, ArchSpec(6, (), 3)), rng).eval()
+    for x in (rng.normal(size=(7, 6)), rng.normal(size=(2, 7, 6))):
+        kept = x.copy()
+        y, feats = net.forward(x), net.forward_features(x)
+        assert _bits(x) == _bits(kept)
+        assert _bits(y) == _bits(_old_eval_expressions(layers, x))
+        assert _bits(feats) == _bits(_old_eval_expressions(layers[:-1], x))
+
+
+def test_train_mode_forward_without_record_updates_running_stats():
+    rng = np.random.default_rng(6)
+    net = small_net(seed=6).train()
+    recorded = net.copy()
+    x = rng.normal(size=(16, 6))
+    assert _bits(net.forward(x)) == _bits(recorded.forward(x, record=True)[0])
+    for a, b in zip(net.state_tensors(), recorded.state_tensors()):
+        assert _bits(a.data) == _bits(b.data), a.name
+    h = x @ net.layers[0].weight.data.T + net.layers[0].bias.data
+    bn = net.layers[1]
+    assert np.allclose(bn.running_mean.data, 0.1 * h.mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(bn.running_var.data, 0.9 + 0.1 * h.var(axis=0), rtol=1e-12, atol=0)
+
+
+def test_eval_forward_memory_is_a_few_activations():
+    # the default teacher over the default target: the walk holds at most the
+    # output being built and the one before it, never a per-layer cache
+    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0)).eval()
+    x = np.random.default_rng(1).normal(size=(5000, 32))
+    net.forward(x[:8])
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 5000 * 64 * 8
