@@ -5,8 +5,7 @@ from .data import (AugmentationPolicy, Dataset, GeneratorSpec, ImbalanceSpec,
                    ShiftSpec, UnlabeledView, apply_shift, augment, generate,
                    load_dataset, save_dataset, subsample_longtail)
 from .distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabels,
-                      ScaleVector, calibrate_classifier, distill, pseudo_label,
-                      run_phase)
+                      calibrate_classifier, distill, pseudo_label, run_phase)
 from .harness import ExperimentConfig, compare, run_experiment, run_seed
 from .layers import ArchSpec, Network, build_network
 from .metrics import MetricsReport, evaluate

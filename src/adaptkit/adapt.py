@@ -3,7 +3,7 @@ with the classifier frozen.
 
 Only representation parameters receive optimizer updates; gradients still
 flow *through* the classifier weights. Batchnorm running statistics drift
-toward the target distribution as a side effect of train-mode forwards,
+toward the target distribution as a side effect of the train=True forwards,
 which is intended -- it happens even at lr=0.
 """
 from __future__ import annotations
@@ -67,14 +67,13 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
     trainable, _ = partition_parameters(net, cfg.update_set)
 
     def grads(idx):
-        logits, caches = net.forward(target.features[idx], record=True)
+        logits, caches = net.forward(target.features[idx], train=True)
         probs = softmax(logits)
         net.backward(caches, infomax_loss_grad(probs))
         return {"entropy": entropy_loss(probs).scalar, "diversity": diversity_loss(probs).scalar}
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)
     before = [p.data.copy() for p in net.parameters()]
-    net.train()
     report.epochs, abort = fit(opt, net.all_tensors(), cfg.epochs, len(target),
                                cfg.batch_size, rng, grads)
     for e in report.epochs:
@@ -85,5 +84,4 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
         report.param_delta_norm = float(np.sqrt(sum(
             float(((a - b) ** 2).sum()) for a, b in zip(after, before))))
     report.classifier_fingerprint_after = net.classifier_fingerprint()
-    net.eval()
     return net, report, abort

@@ -44,7 +44,7 @@ def _read(path, backbone_only: bool) -> tuple[Network, dict]:
             raise StorageError(f"{path}: architecture mismatch for {t.name!r}: "
                                f"{tensors[t.name].shape} vs {t.shape}")
         t.data = tensors[t.name]
-    return net.eval(), header
+    return net, header
 
 
 def save_checkpoint(net: Network, path) -> None:

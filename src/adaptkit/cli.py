@@ -22,10 +22,12 @@ from .metrics import evaluate
 
 def cmd_gen_data(args) -> int:
     """`run`'s source and target datasets for --seed, from --config or the defaults."""
-    datasets = harness.make_datasets(harness.load_config(args.config), args.seed)
-    outs = {Path(p): ds for ds, p in zip(datasets, (args.source, args.target))}
-    try:  # both files or neither, renamed into place once both are written; a shared path
-        for path, ds in outs.items():  # gets the target, as when the source was written first
+    paths = Path(args.source), Path(args.target)
+    if paths[0].resolve() == paths[1].resolve():
+        raise ConfigError(f"--source and --target are the same file: {args.source}")
+    outs = dict(zip(paths, harness.make_datasets(harness.load_config(args.config), args.seed)))
+    try:  # both files or neither, renamed into place once both are written
+        for path, ds in outs.items():
             save_dataset(ds, f"{path}.tmp")
         for path, ds in outs.items():
             Path(f"{path}.tmp").replace(path)

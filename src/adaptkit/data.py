@@ -16,7 +16,7 @@ from math import ceil, cos, pi, sin
 import numpy as np
 
 from . import store
-from .errors import ConfigError, StorageError
+from .errors import ConfigError, ShapeError, StorageError
 from .tensor import check_finite
 
 SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
@@ -87,10 +87,6 @@ class AugmentationPolicy:
             raise ConfigError("dropout probability must be in [0, 1]")
         if self.scale_range[0] > self.scale_range[1]:
             raise ConfigError(f"scale_range low must not exceed high, got {self.scale_range}")
-
-    @staticmethod
-    def identity() -> "AugmentationPolicy":
-        return AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0))
 
 
 class UnlabeledView:
@@ -270,6 +266,8 @@ def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
     x = np.asarray(x, dtype=np.float64)
     if mode not in ("weak", "strong"):
         raise ConfigError(f"unknown augmentation mode {mode!r}")
+    if x.ndim != 2:
+        raise ShapeError(f"augment expects a 2-d batch, got shape {x.shape}")
     out = rng.normal(0.0, 1.0, size=x.shape)  # x + noise * sigma, built in this one buffer
     out *= policy.weak_sigma if mode == "weak" else policy.strong_sigma
     out += x

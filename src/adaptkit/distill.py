@@ -69,7 +69,6 @@ class PseudoLabels:
 def pseudo_label(teacher: Network, target: UnlabeledView, policy: AugmentationPolicy,
                  rng: np.random.Generator) -> PseudoLabels:
     """Predict on one weakly augmented view of the whole target set."""
-    teacher.eval()
     soft = softmax(teacher.forward(augment(target.features, policy, "weak", rng)))
     return PseudoLabels(hard=np.argmax(soft, axis=1).astype(np.int64), soft=soft,
                         teacher_fingerprint=fingerprint_all(teacher.parameters()))
@@ -86,7 +85,7 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
 
     def grads(idx):
         x = augment(target.features[idx], cfg.policy, "strong", rng)
-        logits, caches = student.forward(x, record=True)
+        logits, caches = student.forward(x, train=True)
         probs = softmax(logits)
         if mode == "hard":
             dlogits = cross_entropy_grad(probs, labels.hard[idx])
@@ -96,10 +95,8 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
         return {}
 
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    student.train()
     _, abort = fit(opt, student.all_tensors(), epochs, len(target), cfg.batch_size, rng,
                    grads, cosine=True)
-    student.eval()
     return student, abort
 
 
@@ -143,15 +140,6 @@ def distill(teacher: Network, arch: ArchSpec, backbone: InitializedStudent | Non
 
 
 @dataclass
-class ScaleVector:
-    s: np.ndarray  # strictly positive, one scale per class
-
-    def __post_init__(self):
-        if np.any(self.s <= 0):
-            raise ConfigError("classifier scales must be strictly positive")
-
-
-@dataclass
 class CalibrateConfig:
     rounds: int = 3
     epochs: int = 10
@@ -167,8 +155,9 @@ class CalibrateConfig:
 
 
 def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateConfig,
-                         rng: np.random.Generator) -> tuple[ScaleVector, Network, dict | None]:
+                         rng: np.random.Generator) -> tuple[np.ndarray, Network, dict | None]:
     """Learn per-class classifier scales from pseudo-labels; everything else frozen.
+    Returns the scales, the model with its classifier rows scaled, and the abort.
 
     Each pseudo-label class contributes equally to the fit regardless of how
     often it is predicted. Without that reweighting the head classes dominate
@@ -179,8 +168,6 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     their calibrated logits overflow, the latest round-start scales whose logits do
     not, else unit scales.
     """
-    model = model.copy()
-    model.eval()
     w, bias = model.classifier.weight.data, model.classifier.bias.data
     s = Tensor(np.ones(len(bias)), "scale")
     opt = SGD([s], cfg.lr, cfg.momentum)
@@ -215,4 +202,4 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
                            if np.all(np.isfinite(raw_scores * v + bias))), np.ones_like(s.data))
     calibrated = model.copy()
     calibrated.classifier.weight.data = s.data[:, None] * calibrated.classifier.weight.data
-    return ScaleVector(s.data), calibrated, abort
+    return s.data, calibrated, abort

@@ -6,6 +6,11 @@ classifier. The parameter set is partitioned into representation parameters
 weight + bias); the partition is what lets the adaptation stage freeze the
 classifier while updating the features.
 
+A Network holds no mode. `forward(x)` runs on the running statistics, keeps no
+backprop cache and changes neither the network nor the batch; `forward(x,
+train=True)` runs on batch statistics, updates the running statistics and also
+returns the per-layer caches that `backward` reads.
+
 A batch is a B x d array or a V x B x d stack of V views of the same B rows
 (stage 2 runs its two augmented views as one stack). Every layer treats the
 views independently: train-mode BatchNorm takes its statistics per view and
@@ -208,16 +213,6 @@ class Network:
         self.layers = layers
         self.arch = arch
         self.classifier_index = len(layers) - 1
-        self.mode = "train"
-
-    # -- mode ------------------------------------------------------------
-    def train(self) -> "Network":
-        self.mode = "train"
-        return self
-
-    def eval(self) -> "Network":
-        self.mode = "eval"
-        return self
 
     # -- parameters ------------------------------------------------------
     @property
@@ -254,35 +249,31 @@ class Network:
         """What a stage-2 backbone holds: representation parameters, then running stats."""
         return self.representation_parameters() + self.state_tensors()
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def classifier_fingerprint(self) -> str:
         return fingerprint_all(self.classifier_parameters())
 
     # -- forward / backward ----------------------------------------------
-    def _forward(self, layers: list, batch: np.ndarray, record: bool, what: str):
+    def _forward(self, layers: list, batch: np.ndarray, train: bool, what: str):
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim not in (2, 3):
             raise ShapeError(f"expected a 2-d batch or a 3-d stack of views, got shape {x.shape}")
         if 0 in x.shape[:-1]:
             raise ShapeError("empty batch")
-        if record or self.mode == "train":
-            x, caches = forward_layers(layers, x, self.mode == "train")
-        else:  # forward(x, False)'s expressions, no cache, in place on all but the batch
-            for i, layer in enumerate(layers):
-                x = layer._infer(x, i > 0)
-        check_finite(x, what)
-        return (x, caches) if record else x
+        if train:
+            x, caches = forward_layers(layers, x, True)
+            return check_finite(x, what), caches
+        for i, layer in enumerate(layers):  # forward(x, False)'s expressions, no cache,
+            x = layer._infer(x, i > 0)  # in place on all but the batch
+        return check_finite(x, what)
 
-    def forward(self, batch: np.ndarray, record: bool = False):
-        """Run the stack; with record=True also return the backprop cache."""
-        return self._forward(self.layers, batch, record, "network output")
+    def forward(self, batch: np.ndarray, train: bool = False):
+        """Run the stack on the running statistics; with train=True, on batch statistics
+        that update the running ones, and also return the backprop cache."""
+        return self._forward(self.layers, batch, train, "network output")
 
-    def forward_features(self, batch: np.ndarray, record: bool = False):
-        """Forward through the representation layers only (no classifier)."""
-        return self._forward(self.layers[: self.classifier_index], batch, record,
+    def forward_features(self, batch: np.ndarray, train: bool = False):
+        """Like forward, through the representation layers only (no classifier)."""
+        return self._forward(self.layers[: self.classifier_index], batch, train,
                              "feature output")
 
     def backward(self, caches: list, dout: np.ndarray) -> np.ndarray:
@@ -293,9 +284,7 @@ class Network:
         return backward_layers(self.layers[: self.classifier_index], caches, dout)
 
     def copy(self) -> "Network":
-        net = Network([layer.copy() for layer in self.layers], self.arch)
-        net.mode = self.mode
-        return net
+        return Network([layer.copy() for layer in self.layers], self.arch)
 
 
 def build_network(arch: ArchSpec, rng: np.random.Generator) -> Network:

@@ -47,7 +47,6 @@ def evaluate(model: Network, dataset: Dataset, train_counts: np.ndarray | None =
         raise ConfigError("empty evaluation set")
     if dataset.labels is None:
         raise ConfigError("evaluation needs labels")
-    model.eval()
     preds = np.argmax(model.forward(dataset.features), axis=1)
     labels = dataset.labels
     c = dataset.num_classes

@@ -66,7 +66,7 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         # both views go through backbone and head as one 2 x B x d stack
         views = np.stack([augment(x, cfg.policy, "strong", rng),
                           augment(x, cfg.policy, "strong", rng)])
-        feats, caches = net.forward_features(views, record=True)
+        feats, caches = net.forward_features(views, train=True)
         (q, k), head_caches = forward_layers(head, feats, train=True)
         loss = infonce_loss(q, k, cfg.temperature)
         if not np.isfinite(loss.scalar):
@@ -76,10 +76,8 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         return {"infonce": loss.scalar}
 
     opt = SGD(net.representation_parameters() + head_params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    net.train()
     history, abort = fit(opt, net.all_tensors() + head_params, cfg.epochs, len(target),
                          cfg.batch_size, rng, grads)
-    net.eval()
     return InitializedStudent(arch, {t.name: t.data.copy() for t in net.backbone_tensors()},
                               history, abort)
 

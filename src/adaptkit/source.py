@@ -32,15 +32,13 @@ def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
         raise ConfigError("source training needs labels")
 
     def grads(idx):
-        logits, caches = net.forward(dataset.features[idx], record=True)
+        logits, caches = net.forward(dataset.features[idx], train=True)
         probs = softmax(logits)
         loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)
         net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing))
         return {"loss": loss.scalar}
 
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    net.train()
     history, abort = fit(opt, net.all_tensors(), cfg.epochs, len(dataset), cfg.batch_size,
                          rng, grads, cosine=True)
-    net.eval()
     return net, history, abort

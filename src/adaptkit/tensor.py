@@ -13,10 +13,6 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 
 
-def as_f64(data) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-
 def check_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
     """NaN/Inf is an error surface, never a silent state."""
     if not np.all(np.isfinite(arr)):
@@ -30,7 +26,7 @@ class Tensor:
     __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: str = ""):
-        self.data = as_f64(data)
+        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.grad: np.ndarray | None = None
         self.name = name
 

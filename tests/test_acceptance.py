@@ -20,7 +20,7 @@ from adaptkit.adapt import AdaptConfig, adapt
 from adaptkit.data import GeneratorSpec, ShiftSpec, apply_shift, generate
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.harness import ExperimentConfig, make_datasets, run_experiment, stream
-from adaptkit.layers import ArchSpec, build_network
+from adaptkit.layers import ArchSpec, build_network, forward_layers
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, diversity_loss,
                              entropy_loss, infomax_loss, infomax_loss_grad,
                              infonce_loss, infonce_loss_grad, kl_soft_loss,
@@ -79,7 +79,7 @@ def test_criterion_01_gradient_correctness():
         bn = bool(rng.integers(0, 2)) if depth else False
         net = build_network(ArchSpec(int(rng.integers(2, 8)), hidden, c, batchnorm=bn),
                             np.random.default_rng(int(rng.integers(1 << 30))))
-        net.train() if bn and rng.integers(0, 2) else net.eval()
+        train = bool(bn and rng.integers(0, 2))
         b = int(rng.integers(2, 6))
         x = rng.normal(size=(b, net.arch.input_dim))
         targets = rng.integers(0, c, b)
@@ -92,12 +92,16 @@ def test_criterion_01_gradient_correctness():
             (lambda p: kl_soft_loss(p, teacher).scalar,
              lambda p: kl_soft_loss_grad(p, teacher)),
         ][trial % 3]
-        net.zero_grad()
-        logits, caches = net.forward(x, record=True)
+        for p in net.parameters():
+            p.zero_grad()
+        # train: through batch statistics; else through the frozen running statistics
+        logits, caches = (net.forward(x, train=True) if train
+                          else forward_layers(net.layers, x, False))
         net.backward(caches, grad_fn(softmax(logits)))
         analytic = [p.grad for p in net.parameters()]
-        numeric = fd_param_grads(lambda: value_fn(softmax(net.forward(x))),
-                                 net.parameters())
+        numeric = fd_param_grads(
+            lambda: value_fn(softmax(net.forward(x, train=True)[0] if train else net.forward(x))),
+            net.parameters())
         worst = max(worst, max_rel_error(analytic, numeric))
         n_configs += 1
     for seed in range(8):  # InfoNCE in embedding space
@@ -185,7 +189,6 @@ def test_criterion_06_contrastive_initialization(pipeline):
 
 
 def _probe(student, dataset):
-    student.eval()
     feats = student.forward_features(dataset.features)
     x = np.hstack([feats, np.ones((len(feats), 1))])
     y = np.eye(dataset.num_classes)[dataset.labels]
@@ -255,6 +258,6 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
     worst = 0.0
     for _ in range(10):
         x = rng.normal(size=(int(rng.integers(2, 33)), 32))
-        diff = np.abs(net.eval().forward(x) - loaded.eval().forward(x)).max()
+        diff = np.abs(net.forward(x) - loaded.forward(x)).max()
         worst = max(worst, float(diff))
     verdict(10, worst == 0.0, f"max abs logit diff {worst} over 10 batches")

@@ -22,7 +22,7 @@ def test_round_trip_identical_logits(net, tmp_path):
     save_checkpoint(net, path)
     loaded, _ = load_checkpoint(path)
     x = np.random.default_rng(0).normal(size=(7, 5))
-    assert np.array_equal(net.eval().forward(x), loaded.eval().forward(x))
+    assert np.array_equal(net.forward(x), loaded.forward(x))
 
 
 def test_round_trip_many_batches_exact(net, tmp_path):
@@ -32,21 +32,20 @@ def test_round_trip_many_batches_exact(net, tmp_path):
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(size=(rng.integers(2, 9), 5))
-        diff = np.abs(net.eval().forward(x) - loaded.eval().forward(x))
+        diff = np.abs(net.forward(x) - loaded.forward(x))
         assert diff.max() == 0.0
 
 
 def test_round_trip_preserves_running_stats(net, tmp_path):
     # push running stats away from init, then compare eval outputs
     rng = np.random.default_rng(2)
-    net.train()
     for _ in range(5):
-        net.forward(rng.normal(3.0, 2.0, size=(16, 5)))
+        net.forward(rng.normal(3.0, 2.0, size=(16, 5)), train=True)
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
     loaded, _ = load_checkpoint(path)
     x = rng.normal(size=(6, 5))
-    assert np.array_equal(net.eval().forward(x), loaded.eval().forward(x))
+    assert np.array_equal(net.forward(x), loaded.forward(x))
 
 
 def test_architecture_mismatch_on_load(net, tmp_path):

@@ -10,7 +10,7 @@ from adaptkit.data import (AugmentationPolicy, Dataset, GeneratorSpec,
                            ImbalanceSpec, ShiftSpec, apply_shift, augment,
                            bucket_thresholds, generate, load_dataset,
                            longtail_counts, save_dataset, subsample_longtail)
-from adaptkit.errors import ConfigError, NumericalError, StorageError
+from adaptkit.errors import ConfigError, NumericalError, ShapeError, StorageError
 
 
 def small_spec(**kw):
@@ -156,10 +156,17 @@ def test_bucket_thresholds_rescaled():
 
 def test_identity_policy_is_identity():
     x = np.random.default_rng(0).normal(size=(5, 6))
-    pol = AugmentationPolicy.identity()
+    pol = AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0))
     rng = np.random.default_rng(1)
     assert np.array_equal(augment(x, pol, "weak", rng), x)
     assert np.array_equal(augment(x, pol, "strong", rng), x)
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+@pytest.mark.parametrize("shape", [(5,), (2, 4, 5)], ids=["1d", "3d"])
+def test_augment_rejects_a_batch_that_is_not_2d(mode, shape):
+    with pytest.raises(ShapeError):
+        augment(np.zeros(shape), AugmentationPolicy(), mode, np.random.default_rng(0))
 
 
 def test_full_dropout_zeroes_everything():

@@ -14,7 +14,7 @@ from adaptkit.distill import PhaseSchedule
 from adaptkit.harness import ExperimentConfig, make_datasets, run_experiment, stream
 from adaptkit.layers import ArchSpec
 from adaptkit.selfsup import pretrain
-from test_harness import tiny_config
+from test_harness import ABORT_TRIGGERS, tiny_config
 
 GOLDEN_REPORT_SHA256 = {
     0: "7325e67a7e9893744ab464f5ce66d82acf7801fdb5a6aae0c95993562f2a7c7c",
@@ -114,3 +114,70 @@ def test_default_shape_longtail_calibrated_digests_pinned(tmp_path):
     assert written == sorted(k for k in GOLDEN_DEFAULT_LONGTAIL_SHA256 if k.endswith(".ckpt"))
     got = {name: _sha256(tmp_path / name) for name in GOLDEN_DEFAULT_LONGTAIL_SHA256}
     assert got == GOLDEN_DEFAULT_LONGTAIL_SHA256
+
+
+# Variants of the tiny config on seed 0, one for each path the 2-seed run leaves
+# out: a batchnorm-only stage 1, soft-label phases, a source model read from a
+# checkpoint (seed 1's, so stage 0 is skipped) and stage 1 aborting at its
+# trigger in test_harness. Every file of the seed's directory is pinned.
+_TINY = tiny_config()
+_ABORT_SECTION, _ABORT_LR, _ = ABORT_TRIGGERS["stage1"]
+TINY_VARIANTS = {
+    "batchnorm_only": {"adapt_cfg": replace(_TINY.adapt_cfg, update_set="batchnorm_only")},
+    "soft_phases": {"distill_cfg": replace(_TINY.distill_cfg, schedule=replace(
+        _TINY.distill_cfg.schedule, soft_label_interleave=True))},
+    "source_checkpoint": {"source_checkpoint": "seed_1/source.ckpt"},  # in tiny_run
+    "stage1_abort": {"calibrate": True,
+                     _ABORT_SECTION: replace(getattr(_TINY, _ABORT_SECTION), lr=_ABORT_LR)},
+}
+GOLDEN_VARIANT_SHA256 = {
+    "batchnorm_only": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/per_class.csv": "79efa26dd1961f176ce2b68faf1c3eccdba4f8c8c0955060fe79a19c32d7fd3e",
+        "seed_0/report.json": "87ddd79fd390137c9186b8a8ec753a2bc0eb3b5d7a8ce0fb1edec35b37613676",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "36983c26659701f08e9cccae45c797a0213197cbf6035f1813ecca9cb65ffb8f",
+        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
+        "seed_0/trace.csv": "c7fdb1fe979f32d317b0b78f9a96133ff9a226c8910eb4878e30ea461136f87e",
+    },
+    "soft_phases": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/per_class.csv": "51aaf343a285c724bf6e7324fd69ab6839ee4da3ea4d6897224b256f5ddcc635",
+        "seed_0/report.json": "9b09f43c5e27e7685dfc77548d8360475001390bdced50cbc76c19d9ec3841cd",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/stage3.ckpt": "dfe126a69f64d3ea7867acfa37b6eb8d9c8de2817e8c06bfebb3938f4354daa4",
+        "seed_0/trace.csv": "6c9b67448f3cb53d1d6e65dc726ffb8f11e13608ae64c2dbce0ab5b711baa78e",
+    },
+    "source_checkpoint": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/per_class.csv": "03f2a197f797f6d6fc46346c4a8dd44d7b9d694bf00ae6380ea4aa7dafbcbc7a",
+        "seed_0/report.json": "af27e61fb97275615511951da60e27b927e9e753df1337cff75fafae61e42bcf",
+        "seed_0/stage1.ckpt": "8080e8977b1613ce142efe6ad1b340022536daaacd552c074a1ff90c8a41dab5",
+        "seed_0/stage3.ckpt": "0eba93feade4e39797b27bc424f5cceeac56eaa0be515fc16add7078e4dfa47d",
+        "seed_0/trace.csv": "a93d3d4d53e97460d4b9be54e33fc54ef055cfa1300ed9b0a2f5ccea09526581",
+    },
+    "stage1_abort": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/calibrated.ckpt": "d6ed8404b94dfe6dcbea5858e156b25dbf7e61d017096ba6da6fe532c261568b",
+        "seed_0/per_class.csv": "339f84c9f5e1b4b44b666487bc2ae7d5cac866efb7485e2a4865b17370ffcd7f",
+        "seed_0/report.json": "d57d3d464879d4de2807f577f44c578929d786856855fc15ee10ef635428c071",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
+        "seed_0/trace.csv": "400d3a9e4fba2132252ae7543b72b7831a69f05f354b4ced93b12484cbe3ea70",
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(TINY_VARIANTS))
+def test_tiny_variant_digests_pinned(tiny_run, tmp_path, case):
+    kw = dict(TINY_VARIANTS[case])
+    if "source_checkpoint" in kw:
+        kw["source_checkpoint"] = str(tiny_run / kw["source_checkpoint"])
+    run_experiment(tiny_config(seeds=(0,), outdir=str(tmp_path), **kw))
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("seed_0/*"))
+    assert written == sorted(GOLDEN_VARIANT_SHA256[case])
+    got = {name: _sha256(tmp_path / name) for name in written}
+    assert got == GOLDEN_VARIANT_SHA256[case]

@@ -490,14 +490,15 @@ def test_cli_gen_data_writes_both_datasets_or_neither(tmp_path, capsys, unwritab
     assert list(tmp_path.iterdir()) == [cfg]  # no temporary file left behind either
 
 
-def test_cli_gen_data_shared_path_holds_the_target(tmp_path):
+def test_cli_gen_data_shared_path_is_a_config_error(tmp_path, capsys):
     cfg, path = tmp_path / "cfg.json", tmp_path / "x.ds"
     cfg.write_text(json.dumps({"benchmark": {"n_per_class": 40, "num_classes": 4,
                                              "input_dim": 8}, "stage2": False}))
-    assert cli.main(["gen-data", "--config", str(cfg), "--source", str(path),
-                     "--target", str(path)]) == 0
-    assert load_dataset(path).domain_tag == "target"
-    assert sorted(tmp_path.iterdir()) == [cfg, path]
+    for target in (path, tmp_path / "d" / ".." / "x.ds"):  # one file, spelled two ways
+        assert cli.main(["gen-data", "--config", str(cfg), "--source", str(path),
+                         "--target", str(target)]) == 1
+        assert "config error: --source and --target" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]  # no dataset and no temporary file
 
 
 def test_cli_numerical_error(tmp_path):

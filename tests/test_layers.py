@@ -35,7 +35,7 @@ def test_forward_matches_matmul_oracle():
     rng = np.random.default_rng(42)
     net = small_net(seed=7, batchnorm=False)
     x = rng.normal(size=(4, 6))
-    logits = net.eval().forward(x)
+    logits = net.forward(x)
     h = x
     for layer in net.layers[:-1]:
         if layer.kind == "dense":
@@ -76,22 +76,20 @@ def test_batchnorm_eval_uses_running_stats():
 
 
 def test_batchnorm_train_rejects_singleton_batch():
-    net = small_net()
-    net.train()
     with pytest.raises(ConfigError):
-        net.forward(np.zeros((1, 6)))
+        small_net().forward(np.zeros((1, 6)), train=True)
 
 
 def test_forward_shape_errors():
     net = small_net()
     with pytest.raises(ShapeError):
-        net.eval().forward(np.zeros((2, 5)))
+        net.forward(np.zeros((2, 5)))
     with pytest.raises(ShapeError):
-        net.eval().forward(np.zeros((0, 6)))
+        net.forward(np.zeros((0, 6)))
 
 
 def test_eval_forward_is_pure():
-    net = small_net().eval()
+    net = small_net()
     x = np.random.default_rng(3).normal(size=(5, 6))
     a = net.forward(x)
     b = net.forward(x)
@@ -140,22 +138,24 @@ def loss_cases(rng, b, c):
     ]
 
 
-def check_net_grads(net, x, value_fn, grad_fn, tol=1e-4):
-    net.zero_grad()
-    logits, caches = net.forward(x, record=True)
+def check_net_grads(net, x, value_fn, grad_fn, train, tol=1e-4):
+    """Backprop against finite differences, through batch statistics with train=True,
+    else through the frozen running statistics."""
+    for p in net.parameters():
+        p.zero_grad()
+    logits, caches = net.forward(x, train=True) if train else forward_layers(net.layers, x, False)
     net.backward(caches, grad_fn(softmax(logits)))
     analytic = [p.grad for p in net.parameters()]
-    numeric = fd_param_grads(lambda: value_fn(softmax(net.forward(x))),
-                             net.parameters())
+    numeric = fd_param_grads(
+        lambda: value_fn(softmax(net.forward(x, train=True)[0] if train else net.forward(x))),
+        net.parameters())
     assert max_rel_error(analytic, numeric) < tol
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
     net = small_net()
-    net.train()
     x = np.random.default_rng(0).normal(size=(4, 6))
-    _, caches = net.forward(x, record=True)
-    net.zero_grad()
+    _, caches = net.forward(x, train=True)
     net.backward(caches, np.zeros((4, 3)))
     assert all(np.all(p.grad == 0) for p in net.parameters())
 
@@ -175,12 +175,11 @@ def test_single_dense_squared_error_closed_form():
 def test_three_layer_batchnorm_net_matches_fd():
     rng = np.random.default_rng(9)
     net = small_net(seed=11, input_dim=5, hidden=(7, 6), classes=4)
-    net.train()
     x = rng.normal(size=(6, 5))
     targets = rng.integers(0, 4, 6)
     check_net_grads(net, x,
                     lambda p: cross_entropy(p, targets).scalar,
-                    lambda p: cross_entropy_grad(p, targets))
+                    lambda p: cross_entropy_grad(p, targets), train=True)
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -194,11 +193,11 @@ def test_randomized_nets_and_losses_match_fd(trial):
     net = small_net(seed=int(rng.integers(1 << 30)),
                     input_dim=int(rng.integers(2, 8)), hidden=hidden,
                     classes=c, batchnorm=bn)
-    net.train() if bn and rng.integers(0, 2) else net.eval()
+    train = bool(bn and rng.integers(0, 2))
     b = int(rng.integers(2, 6))
     x = rng.normal(size=(b, net.arch.input_dim))
     name, value_fn, grad_fn = loss_cases(rng, b, c)[trial % 3]
-    check_net_grads(net, x, value_fn, grad_fn)
+    check_net_grads(net, x, value_fn, grad_fn, train)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,7 @@ def test_stacked_backward_matches_fd():
 
 
 def test_network_forward_takes_a_stack_of_views():
-    net = small_net().eval()
+    net = small_net()
     x = np.random.default_rng(2).normal(size=(2, 5, 6))
     assert _bits(net.forward(x)) == _bits(np.stack([net.forward(v) for v in x]))
     with pytest.raises(ShapeError):
@@ -284,7 +283,7 @@ def test_network_forward_takes_a_stack_of_views():
 
 
 # ---------------------------------------------------------------------------
-# eval mode without record: no backprop cache, and no write into the batch
+# forward without train: no backprop cache, and no write into the batch or the network
 
 
 def _old_eval_expressions(layers, x):
@@ -315,13 +314,12 @@ def _random_bn_state(net, rng):
 def test_eval_forward_matches_recorded_forward_bit_for_bit(rows, views, batchnorm):
     rng = np.random.default_rng(rows)
     net = _random_bn_state(build_network(ArchSpec(32, (64, 64), 10, batchnorm), rng), rng)
-    net.eval()
     x = rng.normal(size=(*views, rows, 32))
     kept = x.copy()
     y, feats = net.forward(x), net.forward_features(x)
-    assert _bits(y) == _bits(net.forward(x, record=True)[0])
+    assert _bits(y) == _bits(forward_layers(net.layers, x, False)[0])
     assert _bits(y) == _bits(_old_eval_expressions(net.layers, x))
-    assert _bits(feats) == _bits(net.forward_features(x, record=True)[0])
+    assert _bits(feats) == _bits(forward_layers(net.layers[: net.classifier_index], x, False)[0])
     assert _bits(x) == _bits(kept)
 
 
@@ -331,7 +329,7 @@ def test_eval_forward_never_writes_into_the_batch(first):
     head = {"dense": [Dense(6, 6, rng), BatchNorm(6), ReLU()], "relu": [ReLU()],
             "batchnorm": [BatchNorm(6), ReLU()]}[first]
     layers = head + [Dense(6, 3, rng)]
-    net = _random_bn_state(Network(layers, ArchSpec(6, (), 3)), rng).eval()
+    net = _random_bn_state(Network(layers, ArchSpec(6, (), 3)), rng)
     for x in (rng.normal(size=(7, 6)), rng.normal(size=(2, 7, 6))):
         kept = x.copy()
         y, feats = net.forward(x), net.forward_features(x)
@@ -340,24 +338,35 @@ def test_eval_forward_never_writes_into_the_batch(first):
         assert _bits(feats) == _bits(_old_eval_expressions(layers[:-1], x))
 
 
-def test_train_mode_forward_without_record_updates_running_stats():
+def _tensor_bits(net) -> list:
+    return [(t.name, _bits(t.data), t.grad if t.grad is None else _bits(t.grad))
+            for t in net.all_tensors()]
+
+
+def test_forward_leaves_every_tensor_bit_identical():
     rng = np.random.default_rng(6)
-    net = small_net(seed=6).train()
-    recorded = net.copy()
+    net = _random_bn_state(small_net(seed=6), rng)
+    for p in net.parameters():
+        p.grad = rng.normal(size=p.shape)
+    kept = _tensor_bits(net)
+    for x in (rng.normal(size=(16, 6)), rng.normal(size=(2, 16, 6))):
+        net.forward(x)
+        net.forward_features(x)
+        assert _tensor_bits(net) == kept
+    # only train=True moves the running statistics, by one momentum step
     x = rng.normal(size=(16, 6))
-    assert _bits(net.forward(x)) == _bits(recorded.forward(x, record=True)[0])
-    for a, b in zip(net.state_tensors(), recorded.state_tensors()):
-        assert _bits(a.data) == _bits(b.data), a.name
-    h = x @ net.layers[0].weight.data.T + net.layers[0].bias.data
     bn = net.layers[1]
-    assert np.allclose(bn.running_mean.data, 0.1 * h.mean(axis=0), rtol=1e-12, atol=0)
-    assert np.allclose(bn.running_var.data, 0.9 + 0.1 * h.var(axis=0), rtol=1e-12, atol=0)
+    mean, var = bn.running_mean.data.copy(), bn.running_var.data.copy()
+    net.forward(x, train=True)
+    h = x @ net.layers[0].weight.data.T + net.layers[0].bias.data
+    assert np.allclose(bn.running_mean.data, 0.9 * mean + 0.1 * h.mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(bn.running_var.data, 0.9 * var + 0.1 * h.var(axis=0), rtol=1e-12, atol=0)
 
 
 def test_eval_forward_memory_is_a_few_activations():
     # the default teacher over the default target: the walk holds at most the
     # output being built and the one before it, never a per-layer cache
-    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0)).eval()
+    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(5000, 32))
     net.forward(x[:8])
     tracemalloc.start()

@@ -14,9 +14,6 @@ class FixedPredictor:
         self.preds = np.asarray(preds)
         self.num_classes = num_classes
 
-    def eval(self):
-        return self
-
     def forward(self, x):
         return np.eye(self.num_classes)[self.preds[: len(x)]]
 

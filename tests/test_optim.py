@@ -62,7 +62,7 @@ def test_lr_zero_leaves_network_bit_identical():
     net = build_network(ArchSpec(4, (6,), 3), np.random.default_rng(0))
     before = [p.data.copy() for p in net.parameters()]
     x = np.random.default_rng(1).normal(size=(4, 4))
-    logits, caches = net.train().forward(x, record=True)
+    logits, caches = net.forward(x, train=True)
     net.backward(caches, np.ones_like(logits))
     SGD(net.parameters(), lr=0.0, momentum=0.9, weight_decay=1e-4).step()
     for p, b in zip(net.parameters(), before):

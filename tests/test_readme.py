@@ -1,9 +1,11 @@
 """Every `adaptkit ...` command line in README's fenced code blocks parses with
-the CLI's parser, so the documented commands cannot drift from the flags."""
+the CLI's parser, and every `ak.<name>` in its python blocks is a name of the
+package, so the documented commands and names cannot drift from the code."""
 import re
 import shlex
 from pathlib import Path
 
+import adaptkit
 from adaptkit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -26,3 +28,10 @@ def test_readme_cli_lines_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             raise AssertionError(f"README line does not parse: {line}") from None
+
+
+def test_readme_python_names_exist():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    names = set(re.findall(r"\bak\.(\w+)", "".join(blocks)))
+    assert len(names) >= 10
+    assert sorted(n for n in names if not hasattr(adaptkit, n)) == []

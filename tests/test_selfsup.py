@@ -18,7 +18,6 @@ def default_target(seed=100, shift_seed=200):
 
 def linear_probe(student, dataset):
     """Least-squares probe on frozen features, half train / half test."""
-    student.eval()
     feats = student.forward_features(dataset.features)
     x = np.hstack([feats, np.ones((len(feats), 1))])
     y = np.eye(dataset.num_classes)[dataset.labels]
@@ -111,7 +110,7 @@ def test_identity_augmentation_gives_no_representation_benefit():
     # better than a random one
     tgt = default_target()
     view = tgt.unlabeled_view()
-    cfg = ContrastiveConfig(epochs=10, policy=AugmentationPolicy.identity())
+    cfg = ContrastiveConfig(epochs=10, policy=AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0)))
     pre = pretrain(ARCH, view, cfg, np.random.default_rng(0))
     degenerate = make_student(ARCH, pre, np.random.default_rng(1))
     random_student = make_student(ARCH, None, np.random.default_rng(1))
