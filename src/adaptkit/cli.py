@@ -26,16 +26,18 @@ def cmd_gen_data(args) -> int:
     if paths[0].resolve() == paths[1].resolve():
         raise ConfigError(f"--source and --target are the same file: {args.source}")
     outs = dict(zip(paths, harness.make_datasets(harness.load_config(args.config), args.seed)))
-    try:  # both files or neither, renamed into place once both are written
-        for path, ds in outs.items():
-            save_dataset(ds, f"{path}.tmp")
-        for path, ds in outs.items():
-            Path(f"{path}.tmp").replace(path)
-            print(f"wrote {path}: {len(ds)} rows, {ds.dim} dims, {ds.num_classes} classes, "
-                  f"domain={ds.domain_tag}")
+    # both files or neither: store.write puts the target in place whole or not at all,
+    # and the source, staged under a temporary name, follows only once the target is there
+    staged = Path(f"{paths[0]}.tmp")
+    try:
+        save_dataset(outs[paths[0]], staged)
+        save_dataset(outs[paths[1]], paths[1])
+        staged.replace(paths[0])
     finally:
-        for path in outs:
-            Path(f"{path}.tmp").unlink(missing_ok=True)
+        staged.unlink(missing_ok=True)
+    for path, ds in outs.items():
+        print(f"wrote {path}: {len(ds)} rows, {ds.dim} dims, {ds.num_classes} classes, "
+              f"domain={ds.domain_tag}")
     return 0
 
 

@@ -168,8 +168,11 @@ def _latent_samples(spec: GeneratorSpec, seed: int) -> tuple[np.ndarray, np.ndar
     centers, _ = _geometry(spec)
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(spec.num_classes), spec.n_per_class)
-    noise = rng.normal(0.0, spec.cluster_sigma, size=(len(labels), spec.input_dim))
-    return centers[labels] + noise, labels.astype(np.int64)
+    latent = rng.normal(0.0, spec.cluster_sigma, size=(len(labels), spec.input_dim))
+    # noise + center, added in the noise buffer: class c owns the c-th block of rows
+    by_class = latent.reshape(spec.num_classes, spec.n_per_class, -1)
+    by_class += centers[:, None, :]
+    return latent, labels.astype(np.int64)
 
 
 def generate(spec: GeneratorSpec) -> Dataset:
@@ -179,10 +182,9 @@ def generate(spec: GeneratorSpec) -> Dataset:
     return Dataset(latent @ q.T, labels, spec.num_classes, "source", spec)
 
 
-def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> np.ndarray:
-    """Apply the shift to the first two latent coordinates."""
-    out = latent.copy()
-    xy = out[:, :2]
+def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> None:
+    """Apply the shift to the first two latent coordinates, in place."""
+    xy = latent[:, :2]
 
     def rotate(points, degrees):
         a = degrees * pi / 180.0
@@ -199,8 +201,7 @@ def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> np.ndarray:
         xy = rotate(xy, shift.magnitude)
         xy = xy * (1.0 + shift.magnitude / 100.0)
         xy = xy + np.array([shift.magnitude / 10.0, 0.0])
-    out[:, :2] = xy
-    return out
+    latent[:, :2] = xy
 
 
 def apply_shift(src: Dataset, shift: ShiftSpec) -> Dataset:
@@ -212,7 +213,7 @@ def apply_shift(src: Dataset, shift: ShiftSpec) -> Dataset:
     """
     spec = src.spec
     latent, labels = _latent_samples(spec, shift.seed)
-    latent = _plane_transform(latent, shift)
+    _plane_transform(latent, shift)
     _, q = _geometry(spec)
     return Dataset(latent @ q.T, labels, spec.num_classes, "target", spec, shift=shift,
                    bucket_thresholds=src.bucket_thresholds)

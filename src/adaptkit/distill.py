@@ -186,9 +186,8 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     for _ in range(cfg.rounds):
         starts.append(s.data.copy())
         # refresh pseudo-labels with the current scales
-        feats = model.forward_features(augment(target.features, cfg.policy, "weak", rng))
-        probs = softmax(feats @ (s.data[:, None] * w).T + bias)
-        hard = np.argmax(probs, axis=1).astype(np.int64)
+        hard = np.argmax(softmax(_scaled(model, s.data).forward(
+            augment(target.features, cfg.policy, "weak", rng))), axis=1).astype(np.int64)
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = np.where(counts[hard] > 0, 1.0 / counts[hard], 0.0)
         weights *= len(hard) / weights.sum()
@@ -200,6 +199,11 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         with np.errstate(over="ignore", invalid="ignore"):
             s.data = next((v for v in (s.data, *reversed(starts))
                            if np.all(np.isfinite(raw_scores * v + bias))), np.ones_like(s.data))
-    calibrated = model.copy()
-    calibrated.classifier.weight.data = s.data[:, None] * calibrated.classifier.weight.data
-    return s.data, calibrated, abort
+    return s.data, _scaled(model, s.data), abort
+
+
+def _scaled(model: Network, scales: np.ndarray) -> Network:
+    """A copy of `model` whose classifier rows are scaled by `scales`."""
+    net = model.copy()
+    net.classifier.weight.data = scales[:, None] * net.classifier.weight.data
+    return net

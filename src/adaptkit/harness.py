@@ -185,9 +185,7 @@ def make_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
         src = subsample_longtail(src, ImbalanceSpec(cfg.imbalance_ratio,
                                                     stream_seed(seed, "imbalance")))
     shift = replace(cfg.shift, seed=stream_seed(seed, "target_data"))
-    tgt = apply_shift(src if cfg.imbalance_ratio is None else generate(spec), shift)
-    tgt.bucket_thresholds = src.bucket_thresholds
-    return src, tgt
+    return src, apply_shift(src, shift)
 
 
 def _eval(model, tgt: Dataset, src: Dataset) -> MetricsReport:

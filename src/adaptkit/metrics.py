@@ -19,7 +19,7 @@ class MetricsReport:
     per_class: list[float]
     per_class_counts: list[int]
     n: int
-    buckets: dict[str, float] | None = None
+    buckets: dict[str, float | None] | None = None  # None: no evaluated class in the bucket
     bucket_classes: dict[str, list[int]] | None = None
 
     def to_dict(self) -> dict:
@@ -68,7 +68,7 @@ def evaluate(model: Network, dataset: Dataset, train_counts: np.ndarray | None =
         buckets = {}
         for name, classes in split.items():
             live = [cc for cc in classes if present[cc]]
-            buckets[name] = float(np.mean([per_class[cc] for cc in live])) if live else float("nan")
+            buckets[name] = float(np.mean([per_class[cc] for cc in live])) if live else None
         report.buckets = buckets
         report.bucket_classes = split
     return report

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -29,7 +30,9 @@ def is_count(v, least: int = 0) -> bool:
 
 
 def write(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write `arrays` in insertion order, with `header`'s keys beside the table."""
+    """Write `arrays` in insertion order, with `header`'s keys beside the table. The
+    file is written under a temporary name in its directory and renamed into place,
+    so a failed write leaves whatever was at `path` before and no temporary file."""
     entries, blobs, offset = [], [], 0
     for name, data in arrays.items():
         if not name:
@@ -40,14 +43,18 @@ def write(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> No
         offset += len(raw)
     payload = json.dumps({**header, "format_version": VERSION, "tensors": entries},
                          sort_keys=True).encode("utf-8")
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(path, "wb") as f:
+        with open(tmp, "wb") as f:
             f.write(_PREFIX.pack(magic, VERSION, len(payload)))
             f.write(payload)
             for raw in blobs:
                 f.write(raw)
+        os.replace(tmp, path)
     except OSError as e:
         raise StorageError(f"cannot write {path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _is_entry(e) -> bool:

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ImbalanceSpec,
                            ShiftSpec, apply_shift, generate, subsample_longtail)
 from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabels,
-                              calibrate_classifier, distill, pseudo_label, run_phase)
+                              _scaled, calibrate_classifier, distill, pseudo_label, run_phase)
 from adaptkit.errors import ConfigError
+from adaptkit.harness import ExperimentConfig, make_datasets
 from adaptkit.layers import ArchSpec, Dense, Network, build_network
 from adaptkit.metrics import evaluate
 from adaptkit.selfsup import ContrastiveConfig, InitializedStudent, pretrain
@@ -223,6 +226,38 @@ def test_calibration_improves_few_shot_bucket():
     post = evaluate(cal, tgt, train_counts=counts, thresholds=thresholds)
     assert post.buckets["few"] > pre.buckets["few"]
     assert post.overall_acc >= pre.overall_acc - 0.01
+
+
+def test_scaled_copy_predicts_the_scaled_head_of_the_features_bit_for_bit():
+    # calibration's pseudo-labels: the blocked walk of a copy whose classifier rows are
+    # scaled gives feats @ (s * w).T + bias exactly, over the whole default target
+    cfg = ExperimentConfig()
+    _, tgt = make_datasets(cfg, 0)
+    net = build_network(ArchSpec(32, cfg.teacher_hidden, 10), np.random.default_rng(0))
+    s = np.random.default_rng(1).uniform(0.5, 2.0, size=10)
+    w, bias = net.classifier.weight.data, net.classifier.bias.data
+    want = net.forward_features(tgt.features) @ (s[:, None] * w).T + bias
+    assert np.array_equal(_scaled(net, s).forward(tgt.features).view(np.int64),
+                          want.view(np.int64))
+    assert np.array_equal(net.classifier.weight.data, w)  # the copy owns its weights
+
+
+def test_calibration_memory_is_the_features_and_one_view():
+    # the default teacher on the default target: the raw scores need the N x 64
+    # features once; each round's pseudo-labels need one N x 32 view and a few blocks
+    cfg = ExperimentConfig()
+    _, tgt = make_datasets(cfg, 0)
+    net = build_network(ArchSpec(32, cfg.teacher_hidden, 10), np.random.default_rng(0))
+    run = lambda: calibrate_classifier(net, tgt.unlabeled_view(), cfg.calibrate_cfg,  # noqa: E731
+                                       np.random.default_rng(0))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(tgt) * (64 + 32) * 8
 
 
 def test_calibration_deterministic():

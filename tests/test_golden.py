@@ -92,7 +92,7 @@ def test_default_shape_pretrain_digest_pinned():
 # with stage 3 and calibration on short budgets: evaluate, pseudo_label and the
 # calibration passes each predict on the full 5000-row target.
 GOLDEN_DEFAULT_LONGTAIL_SHA256 = {
-    "seed_0/report.json": "8b0c20bf95ff91241a1f2b3a7b961d5a2250f65e769df010d156b17e4227d493",
+    "seed_0/report.json": "f2f7756d74295d7fc38695b8a1bf9a10117e5f1f9d9b5c4ab6bd3619e6d460f6",
     "seed_0/per_class.csv": "697f792c1302ae2bec8ca65c33c3dc290414ced19a157c089442ed31bd983971",
     "seed_0/trace.csv": "3ede7ccacf2c512cf3a938d5418abde68ea4a1f98657e9df46485cb9ca56ded5",
     "seed_0/source.ckpt": "e5d4ab2508da3ff3f263894511e2e867af449f204a44b39cf33f32b005bcb760",
@@ -118,8 +118,9 @@ def test_default_shape_longtail_calibrated_digests_pinned(tmp_path):
 
 # Variants of the tiny config on seed 0, one for each path the 2-seed run leaves
 # out: a batchnorm-only stage 1, soft-label phases, a source model read from a
-# checkpoint (seed 1's, so stage 0 is skipped) and stage 1 aborting at its
-# trigger in test_harness. Every file of the seed's directory is pinned.
+# checkpoint (seed 1's, so stage 0 is skipped), stage 1 aborting at its trigger
+# in test_harness, and the stage toggles (source only, stage 1 only, stages 1
+# and 3, calibration alone). Every file of the seed's directory is pinned.
 _TINY = tiny_config()
 _ABORT_SECTION, _ABORT_LR, _ = ABORT_TRIGGERS["stage1"]
 TINY_VARIANTS = {
@@ -129,6 +130,10 @@ TINY_VARIANTS = {
     "source_checkpoint": {"source_checkpoint": "seed_1/source.ckpt"},  # in tiny_run
     "stage1_abort": {"calibrate": True,
                      _ABORT_SECTION: replace(getattr(_TINY, _ABORT_SECTION), lr=_ABORT_LR)},
+    "source_only": {"stage1": False, "stage2": False, "stage3": False},
+    "stage1_only": {"stage2": False, "stage3": False},
+    "stage1_3": {"stage2": False},
+    "calibrate_only": {"stage1": False, "stage2": False, "stage3": False, "calibrate": True},
 }
 GOLDEN_VARIANT_SHA256 = {
     "batchnorm_only": {
@@ -166,6 +171,34 @@ GOLDEN_VARIANT_SHA256 = {
         "seed_0/stage1.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
         "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
         "seed_0/trace.csv": "400d3a9e4fba2132252ae7543b72b7831a69f05f354b4ced93b12484cbe3ea70",
+    },
+    "source_only": {
+        "seed_0/per_class.csv": "531297ffafdd08e355d2630990f7a0c7a6b2a1569c9558295e9bc9d4797dd36a",
+        "seed_0/report.json": "985576611a41d7805ae64afc60bbb943311091f32946798691a9c46590076dd5",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
+    },
+    "stage1_only": {
+        "seed_0/per_class.csv": "a80b0cb980eb393ab3dc88424640b04da9215478f487d2439327553290894060",
+        "seed_0/report.json": "cc04a07a93c51be657ee3350e6645889cbb91fa10ef8d9669db83575ba84de37",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/trace.csv": "3162566b3d168e1987650a115e6c3b9415cda8051f6a39000ee769b055d5ea63",
+    },
+    "stage1_3": {
+        "seed_0/per_class.csv": "0503c4f64e07e404bb3acf40aa587c71fc7065784f916a3b55a055e1269cb327",
+        "seed_0/report.json": "89c5baf0867010d388e8f9188bd671597eff7994991d35786f480b6c37347566",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/stage3.ckpt": "a45f7dafbc604506d663c5edf656c25291c1fde3a7d0c8dc47df3e549283e6bc",
+        "seed_0/trace.csv": "fc82e212f349336ab7abba22704282593e908c2531aee9ae0037bdc5d50789a7",
+    },
+    "calibrate_only": {
+        "seed_0/calibrated.ckpt": "e2ca47894166294a4e49a8cdb534250ab1ba3ae7f9f223402fdfaa2083dd02a4",
+        "seed_0/per_class.csv": "5bcfc4bc80d3cae58bde7fd329a5c44b0b024941e64fdc6a1485de5eaf83af3d",
+        "seed_0/report.json": "bb1a6fc8d6a3d7275c405f7e18fa9f24415bc4f0ff50fa57741e58ae4fcd30dc",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
     },
 }
 

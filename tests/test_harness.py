@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
 from typing import get_type_hints
 
@@ -195,6 +196,48 @@ def test_stage_abort_restores_and_records(tmp_path, case):
         assert all(np.all(np.isfinite(a)) for a in arrays.values()), name
         if name != "backbone.ckpt":
             evaluate(checkpoint.load_checkpoint(tmp_path / name)[0], tgt)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_empty_buckets_are_json_null(tmp_path):
+    # at imbalance ratio 10 every class has more rows than the "many" cutoff
+    run_experiment(tiny_config(seeds=(0,), imbalance_ratio=10.0, stage2=False, stage3=False,
+                               outdir=str(tmp_path)))
+    report = json.loads((tmp_path / "seed_0" / "report.json").read_text(),
+                        parse_constant=_no_constant)
+    buckets = report["metrics"]["source_only"]["buckets"]
+    assert buckets["medium"] is None and buckets["few"] is None
+    assert 0 <= buckets["many"] <= 1
+    json.loads((tmp_path / "summary.json").read_text(), parse_constant=_no_constant)
+
+
+def test_longtail_target_is_the_balanced_benchmarks_target():
+    # the target draw reads only the generator spec: subsampling the source moves
+    # none of its bits, and the target takes the long-tailed source's bucket cutoffs
+    cfg = ExperimentConfig(imbalance_ratio=100.0)
+    src, tgt = make_datasets(cfg, 3)
+    _, balanced = make_datasets(replace(cfg, imbalance_ratio=None), 3)
+    assert tgt.features.tobytes() == balanced.features.tobytes()
+    assert np.array_equal(tgt.labels, balanced.labels)
+    assert src.bucket_thresholds is not None
+    assert tgt.bucket_thresholds == src.bucket_thresholds
+
+
+def test_longtail_make_datasets_memory_is_about_two_target_arrays():
+    # the target's latent buffer and its features, plus the much smaller long-tailed
+    # source; no second balanced draw and no per-step copies of the latent samples
+    cfg = ExperimentConfig(imbalance_ratio=100.0)
+    make_datasets(cfg, 1000)
+    tracemalloc.start()
+    try:
+        _, tgt = make_datasets(cfg, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * tgt.features.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from adaptkit.errors import ConfigError, ShapeError
-from adaptkit.layers import (ArchSpec, BatchNorm, Dense, Network, ReLU, backward_layers,
-                             build_network, forward_layers)
+from adaptkit.layers import (INFER_BLOCK_ROWS, ArchSpec, BatchNorm, Dense, Network, ReLU,
+                             backward_layers, build_network, forward_layers)
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, infomax_loss,
                              infomax_loss_grad, infonce_loss, infonce_loss_grad,
                              kl_soft_loss, kl_soft_loss_grad, softmax)
@@ -308,7 +308,11 @@ def _random_bn_state(net, rng):
     return net
 
 
-@pytest.mark.parametrize("rows", [8, 128, 5000])
+B = INFER_BLOCK_ROWS
+
+
+# 1 to 2B+1 rows: one block, a full block, a tail that joins the last block
+@pytest.mark.parametrize("rows", [1, 8, 128, B - 1, B, B + 1, 2 * B + 1, 5000])
 @pytest.mark.parametrize("views", [(), (2,)], ids=["batch", "stack"])
 @pytest.mark.parametrize("batchnorm", [True, False])
 def test_eval_forward_matches_recorded_forward_bit_for_bit(rows, views, batchnorm):
@@ -376,3 +380,18 @@ def test_eval_forward_memory_is_a_few_activations():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 5000 * 64 * 8
+
+
+def test_eval_forward_memory_is_the_output_and_a_few_blocks():
+    # 50,000 rows: the walk's extra memory is bounded by the block, not by the batch
+    # (one pass would hold two 50,000 x 64 activations, 51 MB)
+    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(50_000, 32))
+    net.forward(x[:8])
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50_000 * 10 * 8 + 4 * (2 * B) * 64 * 8

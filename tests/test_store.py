@@ -1,3 +1,6 @@
+import errno
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +26,42 @@ def test_round_trip_keeps_order_and_bits(tmp_path):
     for name, data in arrays.items():
         assert loaded[name].shape == data.shape
         assert loaded[name].tobytes() == data.tobytes()
+
+
+def _fail_replace(*args):
+    raise OSError("replace failed")
+
+
+class _FullDisk(io.FileIO):
+    """A file that is created, and then takes no bytes."""
+
+    def write(self, b):
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes"])
+@pytest.mark.parametrize("fail", ["replace", "write"])
+def test_failed_write_leaves_the_old_file_and_no_temporary(tmp_path, monkeypatch, old, fail):
+    path = tmp_path / "x.bin"
+    if old is not None:
+        path.write_bytes(old)
+    if fail == "replace":
+        monkeypatch.setattr(store.os, "replace", _fail_replace)
+    else:
+        monkeypatch.setattr(store, "open", lambda p, mode: _FullDisk(p, "w"), raising=False)
+    with pytest.raises(StorageError, match="cannot write"):
+        store.write(path, b"TEST", {}, {"a": np.ones(3)})
+    assert list(tmp_path.iterdir()) == ([] if old is None else [path])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_write_replaces_an_old_file_whole(tmp_path):
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"old bytes, longer than nothing" * 100)
+    store.write(path, b"TEST", {}, {"a": np.arange(3.0)})
+    assert list(tmp_path.iterdir()) == [path]
+    assert store.read(path, b"TEST")[1]["a"].tolist() == [0.0, 1.0, 2.0]
 
 
 @pytest.fixture(scope="module")
