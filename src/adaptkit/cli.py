@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -14,7 +13,7 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
-from . import checkpoint, harness
+from . import checkpoint, harness, store
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, NumericalError, StorageError
 from .metrics import evaluate
@@ -55,8 +54,7 @@ def cmd_stage(args) -> int:
     if abort:  # the stage hit a non-finite value and kept its last good state
         print(f"{args.command} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)
     if getattr(args, "report", None):  # before --out, so a failed command leaves no checkpoint
-        Path(args.report).write_text(json.dumps(reduce(getitem, args.report_keys, fragment),
-                                                sort_keys=True, indent=2) + "\n")
+        store.write_json(args.report, reduce(getitem, args.report_keys, fragment))
     harness.save_product(product, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -92,8 +90,7 @@ def cmd_compare(args) -> int:
     text, table = harness.compare(args.reports)
     print(text)
     if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            csv.writer(f).writerows(table)
+        store.write_csv(args.csv, table)
     return 0
 
 

@@ -22,11 +22,10 @@ from .tensor import check_finite
 SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
 
 
-def _check_seeds(spec, *names: str) -> None:
-    for name in names:
-        if not store.is_count(getattr(spec, name)):
-            raise ConfigError(f"{name} must be a non-negative integer, "
-                              f"got {getattr(spec, name)!r}")
+def _rng(seed, name: str = "seed") -> np.random.Generator:
+    if not store.is_count(seed):
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class GeneratorSpec:
     ring_radius: float = 5.0
     cluster_sigma: float = 1.0
     ambient_scale: float = 3.0
-    seed: int = 0
     geometry_seed: int = 7
 
     def __post_init__(self):
@@ -47,30 +45,17 @@ class GeneratorSpec:
             raise ConfigError("need at least 2 input dimensions")
         if self.n_per_class < 1:
             raise ConfigError("need at least 1 sample per class")
-        _check_seeds(self, "seed", "geometry_seed")
+        _rng(self.geometry_seed, "geometry_seed")  # raises on a bad seed
 
 
 @dataclass(frozen=True)
 class ShiftSpec:
     kind: str = "rotation"
     magnitude: float = 45.0  # degrees for rotation
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
-        _check_seeds(self, "seed")
-
-
-@dataclass(frozen=True)
-class ImbalanceSpec:
-    imbalance_ratio: float = 100.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.imbalance_ratio < 1:
-            raise ConfigError("imbalance ratio must be >= 1")
-        _check_seeds(self, "seed")
 
 
 @dataclass(frozen=True)
@@ -164,24 +149,6 @@ def _geometry(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
     return centers, q
 
 
-def _latent_samples(spec: GeneratorSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    centers, _ = _geometry(spec)
-    rng = np.random.default_rng(seed)
-    labels = np.repeat(np.arange(spec.num_classes), spec.n_per_class)
-    latent = rng.normal(0.0, spec.cluster_sigma, size=(len(labels), spec.input_dim))
-    # noise + center, added in the noise buffer: class c owns the c-th block of rows
-    by_class = latent.reshape(spec.num_classes, spec.n_per_class, -1)
-    by_class += centers[:, None, :]
-    return latent, labels.astype(np.int64)
-
-
-def generate(spec: GeneratorSpec) -> Dataset:
-    """Draw a balanced source dataset for the spec."""
-    latent, labels = _latent_samples(spec, spec.seed)
-    _, q = _geometry(spec)
-    return Dataset(latent @ q.T, labels, spec.num_classes, "source", spec)
-
-
 def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> None:
     """Apply the shift to the first two latent coordinates, in place."""
     xy = latent[:, :2]
@@ -204,19 +171,34 @@ def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> None:
     latent[:, :2] = xy
 
 
-def apply_shift(src: Dataset, shift: ShiftSpec) -> Dataset:
+def _draw(spec: GeneratorSpec, seed: int, shift: ShiftSpec | None = None,
+          thresholds: tuple[int, int] | None = None) -> Dataset:
+    """Latent samples from `seed`, shifted in the plane when given a shift, embedded."""
+    centers, q = _geometry(spec)
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.n_per_class)
+    latent = _rng(seed).normal(0.0, spec.cluster_sigma, size=(len(labels), spec.input_dim))
+    # noise + center, added in the noise buffer: class c owns the c-th block of rows
+    by_class = latent.reshape(spec.num_classes, spec.n_per_class, -1)
+    by_class += centers[:, None, :]
+    if shift is not None:
+        _plane_transform(latent, shift)
+    return Dataset(latent @ q.T, labels, spec.num_classes,
+                   "source" if shift is None else "target", spec, shift, thresholds)
+
+
+def generate(spec: GeneratorSpec, seed: int) -> Dataset:
+    """Draw a balanced source dataset for the spec."""
+    return _draw(spec, seed)
+
+
+def apply_shift(src: Dataset, shift: ShiftSpec, seed: int) -> Dataset:
     """Draw a target dataset: fresh latent samples, shifted in the plane.
 
-    With magnitude 0 and the same seed the result equals the source draw
+    With magnitude 0 and the source's seed the result equals the source draw
     exactly. Labels ride along for evaluation only; adaptation consumers go
     through unlabeled_view().
     """
-    spec = src.spec
-    latent, labels = _latent_samples(spec, shift.seed)
-    _plane_transform(latent, shift)
-    _, q = _geometry(spec)
-    return Dataset(latent @ q.T, labels, spec.num_classes, "target", spec, shift=shift,
-                   bucket_thresholds=src.bucket_thresholds)
+    return _draw(src.spec, seed, shift, src.bucket_thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +207,8 @@ def apply_shift(src: Dataset, shift: ShiftSpec) -> Dataset:
 
 def longtail_counts(n_max: int, num_classes: int, ratio: float) -> np.ndarray:
     """Exponential decay over class index: round(n_max * ratio^(-c/(C-1)))."""
+    if not ratio >= 1:
+        raise ConfigError(f"imbalance ratio must be >= 1, got {ratio!r}")
     c = np.arange(num_classes)
     counts = np.round(n_max * ratio ** (-c / (num_classes - 1))).astype(int)
     if counts.min() < 1:
@@ -237,15 +221,16 @@ def bucket_thresholds(n_max: int) -> tuple[int, int]:
     return ceil(n_max * 100 / 1280), ceil(n_max * 20 / 1280)
 
 
-def subsample_longtail(src: Dataset, imb: ImbalanceSpec) -> Dataset:
+def subsample_longtail(src: Dataset, ratio: float, seed: int) -> Dataset:
+    """Keep longtail_counts(n, C, ratio) rows per class of a balanced source."""
     if src.labels is None:
         raise ConfigError("long-tail subsampling needs labels")
     counts = src.class_counts
     if counts.min() != counts.max():
         raise ConfigError("long-tail subsampling expects a balanced source")
     n_max = int(counts.max())
-    keep_counts = longtail_counts(n_max, src.num_classes, imb.imbalance_ratio)
-    rng = np.random.default_rng(imb.seed)
+    keep_counts = longtail_counts(n_max, src.num_classes, ratio)
+    rng = _rng(seed)
     keep = []
     for c in range(src.num_classes):
         idx = np.flatnonzero(src.labels == c)
@@ -303,12 +288,16 @@ def save_dataset(ds: Dataset, path) -> None:
 def load_dataset(path) -> Dataset:
     header, arrays = store.read(path, MAGIC)
     try:
-        shift = ShiftSpec(**header["shift"]) if header.get("shift") else None
-        spec = GeneratorSpec(**header["generator"])
-        bt = tuple(header["bucket_thresholds"]) if header.get("bucket_thresholds") else None
+        shift, bt = header.get("shift"), header.get("bucket_thresholds")
+        shift = store.from_dict(ShiftSpec, shift, "shift") if shift is not None else None
+        spec = store.from_dict(GeneratorSpec, header["generator"], "generator")
         c, tag = header["c"], header["domain_tag"]
-    except (KeyError, TypeError, ConfigError) as e:
+    except (KeyError, ConfigError) as e:
         raise StorageError(f"{path}: malformed dataset header: {e!r}") from e
+    if bt is not None and not (isinstance(bt, list) and len(bt) == 2
+                               and all(store.is_count(v) for v in bt)):
+        raise StorageError(f"{path}: bucket_thresholds must be null or two non-negative "
+                           f"integers, got {bt!r}")
     features, labels = arrays.pop("features", None), arrays.pop("labels", None)
     if features is None or features.ndim != 2 or len(features) == 0 or arrays:
         raise StorageError(f"{path}: a dataset holds non-empty 2-d features and "
@@ -320,4 +309,4 @@ def load_dataset(path) -> Dataset:
                 (labels == np.floor(labels)) & (labels >= 0) & (labels < c)):
             raise StorageError(f"{path}: labels must be one integer in [0, {c}) per row")
         labels = labels.astype(np.int64)
-    return Dataset(features, labels, c, tag, spec, shift=shift, bucket_thresholds=bt)
+    return Dataset(features, labels, c, tag, spec, shift, bt and tuple(bt))

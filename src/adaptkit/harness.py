@@ -8,20 +8,18 @@ separate timings.json that is excluded from determinism guarantees.
 """
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from time import perf_counter
-from types import UnionType
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable
 
 import numpy as np
 
-from . import checkpoint
+from . import checkpoint, store
 from .adapt import AdaptConfig, adapt
-from .data import (Dataset, GeneratorSpec, ImbalanceSpec, ShiftSpec, UnlabeledView,
-                   apply_shift, generate, load_dataset, subsample_longtail)
+from .data import (Dataset, GeneratorSpec, ShiftSpec, UnlabeledView, apply_shift, generate,
+                   load_dataset, longtail_counts, subsample_longtail)
 from .distill import CalibrateConfig, DistillConfig, calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, StorageError
 from .layers import ArchSpec, Network, build_network
@@ -54,47 +52,6 @@ def stream(master_seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(_seed_sequence(master_seed, name))
 
 
-def _fits(v, hint) -> bool:
-    """Whether a parsed config value fits a field's annotation: int (not bool),
-    float (int allowed), bool, str, a config section, `X | None` or a tuple."""
-    if get_origin(hint) is UnionType:
-        return any(_fits(v, h) for h in get_args(hint))
-    if get_origin(hint) is tuple:
-        args = get_args(hint)
-        if isinstance(v, tuple) and args[-1:] == (...,):
-            args = args[:1] * len(v)
-        return isinstance(v, tuple) and len(v) == len(args) and all(map(_fits, v, args))
-    if hint in (int, float):
-        return isinstance(v, (int, hint)) and not isinstance(v, bool)
-    return isinstance(v, hint)
-
-
-def _subconfig(cls, d: dict | None, what: str = ""):
-    """Build config dataclass `cls` from a parsed mapping, nested sections
-    included; an unknown key, a value of the wrong type or a value that `cls`
-    rejects is a ConfigError."""
-    what = what or cls.__name__
-    if d is not None and not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
-    hints, written = get_type_hints(cls), {f.name: f.type for f in fields(cls)}
-    unknown = set(d or {}) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    kw = {}
-    for key, v in (d or {}).items():
-        if is_dataclass(hints[key]) and not isinstance(v, hints[key]):
-            v = _subconfig(hints[key], v)
-        elif isinstance(v, list):
-            v = tuple(v)
-        if not _fits(v, hints[key]):
-            raise ConfigError(f"{what}.{key} must be {written[key]}, got {v!r}")
-        kw[key] = v
-    try:
-        return cls(**kw)
-    except ConfigError as e:
-        raise ConfigError(f"{what}: {e}") from e
-
-
 @dataclass
 class ExperimentConfig:
     benchmark: GeneratorSpec = field(default_factory=GeneratorSpec)
@@ -120,9 +77,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.stage2 and not self.stage3:
             raise ConfigError("stage 2 output is only consumed by stage 3")
-        if self.benchmark.seed or self.shift.seed:
-            raise ConfigError("benchmark.seed and shift.seed must be 0: the data seeds come "
-                              "from the master seed")
         if bool(self.source_data) != bool(self.target_data):
             raise ConfigError("source_data and target_data must be given together")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
@@ -131,7 +85,10 @@ class ExperimentConfig:
         if any(w < 1 for w in (*self.teacher_hidden, *self.student_hidden)):
             raise ConfigError("hidden widths must be at least 1")
         if self.imbalance_ratio is not None:
-            ImbalanceSpec(self.imbalance_ratio)  # raises on a bad ratio
+            if self.source_data:
+                raise ConfigError("imbalance_ratio does not apply to source_data")
+            longtail_counts(self.benchmark.n_per_class, self.benchmark.num_classes,
+                            self.imbalance_ratio)  # raises on a ratio that empties a class
         rows = self.benchmark.n_per_class * self.benchmark.num_classes  # a generated target
         if self.stage2 and not self.target_data and 2 * self.contrastive_cfg.batch_size > rows:
             raise ConfigError(f"contrastive_cfg.batch_size {self.contrastive_cfg.batch_size} "
@@ -139,7 +96,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        return _subconfig(ExperimentConfig, d, "config")
+        return store.from_dict(ExperimentConfig, d, "config")
 
     def stage_label(self) -> str:
         on = [n for n, f in [("1", self.stage1), ("2", self.stage2),
@@ -179,13 +136,10 @@ def make_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     """Build (or load) the source and target datasets for one master seed."""
     if cfg.source_data:
         return load_dataset(cfg.source_data), load_dataset(cfg.target_data)
-    spec = replace(cfg.benchmark, seed=stream_seed(seed, "source_data"))
-    src = generate(spec)
+    src = generate(cfg.benchmark, stream_seed(seed, "source_data"))
     if cfg.imbalance_ratio is not None:
-        src = subsample_longtail(src, ImbalanceSpec(cfg.imbalance_ratio,
-                                                    stream_seed(seed, "imbalance")))
-    shift = replace(cfg.shift, seed=stream_seed(seed, "target_data"))
-    return src, apply_shift(src, shift)
+        src = subsample_longtail(src, cfg.imbalance_ratio, stream_seed(seed, "imbalance"))
+    return src, apply_shift(src, cfg.shift, stream_seed(seed, "target_data"))
 
 
 def _eval(model, tgt: Dataset, src: Dataset) -> MetricsReport:
@@ -304,24 +258,22 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
 
 
 def _write_report_files(report: dict, outdir: Path) -> None:
-    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    with open(outdir / "per_class.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["stage", "class", "eval_count", "accuracy"])
-        for stage, m in report["metrics"].items():
-            for c, (acc, cnt) in enumerate(zip(m["per_class"], m["per_class_counts"])):
-                w.writerow([stage, c, cnt, f"{acc:.6f}"])
-    with open(outdir / "trace.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["section", "index", "metric", "value"])
-        for e in report.get("adapt", {}).get("epochs", []):
-            for k in ("entropy", "diversity", "infomax"):
-                w.writerow(["adapt", e["epoch"], k, f"{e[k]:.9f}"])
-        for e in report.get("contrastive", {}).get("loss_history", []):
-            w.writerow(["contrastive", e["epoch"], "infonce", f"{e['infonce']:.9f}"])
-        for e in report.get("distill", {}).get("trace", []):
-            if "accuracy" in e:
-                w.writerow(["distill", e["phase"], "accuracy", f"{e['accuracy']:.9f}"])
+    store.write_json(outdir / "report.json", report)
+    rows = [["stage", "class", "eval_count", "accuracy"]]
+    for stage, m in report["metrics"].items():
+        for c, (acc, cnt) in enumerate(zip(m["per_class"], m["per_class_counts"])):
+            rows.append([stage, c, cnt, f"{acc:.6f}"])
+    store.write_csv(outdir / "per_class.csv", rows)
+    rows = [["section", "index", "metric", "value"]]
+    for e in report.get("adapt", {}).get("epochs", []):
+        for k in ("entropy", "diversity", "infomax"):
+            rows.append(["adapt", e["epoch"], k, f"{e[k]:.9f}"])
+    for e in report.get("contrastive", {}).get("loss_history", []):
+        rows.append(["contrastive", e["epoch"], "infonce", f"{e['infonce']:.9f}"])
+    for e in report.get("distill", {}).get("trace", []):
+        if "accuracy" in e:
+            rows.append(["distill", e["phase"], "accuracy", f"{e['accuracy']:.9f}"])
+    store.write_csv(outdir / "trace.csv", rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -340,17 +292,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             rep = {"schema_version": SCHEMA_VERSION, "seed": seed,
                    "label": cfg.stage_label(), "error": str(e)}
             (outdir / f"seed_{seed}").mkdir(parents=True, exist_ok=True)
-            (outdir / f"seed_{seed}" / "report.json").write_text(
-                json.dumps(rep, sort_keys=True, indent=2) + "\n")
+            store.write_json(outdir / f"seed_{seed}" / "report.json", rep)
         timings[seed] = perf_counter() - t0
         reports.append(rep)
 
     summary = summarize(reports)
     summary["config"] = asdict(cfg)
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    (outdir / "timings.json").write_text(json.dumps(
-        {"seconds_per_seed": {str(k): round(v, 3) for k, v in sorted(timings.items())}},
-        sort_keys=True, indent=2) + "\n")
+    store.write_json(outdir / "summary.json", summary)
+    store.write_json(outdir / "timings.json", {
+        "seconds_per_seed": {str(k): round(v, 3) for k, v in sorted(timings.items())}})
     return {"reports": reports, "summary": summary, "errors": errors}
 
 

@@ -1,4 +1,5 @@
-"""The one file container behind checkpoints and dataset files.
+"""The one file container behind checkpoints and dataset files, the one writer
+behind every output file, and the typed reader of configs and dataset headers.
 
 Layout: 4-byte magic, u32 version, u32 header length, a sorted-key UTF-8
 JSON header, then one little-endian float64 blob. The header's ``tensors``
@@ -10,15 +11,20 @@ keys; this module owns the layout and checks every file it reads against it.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 import struct
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import StorageError
+from .errors import ConfigError, StorageError
 
 VERSION = 1
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
@@ -29,10 +35,77 @@ def is_count(v, least: int = 0) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
+def _fits(v, hint) -> bool:
+    """Whether a parsed value fits a field's annotation: int (not bool), float
+    (int allowed), bool, str, a config section, `X | None` or a tuple."""
+    if get_origin(hint) is UnionType:
+        return any(_fits(v, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if isinstance(v, tuple) and args[-1:] == (...,):
+            args = args[:1] * len(v)
+        return isinstance(v, tuple) and len(v) == len(args) and all(map(_fits, v, args))
+    if hint in (int, float):
+        return isinstance(v, (int, hint)) and not isinstance(v, bool)
+    return isinstance(v, hint)
+
+
+def from_dict(cls, d, what: str = ""):
+    """Build dataclass `cls` from a parsed mapping, nested sections included (a
+    null section gets its defaults); an unknown key, a value of the wrong type or
+    a value that `cls` rejects is a ConfigError."""
+    what = what or cls.__name__
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
+    hints, written = get_type_hints(cls), {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    kw = {}
+    for key, v in d.items():
+        if is_dataclass(hints[key]) and not isinstance(v, hints[key]):
+            v = from_dict(hints[key], {} if v is None else v)
+        elif isinstance(v, list):
+            v = tuple(v)
+        if not _fits(v, hints[key]):
+            raise ConfigError(f"{what}.{key} must be {written[key]}, got {v!r}")
+        kw[key] = v
+    try:
+        return cls(**kw)
+    except ConfigError as e:
+        raise ConfigError(f"{what}: {e}") from e
+
+
+def write_file(path, *chunks: bytes) -> None:
+    """Write `chunks` to `path` whole or not at all: under a temporary name in its
+    directory, then renamed into place, so a failed write leaves whatever was at
+    `path` before and no temporary file."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise StorageError(f"cannot write {path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, obj) -> None:
+    """`obj` as sorted-key, 2-space-indented JSON with a final newline."""
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode())
+
+
+def write_csv(path, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    write_file(path, buf.getvalue().encode())
+
+
 def write(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write `arrays` in insertion order, with `header`'s keys beside the table. The
-    file is written under a temporary name in its directory and renamed into place,
-    so a failed write leaves whatever was at `path` before and no temporary file."""
+    """Write `arrays` in insertion order, with `header`'s keys beside the table,
+    through write_file."""
     entries, blobs, offset = [], [], 0
     for name, data in arrays.items():
         if not name:
@@ -43,18 +116,7 @@ def write(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> No
         offset += len(raw)
     payload = json.dumps({**header, "format_version": VERSION, "tensors": entries},
                          sort_keys=True).encode("utf-8")
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_PREFIX.pack(magic, VERSION, len(payload)))
-            f.write(payload)
-            for raw in blobs:
-                f.write(raw)
-        os.replace(tmp, path)
-    except OSError as e:
-        raise StorageError(f"cannot write {path}: {e}") from e
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_file(path, _PREFIX.pack(magic, VERSION, len(payload)), payload, *blobs)
 
 
 def _is_entry(e) -> bool:

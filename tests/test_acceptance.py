@@ -142,10 +142,8 @@ def test_criterion_03_frozen_classifier():
     for trial in range(20):
         rng = np.random.default_rng(trial)
         c = int(rng.integers(3, 6))
-        src = generate(GeneratorSpec(n_per_class=60, num_classes=c,
-                                     input_dim=8, seed=trial))
-        view = apply_shift(src, ShiftSpec("rotation", 30.0, seed=trial + 100)) \
-            .unlabeled_view()
+        src = generate(GeneratorSpec(n_per_class=60, num_classes=c, input_dim=8), trial)
+        view = apply_shift(src, ShiftSpec("rotation", 30.0), trial + 100).unlabeled_view()
         net = build_network(ArchSpec(8, (10, 10), c), rng)
         _, report, _ = adapt(net, view, AdaptConfig(epochs=1, lr=0.01, batch_size=32),
                              np.random.default_rng(trial))

@@ -14,8 +14,8 @@ def small_net(seed=0):
 
 @pytest.fixture(scope="module")
 def small_target():
-    src = generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8, seed=1))
-    return apply_shift(src, ShiftSpec("rotation", 45.0, seed=2)).unlabeled_view()
+    src = generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8), 1)
+    return apply_shift(src, ShiftSpec("rotation", 45.0), 2).unlabeled_view()
 
 
 def test_zero_epochs_forward_identical(small_target):
@@ -63,7 +63,7 @@ def test_infomax_descends(small_target):
     net = small_net()
     net, _, _ = train_source(
         net,
-        generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8, seed=1)),
+        generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8), 1),
         SourceConfig(epochs=5, batch_size=32), np.random.default_rng(0))
     _, report, _ = adapt(net, small_target, AdaptConfig(epochs=5, lr=1e-3, batch_size=32),
                          np.random.default_rng(0))

@@ -165,7 +165,7 @@ def test_bad_backbone_files_rejected(net, tmp_path, case):
                                   "stray_tensor"])
 def test_cli_distill_rejects_bad_backbone(net, tmp_path, capsys, case):
     data, teacher, backbone = tmp_path / "d.ds", tmp_path / "t.ckpt", tmp_path / "b.ckpt"
-    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=5)), data)
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=5), 0), data)
     save_checkpoint(net, teacher)
     BAD_FILES[case][0](net, backbone)
     out = tmp_path / "student.ckpt"

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from adaptkit import store
 from adaptkit.data import (AugmentationPolicy, Dataset, GeneratorSpec,
-                           ImbalanceSpec, ShiftSpec, apply_shift, augment,
+                           ShiftSpec, apply_shift, augment,
                            bucket_thresholds, generate, load_dataset,
                            longtail_counts, save_dataset, subsample_longtail)
 from adaptkit.errors import ConfigError, NumericalError, ShapeError, StorageError
 
 
 def small_spec(**kw):
-    defaults = dict(n_per_class=20, num_classes=4, input_dim=8, seed=0)
+    defaults = dict(n_per_class=20, num_classes=4, input_dim=8)
     defaults.update(kw)
     return GeneratorSpec(**defaults)
 
@@ -24,32 +24,34 @@ def small_spec(**kw):
 
 
 def test_generate_minimal():
-    ds = generate(GeneratorSpec(n_per_class=1, num_classes=2, input_dim=4, seed=5))
+    ds = generate(GeneratorSpec(n_per_class=1, num_classes=2, input_dim=4), 5)
     assert len(ds) == 2
     assert sorted(ds.labels) == [0, 1]
 
 
 def test_generate_deterministic():
-    a, b = generate(small_spec()), generate(small_spec())
+    a, b = generate(small_spec(), 0), generate(small_spec(), 0)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_generate_balanced_counts():
-    ds = generate(small_spec())
+    ds = generate(small_spec(), 0)
     assert np.array_equal(ds.class_counts, [20, 20, 20, 20])
 
 
 def test_generate_rejects_degenerate_params():
     for kw in (dict(num_classes=1), dict(input_dim=1), dict(n_per_class=0)):
         with pytest.raises(ConfigError):
-            generate(small_spec(**kw))
+            generate(small_spec(**kw), 0)
 
 
+# the spec's geometry seed, and the seed each draw takes
 @pytest.mark.parametrize("make", [
-    lambda: GeneratorSpec(seed=-1), lambda: GeneratorSpec(geometry_seed=-1),
-    lambda: GeneratorSpec(seed=1.5), lambda: ShiftSpec(seed=-1),
-    lambda: ImbalanceSpec(10.0, seed=-1)],
+    lambda: generate(small_spec(), -1), lambda: GeneratorSpec(geometry_seed=-1),
+    lambda: generate(small_spec(), 1.5),
+    lambda: apply_shift(generate(small_spec(), 0), ShiftSpec(), -1),
+    lambda: subsample_longtail(generate(small_spec(), 0), 10.0, -1)],
     ids=["seed", "geometry_seed", "float_seed", "shift_seed", "imbalance_seed"])
 def test_specs_reject_negative_or_non_integer_seeds(make):
     with pytest.raises(ConfigError, match="non-negative integer"):
@@ -58,7 +60,7 @@ def test_specs_reject_negative_or_non_integer_seeds(make):
 
 def test_source_linear_probe_separable():
     # train a least-squares one-vs-all probe on half, test on the other half
-    ds = generate(GeneratorSpec(n_per_class=500, num_classes=10, input_dim=32, seed=3))
+    ds = generate(GeneratorSpec(n_per_class=500, num_classes=10, input_dim=32), 3)
     rng = np.random.default_rng(0)
     idx = rng.permutation(len(ds))
     half = len(ds) // 2
@@ -75,34 +77,34 @@ def test_source_linear_probe_separable():
 
 
 def test_zero_magnitude_same_seed_reproduces_source():
-    src = generate(small_spec(seed=9))
-    tgt = apply_shift(src, ShiftSpec("rotation", 0.0, seed=9))
+    src = generate(small_spec(), 9)
+    tgt = apply_shift(src, ShiftSpec("rotation", 0.0), 9)
     assert np.array_equal(src.features, tgt.features)
     assert tgt.domain_tag == "target"
 
 
 def test_rotation_is_periodic():
-    src = generate(small_spec())
-    t0 = apply_shift(src, ShiftSpec("rotation", 0.0, seed=4))
-    t360 = apply_shift(src, ShiftSpec("rotation", 360.0, seed=4))
+    src = generate(small_spec(), 0)
+    t0 = apply_shift(src, ShiftSpec("rotation", 0.0), 4)
+    t360 = apply_shift(src, ShiftSpec("rotation", 360.0), 4)
     assert np.abs(t0.features - t360.features).max() < 1e-9
 
 
 def test_shift_preserves_labels_and_order():
-    src = generate(small_spec())
+    src = generate(small_spec(), 0)
     for kind in ("rotation", "scale", "translate", "composite"):
-        tgt = apply_shift(src, ShiftSpec(kind, 30.0, seed=src.spec.seed))
+        tgt = apply_shift(src, ShiftSpec(kind, 30.0), 0)
         assert np.array_equal(src.labels, tgt.labels)
 
 
 def test_unknown_shift_kind_rejected():
-    src = generate(small_spec())
+    src = generate(small_spec(), 0)
     with pytest.raises(ConfigError):
-        apply_shift(src, ShiftSpec("shear", 10.0, 0))
+        apply_shift(src, ShiftSpec("shear", 10.0), 0)
 
 
 def test_unlabeled_view_hides_labels():
-    view = generate(small_spec()).unlabeled_view()
+    view = generate(small_spec(), 0).unlabeled_view()
     assert not hasattr(view, "labels")
     assert len(view) == 80 and view.dim == 8
 
@@ -112,14 +114,14 @@ def test_unlabeled_view_hides_labels():
 
 
 def test_longtail_ratio_one_keeps_everything():
-    src = generate(small_spec())
-    ds = subsample_longtail(src, ImbalanceSpec(1.0, seed=0))
+    src = generate(small_spec(), 0)
+    ds = subsample_longtail(src, 1.0, 0)
     assert np.array_equal(ds.class_counts, src.class_counts)
 
 
 def test_longtail_two_class_endpoints():
-    src = generate(GeneratorSpec(n_per_class=100, num_classes=2, input_dim=4, seed=0))
-    ds = subsample_longtail(src, ImbalanceSpec(10.0, seed=0))
+    src = generate(GeneratorSpec(n_per_class=100, num_classes=2, input_dim=4), 0)
+    ds = subsample_longtail(src, 10.0, 0)
     assert list(ds.class_counts) == [100, 10]
 
 
@@ -131,8 +133,8 @@ def test_longtail_decay_formula():
 
 
 def test_longtail_counts_non_increasing_and_total():
-    src = generate(GeneratorSpec(n_per_class=200, num_classes=6, input_dim=4, seed=1))
-    ds = subsample_longtail(src, ImbalanceSpec(40.0, seed=2))
+    src = generate(GeneratorSpec(n_per_class=200, num_classes=6, input_dim=4), 1)
+    ds = subsample_longtail(src, 40.0, 2)
     counts = ds.class_counts
     assert np.all(np.diff(counts) <= 0)
     assert counts.sum() == len(ds)
@@ -140,9 +142,9 @@ def test_longtail_counts_non_increasing_and_total():
 
 
 def test_longtail_zero_class_rejected():
-    src = generate(GeneratorSpec(n_per_class=3, num_classes=5, input_dim=4, seed=0))
+    src = generate(GeneratorSpec(n_per_class=3, num_classes=5, input_dim=4), 0)
     with pytest.raises(ConfigError):
-        subsample_longtail(src, ImbalanceSpec(1e6, seed=0))
+        subsample_longtail(src, 1e6, 0)
 
 
 def test_bucket_thresholds_rescaled():
@@ -188,7 +190,7 @@ def test_weak_perturbation_norm_monte_carlo():
 
 def test_strong_perturbs_more_than_weak():
     rng = np.random.default_rng(0)
-    x = generate(small_spec()).features
+    x = generate(small_spec(), 0).features
     pol = AugmentationPolicy()
     weak = np.linalg.norm(augment(np.tile(x, (50, 1)), pol, "weak",
                                   np.random.default_rng(1)) - np.tile(x, (50, 1)), axis=1)
@@ -246,8 +248,8 @@ def test_augment_deterministic_in_seed(seed):
 
 
 def test_dataset_file_round_trip(tmp_path):
-    src = generate(small_spec())
-    ds = apply_shift(src, ShiftSpec("rotation", 45.0, seed=2))
+    src = generate(small_spec(), 0)
+    ds = apply_shift(src, ShiftSpec("rotation", 45.0), 2)
     path = tmp_path / "target.ds"
     save_dataset(ds, path)
     loaded = load_dataset(path)
@@ -260,7 +262,7 @@ def test_dataset_file_round_trip(tmp_path):
 
 
 def test_dataset_file_unlabeled(tmp_path):
-    ds = generate(small_spec())
+    ds = generate(small_spec(), 0)
     ds.labels = None
     path = tmp_path / "x.ds"
     save_dataset(ds, path)
@@ -268,7 +270,7 @@ def test_dataset_file_unlabeled(tmp_path):
 
 
 def test_non_finite_features_rejected(tmp_path):
-    ds = generate(small_spec())
+    ds = generate(small_spec(), 0)
     ds.features[3, 1] = np.nan
     path = tmp_path / "nan.ds"
     save_dataset(ds, path)
@@ -310,10 +312,14 @@ DATASET_EDITS = {
     "no_c": _edit_header(lambda h, t: h.pop("c")),
     "float_c": _edit_header(lambda h, t: h.update(c=4.0)),
     "unknown_shift_kind": _edit_header(lambda h, t: h.update(
-        shift={"kind": "warp", "magnitude": 1.0, "seed": 0})),
+        shift={"kind": "warp", "magnitude": 1.0})),
     "negative_shift_seed": _edit_header(lambda h, t: h.update(
         shift={"kind": "rotation", "magnitude": 1.0, "seed": -1})),
     "negative_generator_seed": _edit_header(lambda h, t: h["generator"].update(seed=-1)),
+    "generator_seed": _edit_header(lambda h, t: h["generator"].update(seed=0)),
+    "str_ring_radius": _edit_header(lambda h, t: h["generator"].update(ring_radius="x")),
+    "three_bucket_thresholds": _edit_header(lambda h, t: h.update(bucket_thresholds=[1, 2, 3])),
+    "negative_bucket_threshold": _edit_header(lambda h, t: h.update(bucket_thresholds=[-1, 2])),
     "float_geometry_seed": _edit_header(lambda h, t: h["generator"].update(geometry_seed=7.5)),
     "one_class_generator": _edit_header(lambda h, t: h["generator"].update(num_classes=1)),
     "negative_n": _edit_header(lambda h, t: t["features"].update(shape=[-1, 8])),
@@ -335,7 +341,7 @@ DATASET_EDITS = {
 @pytest.mark.parametrize("case", sorted(DATASET_EDITS))
 def test_malformed_dataset_header_rejected(tmp_path, case):
     path = tmp_path / "x.ds"
-    save_dataset(generate(small_spec()), path)
+    save_dataset(generate(small_spec(), 0), path)
     DATASET_EDITS[case](path)
     with pytest.raises(StorageError):
         load_dataset(path)

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ImbalanceSpec,
-                           ShiftSpec, apply_shift, generate, subsample_longtail)
+from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec, apply_shift,
+                           generate, subsample_longtail)
 from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabels,
                               _scaled, calibrate_classifier, distill, pseudo_label, run_phase)
 from adaptkit.errors import ConfigError
@@ -28,8 +28,8 @@ def constant_logit_net(logit_row):
 
 
 def small_benchmark():
-    src = generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8, seed=1))
-    tgt = apply_shift(src, ShiftSpec("rotation", 45.0, seed=2))
+    src = generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8), 1)
+    tgt = apply_shift(src, ShiftSpec("rotation", 45.0), 2)
     return src, tgt
 
 
@@ -174,10 +174,8 @@ def test_distill_deterministic():
 
 
 def longtail_model_and_target(seed=0):
-    spec = GeneratorSpec(seed=10 + seed)
-    src = subsample_longtail(generate(spec), ImbalanceSpec(100.0, seed=seed))
-    tgt = apply_shift(generate(spec), ShiftSpec("rotation", 45.0, seed=20 + seed))
-    tgt.bucket_thresholds = src.bucket_thresholds
+    src = subsample_longtail(generate(GeneratorSpec(), 10 + seed), 100.0, seed)
+    tgt = apply_shift(src, ShiftSpec("rotation", 45.0), 20 + seed)  # src's bucket cutoffs
     from adaptkit.source import SourceConfig, train_source
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(seed))
     net, _, _ = train_source(net, src, SourceConfig(), np.random.default_rng(seed))

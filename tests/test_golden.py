@@ -116,26 +116,104 @@ def test_default_shape_longtail_calibrated_digests_pinned(tmp_path):
     assert got == GOLDEN_DEFAULT_LONGTAIL_SHA256
 
 
+# The features and labels that make_datasets draws for the default benchmark at
+# seed 0, and for the long-tailed one (ratio 100) at seed 1000.
+DATASET_CASES = {"default": ({}, 0), "longtail_100": ({"imbalance_ratio": 100.0}, 1000)}
+GOLDEN_DATASET_SHA256 = {
+    "default": {
+        "source.features": "94fa34c4a875b72d3396c1b5daa71c1c3ee9af50af3399101516bda87e15a185",
+        "source.labels": "c3556f4a243d7dc7c1fb41d5302fb5050146cd15b4b1e72e41d57339c79a1367",
+        "target.features": "c9586515dde899a668af89b0f82d2a0f89b594bfbd5557c721e09e84d3852738",
+        "target.labels": "c3556f4a243d7dc7c1fb41d5302fb5050146cd15b4b1e72e41d57339c79a1367",
+    },
+    "longtail_100": {
+        "source.features": "f9992108faae19950bb813c0d0300e4455a49f7f60357f203843595d0624f3fc",
+        "source.labels": "df0b20a305468719b7db67fc281f47c37aee540935321a20e7cffc477fc20766",
+        "target.features": "0f7a937e90feb425d3c3c9380d1199b233fc9cc5f8dda5c7a49e7575da582711",
+        "target.labels": "c3556f4a243d7dc7c1fb41d5302fb5050146cd15b4b1e72e41d57339c79a1367",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_CASES))
+def test_dataset_digests_pinned(case):
+    kw, seed = DATASET_CASES[case]
+    src, tgt = make_datasets(ExperimentConfig(**kw), seed)
+    got = {f"{role}.{attr}": hashlib.sha256(getattr(ds, attr).tobytes()).hexdigest()
+           for role, ds in (("source", src), ("target", tgt)) for attr in ("features", "labels")}
+    assert got == GOLDEN_DATASET_SHA256[case]
+
+
 # Variants of the tiny config on seed 0, one for each path the 2-seed run leaves
 # out: a batchnorm-only stage 1, soft-label phases, a source model read from a
-# checkpoint (seed 1's, so stage 0 is skipped), stage 1 aborting at its trigger
-# in test_harness, and the stage toggles (source only, stage 1 only, stages 1
-# and 3, calibration alone). Every file of the seed's directory is pinned.
+# checkpoint (seed 1's, so stage 0 is skipped), each abort trigger of
+# test_harness with calibration on, and the stage toggles (source only, stage 1
+# only, stages 1 and 3, calibration alone). Every file of the seed's directory
+# is pinned.
 _TINY = tiny_config()
-_ABORT_SECTION, _ABORT_LR, _ = ABORT_TRIGGERS["stage1"]
 TINY_VARIANTS = {
+    **{f"{case}_abort": {"calibrate": True, section: replace(getattr(_TINY, section), lr=lr)}
+       for case, (section, lr, _) in ABORT_TRIGGERS.items()},
     "batchnorm_only": {"adapt_cfg": replace(_TINY.adapt_cfg, update_set="batchnorm_only")},
     "soft_phases": {"distill_cfg": replace(_TINY.distill_cfg, schedule=replace(
         _TINY.distill_cfg.schedule, soft_label_interleave=True))},
     "source_checkpoint": {"source_checkpoint": "seed_1/source.ckpt"},  # in tiny_run
-    "stage1_abort": {"calibrate": True,
-                     _ABORT_SECTION: replace(getattr(_TINY, _ABORT_SECTION), lr=_ABORT_LR)},
     "source_only": {"stage1": False, "stage2": False, "stage3": False},
     "stage1_only": {"stage2": False, "stage3": False},
     "stage1_3": {"stage2": False},
     "calibrate_only": {"stage1": False, "stage2": False, "stage3": False, "calibrate": True},
 }
 GOLDEN_VARIANT_SHA256 = {
+    "stage0_abort": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/calibrated.ckpt": "4a272ae848d99754f587b19c510a038a26c76e534d61fefc4b85793749af4986",
+        "seed_0/per_class.csv": "54546472c375458c9e64e2887bb547c7bb733bc9686bede45a7593b4924e4f1b",
+        "seed_0/report.json": "0b3bbf8ae8df5ba3f05c6cb4bc66cb364d14af1481ddaa2595127a158e003d4c",
+        "seed_0/source.ckpt": "45909b6253f05096477a34dfb80915263bf23d7c5e3a9a26a73869762f859d8a",
+        "seed_0/stage1.ckpt": "f1a853623b30b0d833a930f6d3b0565d69109b9f394e8ed4092db33203bd4635",
+        "seed_0/stage3.ckpt": "434f8ae677550a02742d1573a37f7c8f80ee73d1221d1ced7934a2392f6af3fb",
+        "seed_0/trace.csv": "71632ff30bf8de88dc1a6dffee7ff6b41139b1e30f6ab92ac615e5403b671095",
+    },
+    "stage2_abort": {
+        "seed_0/backbone.ckpt": "23c7cb97326e35b8272262f390ecb98505616c26bf6221727abd48389ed859e2",
+        "seed_0/calibrated.ckpt": "5379a0ef5ef18ae8916199d9b6af30a07c029066bb1841d8193139a4e091ecf7",
+        "seed_0/per_class.csv": "724caab33af47baf4f18000b2ca4194b35f9a21ab8748e12f625b4724e99d19a",
+        "seed_0/report.json": "ff4c5dd256935610724201ea186bffb9c93984822adb59e7e9753134c0cff9f4",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/stage3.ckpt": "1fbd7c2a9663999bfdb89dd508121a93cfeaf629f24ef75a1f5def34395a1873",
+        "seed_0/trace.csv": "3feb95a94a782d5146283208ad724cfde2cfeee6581dc0cb96e1788efe2d4522",
+    },
+    "stage3_abort": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/calibrated.ckpt": "d7f43191129da9b6c1a766c13970eddcd62bcec2e54b7ddeb9b4c52b2be39631",
+        "seed_0/per_class.csv": "dd16ad7fa443c7b3899758056c3bd5b02dfd1d882341da2cb26083c4521349ec",
+        "seed_0/report.json": "767f88efcbf83e52ff966b96af128043e62134966f2cfdc179d41c777b16e158",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/stage3.ckpt": "8e41c237ce7569adf1538c2ba411094f4b2c70dc6ce65061cbcfd9c48f0773bf",
+        "seed_0/trace.csv": "9d41f43b7873d2bd2867d22027d1f8ec32dd36d5fa7023fdeb7a89b5b11f2253",
+    },
+    "calibrate_abort": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/calibrated.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
+        "seed_0/per_class.csv": "e710d649234b22a14b610e015a01d32eaba18898952cdfddec723bb3282273c1",
+        "seed_0/report.json": "ac6552366bb1834c8a4faaeb9f836ee98707cfadac573a0cee3a3b0d95855c9c",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
+        "seed_0/trace.csv": "1068ec9703ef559e33590868d6d5a7747851865611c9ede6467c0cbb0074a05c",
+    },
+    "calibrate_overflow_abort": {
+        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
+        "seed_0/calibrated.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
+        "seed_0/per_class.csv": "e710d649234b22a14b610e015a01d32eaba18898952cdfddec723bb3282273c1",
+        "seed_0/report.json": "3d36d19d0f4a44e9b05fb585190b58d508b48b429dae0b87185ed8a5a2e66f81",
+        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
+        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
+        "seed_0/trace.csv": "1068ec9703ef559e33590868d6d5a7747851865611c9ede6467c0cbb0074a05c",
+    },
     "batchnorm_only": {
         "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
         "seed_0/per_class.csv": "79efa26dd1961f176ce2b68faf1c3eccdba4f8c8c0955060fe79a19c32d7fd3e",

@@ -12,10 +12,10 @@ from adaptkit.adapt import AdaptConfig
 from adaptkit.data import (Dataset, GeneratorSpec, ShiftSpec, generate, load_dataset,
                            save_dataset)
 from adaptkit.distill import DistillConfig, PhaseSchedule
-from adaptkit.errors import ConfigError
-from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _subconfig,
-                              compare, load_config, make_datasets, run_experiment, run_seed,
-                              stream, stream_seed, summarize)
+from adaptkit.errors import ConfigError, StorageError
+from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, compare,
+                              load_config, make_datasets, run_experiment, run_seed, stream,
+                              stream_seed, summarize)
 from adaptkit.layers import ArchSpec, build_network
 from adaptkit.metrics import evaluate
 from adaptkit.selfsup import ContrastiveConfig
@@ -158,6 +158,21 @@ def test_run_experiment_outputs(tmp_path):
     assert set(timings["seconds_per_seed"]) == {"0", "1"}
     per_seed = json.loads((tmp_path / "exp" / "seed_0" / "report.json").read_text())
     assert "seconds" not in json.dumps(per_seed)
+
+
+def test_rerun_that_cannot_write_keeps_the_old_files(tmp_path, monkeypatch):
+    # every file of a run is renamed into place whole: when the renames fail, a rerun
+    # whose files would differ leaves the first run's bytes and no temporary file
+    cfg = tiny_config(seeds=(0,), stage2=False, stage3=False, outdir=str(tmp_path))
+    run_experiment(cfg)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def no_replace(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(store.os, "replace", no_replace)
+    with pytest.raises(StorageError, match="report.json"):
+        run_experiment(replace(cfg, stage1=False))
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 # A learning rate that drives a stage's training non-finite, and the epoch it aborts
@@ -361,6 +376,9 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("c.json", json.dumps({"benchmark": {"seed": -1}})),
     ("c.json", json.dumps({"benchmark": {"seed": 5}})),
     ("c.json", json.dumps({"shift": {"seed": 9}})),
+    ("c.json", json.dumps({"benchmark": {"n_per_class": 60}, "imbalance_ratio": 1000})),
+    ("c.json", json.dumps({"source_data": "s.ds", "target_data": "t.ds",
+                           "imbalance_ratio": 10})),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
@@ -369,7 +387,8 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
      "imbalance_below_one", "zero_phases", "negative_source_lr", "negative_adapt_lr",
      "negative_contrastive_lr", "negative_distill_lr", "negative_calibrate_lr", "nan_lr",
      "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed",
-     "nonzero_benchmark_seed", "nonzero_shift_seed"])
+     "nonzero_benchmark_seed", "nonzero_shift_seed", "imbalance_empties_a_class",
+     "imbalance_with_source_data"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -384,12 +403,12 @@ def test_sections_reject_untrainable_loop_sizes(key):
     for field_name, bad in (("batch_size", 1), ("epochs", -1)):
         if field_name in names:
             with pytest.raises(ConfigError, match=field_name):
-                _subconfig(SECTIONS[key], {field_name: bad})
+                store.from_dict(SECTIONS[key], {field_name: bad})
 
 
 def test_cli_distill_takes_schedule_from_config(tmp_path):
     data, teacher = tmp_path / "d.ds", tmp_path / "teacher.ckpt"
-    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8), 0), data)
     checkpoint.save_checkpoint(build_network(ArchSpec(8, (8,), 4), np.random.default_rng(0)),
                                teacher)
     cfg, trace = tmp_path / "cfg.json", tmp_path / "trace.json"
@@ -473,7 +492,7 @@ def stage_argv(tmp_path, command, data_flag, config=None) -> list[str]:
     untrained 8-wide network; its --config file asks for 8-wide networks and
     holds the keys of `config`."""
     data, model = tmp_path / "d.ds", tmp_path / "m.ckpt"
-    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)), data)
+    save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8), 0), data)
     argv = [command, data_flag, str(data), "--out", str(tmp_path / "x.ckpt")]
     if command in MODEL_FLAGS:
         checkpoint.save_checkpoint(
@@ -506,16 +525,19 @@ def test_cli_negative_seed_is_config_error(tmp_path, capsys, command, data_flag)
     assert not (tmp_path / "x.ckpt").exists()
 
 
-@pytest.mark.parametrize("flags,config", [
-    (["--seed", "-1"], {}), ([], {"benchmark": {"geometry_seed": -1}}),
-    ([], {"shift": {"seed": -1}})], ids=["seed", "geometry_seed", "shift_seed"])
-def test_cli_gen_data_negative_seed_is_config_error(tmp_path, capsys, flags, config):
+# a data seed is no config key: the data draws take theirs from the master seed
+@pytest.mark.parametrize("flags,config,message", [
+    (["--seed", "-1"], {}, "non-negative"),
+    ([], {"benchmark": {"geometry_seed": -1}}, "non-negative"),
+    ([], {"shift": {"seed": -1}}, "unknown ShiftSpec keys: ['seed']")],
+    ids=["seed", "geometry_seed", "shift_seed"])
+def test_cli_gen_data_negative_seed_is_config_error(tmp_path, capsys, flags, config, message):
     path, src, tgt = tmp_path / "cfg.json", tmp_path / "s.ds", tmp_path / "t.ds"
     path.write_text(json.dumps(config))
     assert cli.main(["gen-data", "--config", str(path), "--source", str(src),
                      "--target", str(tgt)] + flags) == 1
     err = capsys.readouterr().err
-    assert "config error: " in err and "non-negative" in err
+    assert "config error: " in err and message in err
     assert not src.exists() and not tgt.exists()
 
 
@@ -545,7 +567,7 @@ def test_cli_gen_data_shared_path_is_a_config_error(tmp_path, capsys):
 
 
 def test_cli_numerical_error(tmp_path):
-    ds = generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8, seed=0))
+    ds = generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8), 0)
     ds.features[0, 0] = np.inf
     path = tmp_path / "inf.ds"
     save_dataset(ds, path)

@@ -53,7 +53,7 @@ def test_absent_class_excluded_from_class_mean():
 
 
 def test_row_permutation_invariance():
-    ds = generate(GeneratorSpec(n_per_class=30, num_classes=4, input_dim=8, seed=2))
+    ds = generate(GeneratorSpec(n_per_class=30, num_classes=4, input_dim=8), 2)
     net = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(0))
     base = evaluate(net, ds)
     perm = np.random.default_rng(1).permutation(len(ds))

@@ -1,6 +1,9 @@
 """Every `adaptkit ...` command line in README's fenced code blocks parses with
-the CLI's parser, and every `ak.<name>` in its python blocks is a name of the
-package, so the documented commands and names cannot drift from the code."""
+the CLI's parser, every `ak.<name>` in its python blocks is a name of the
+package, and every `ak.<name>(...)` call there binds to that name's signature,
+so the documented commands, names and calls cannot drift from the code."""
+import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -30,8 +33,25 @@ def test_readme_cli_lines_parse():
             raise AssertionError(f"README line does not parse: {line}") from None
 
 
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
 def test_readme_python_names_exist():
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    blocks = readme_python_blocks()
     names = set(re.findall(r"\bak\.(\w+)", "".join(blocks)))
     assert len(names) >= 10
     assert sorted(n for n in names if not hasattr(adaptkit, n)) == []
+
+
+def test_readme_python_calls_bind_to_signatures():
+    calls = [node for block in readme_python_blocks() for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "ak"]
+    assert len(calls) >= 10
+    for call in calls:
+        signature = inspect.signature(getattr(adaptkit, call.func.attr))
+        try:
+            signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as e:
+            raise AssertionError(f"README call {ast.unparse(call)}: {e}") from None

@@ -12,8 +12,7 @@ ARCH = ArchSpec(32, (32, 32), 10)
 
 
 def default_target(seed=100, shift_seed=200):
-    src = generate(GeneratorSpec(seed=seed))
-    return apply_shift(src, ShiftSpec("rotation", 45.0, seed=shift_seed))
+    return apply_shift(generate(GeneratorSpec(), seed), ShiftSpec("rotation", 45.0), shift_seed)
 
 
 def linear_probe(student, dataset):
@@ -67,7 +66,7 @@ def test_pretrain_never_sees_labels():
 
 
 def test_small_target_rejected():
-    src = generate(GeneratorSpec(n_per_class=10, num_classes=4, input_dim=8, seed=0))
+    src = generate(GeneratorSpec(n_per_class=10, num_classes=4, input_dim=8), 0)
     with pytest.raises(ConfigError, match="too small"):
         pretrain(ArchSpec(8, (8,), 4), src.unlabeled_view(),
                  ContrastiveConfig(epochs=1, batch_size=128), np.random.default_rng(0))

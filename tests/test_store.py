@@ -71,8 +71,8 @@ def valid_files(tmp_path_factory):
     net = build_network(ArchSpec(4, (5,), 3), np.random.default_rng(0))
     save_checkpoint(net, d / "net.ckpt")
     save_backbone(net.arch, {t.name: t.data for t in net.backbone_tensors()}, d / "bb.ckpt")
-    src = generate(GeneratorSpec(n_per_class=3, num_classes=3, input_dim=4))
-    save_dataset(apply_shift(src, ShiftSpec("rotation", 30.0, seed=1)), d / "x.ds")
+    src = generate(GeneratorSpec(n_per_class=3, num_classes=3, input_dim=4), 0)
+    save_dataset(apply_shift(src, ShiftSpec("rotation", 30.0), 1), d / "x.ds")
     return d, {"ckpt": (d / "net.ckpt").read_bytes(), "backbone": (d / "bb.ckpt").read_bytes(),
                "ds": (d / "x.ds").read_bytes()}
 
