@@ -302,8 +302,11 @@ def load_dataset(path) -> Dataset:
     if features is None or features.ndim != 2 or len(features) == 0 or arrays:
         raise StorageError(f"{path}: a dataset holds non-empty 2-d features and "
                            "optional labels, nothing else")
-    if not store.is_count(c, 2):
-        raise StorageError(f"{path}: dataset header needs an integer c >= 2, got {c!r}")
+    if c != spec.num_classes or not store.is_count(c):
+        raise StorageError(f"{path}: dataset header c must be the generator's "
+                           f"num_classes {spec.num_classes}, got {c!r}")
+    if tag not in ("source", "target"):
+        raise StorageError(f'{path}: domain_tag must be "source" or "target", got {tag!r}')
     if labels is not None:
         if labels.shape != (len(features),) or not np.all(
                 (labels == np.floor(labels)) & (labels >= 0) & (labels < c)):

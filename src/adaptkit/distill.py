@@ -20,7 +20,7 @@ from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
 from .selfsup import InitializedStudent, make_student
-from .tensor import Tensor, fingerprint_all
+from .tensor import Tensor, fingerprint_all, row_blocks
 
 
 @dataclass
@@ -68,8 +68,10 @@ class PseudoLabels:
 
 def pseudo_label(teacher: Network, target: UnlabeledView, policy: AugmentationPolicy,
                  rng: np.random.Generator) -> PseudoLabels:
-    """Predict on one weakly augmented view of the whole target set."""
-    soft = softmax(teacher.forward(augment(target.features, policy, "weak", rng)))
+    """Predict on one weakly augmented view of the whole target set, by row blocks."""
+    soft = np.empty((len(target), teacher.classifier.out_dim))
+    for rows in row_blocks(len(soft)):
+        soft[rows] = softmax(teacher.forward(augment(target.features[rows], policy, "weak", rng)))
     return PseudoLabels(hard=np.argmax(soft, axis=1).astype(np.int64), soft=soft,
                         teacher_fingerprint=fingerprint_all(teacher.parameters()))
 
@@ -168,10 +170,11 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     their calibrated logits overflow, the latest round-start scales whose logits do
     not, else unit scales.
     """
-    w, bias = model.classifier.weight.data, model.classifier.bias.data
+    bias = model.classifier.bias.data
     s = Tensor(np.ones(len(bias)), "scale")
     opt = SGD([s], cfg.lr, cfg.momentum)
-    raw_scores = model.forward_features(target.features) @ w.T  # reused every step
+    raw_scores = _raw_scores(model, target.features)  # reused every step
+    hard = np.empty(len(target), np.int64)
     abort = None
 
     def grads(idx):
@@ -185,11 +188,12 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     starts = []  # the scales at the start of each round
     for _ in range(cfg.rounds):
         starts.append(s.data.copy())
-        # refresh pseudo-labels with the current scales
-        hard = np.argmax(softmax(_scaled(model, s.data).forward(
-            augment(target.features, cfg.policy, "weak", rng))), axis=1).astype(np.int64)
+        scaled = _scaled(model, s.data)  # refresh pseudo-labels with the current scales
+        for rows in row_blocks(len(hard)):
+            hard[rows] = np.argmax(softmax(scaled.forward(
+                augment(target.features[rows], cfg.policy, "weak", rng))), axis=1)
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
-        weights = np.where(counts[hard] > 0, 1.0 / counts[hard], 0.0)
+        weights = 1.0 / counts[hard]  # every predicted class has a count of at least 1
         weights *= len(hard) / weights.sum()
         _, abort = fit(opt, [s], cfg.epochs, len(target), cfg.batch_size, rng, grads)
         s.data = np.maximum(s.data, 1e-3)
@@ -200,6 +204,15 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
             s.data = next((v for v in (s.data, *reversed(starts))
                            if np.all(np.isfinite(raw_scores * v + bias))), np.ones_like(s.data))
     return s.data, _scaled(model, s.data), abort
+
+
+def _raw_scores(model: Network, x: np.ndarray) -> np.ndarray:
+    """`forward_features(x) @ w.T` for the classifier's weights w, by row blocks."""
+    w = model.classifier.weight.data
+    out = np.empty((len(x), len(w)))
+    for rows in row_blocks(len(x)):
+        out[rows] = model.forward_features(x[rows]) @ w.T
+    return out
 
 
 def _scaled(model: Network, scales: np.ndarray) -> Network:

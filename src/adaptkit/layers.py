@@ -11,12 +11,11 @@ backprop cache and changes neither the network nor the batch; `forward(x,
 train=True)` runs on batch statistics, updates the running statistics and also
 returns the per-layer caches that `backward` reads.
 
-`forward(x)` walks the batch in blocks of INFER_BLOCK_ROWS rows, so its extra
-memory is a few blocks' activations beside the output, however long the batch.
-A tail shorter than a block joins the last block: every block has at least
-INFER_BLOCK_ROWS rows (or is the whole batch), and BLAS runs on it the gemm
-kernel it runs on the whole batch. Below about a hundred rows OpenBLAS picks
-other kernels whose rounding differs, so smaller blocks would move bits.
+`forward(x)` walks the batch in `tensor.row_blocks`, the one block rule that
+every whole-dataset inference pass follows (`pseudo_label` and calibration walk
+it too), so its extra memory is a few blocks' activations beside the output,
+however long the batch, and each row's bits are those of one pass over the
+whole batch.
 
 A batch is a B x d array or a V x B x d stack of V views of the same B rows
 (stage 2 runs its two augmented views as one stack). Every layer treats the
@@ -34,11 +33,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .store import is_count
-from .tensor import Tensor, check_finite, fingerprint_all
+from .tensor import Tensor, check_finite, fingerprint_all, row_blocks
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new = 0.9 * old + 0.1 * batch
-INFER_BLOCK_ROWS = 512
 
 
 def _sum_views(g: np.ndarray, ndim: int) -> np.ndarray:
@@ -270,15 +268,14 @@ class Network:
         if train:
             x, caches = forward_layers(layers, x, True)
             return check_finite(x, what), caches
-        n, out, start = x.shape[-2], None, 0  # block ends; a short tail joins the last block
-        for stop in [*range(INFER_BLOCK_ROWS, n - INFER_BLOCK_ROWS + 1, INFER_BLOCK_ROWS), n]:
-            y = x[..., start:stop, :]
+        out = None
+        for rows in row_blocks(x.shape[-2]):
+            y = x[..., rows, :]
             for i, layer in enumerate(layers):  # forward(x, False)'s expressions, no cache,
                 y = layer._infer(y, i > 0)  # in place on all but the batch
             if out is None:
                 out = np.empty(x.shape[:-1] + y.shape[-1:])
-            out[..., start:stop, :] = y
-            start = stop
+            out[..., rows, :] = y
         return check_finite(out, what)
 
     def forward(self, batch: np.ndarray, train: bool = False):

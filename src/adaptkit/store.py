@@ -51,9 +51,9 @@ def _fits(v, hint) -> bool:
 
 
 def from_dict(cls, d, what: str = ""):
-    """Build dataclass `cls` from a parsed mapping, nested sections included (a
-    null section gets its defaults); an unknown key, a value of the wrong type or
-    a value that `cls` rejects is a ConfigError."""
+    """Build dataclass `cls` from a parsed mapping, nested sections included; an
+    unknown key, a value of the wrong type (a null in place of a section too) or a
+    value that `cls` rejects is a ConfigError. A key left out takes its default."""
     what = what or cls.__name__
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
@@ -64,7 +64,7 @@ def from_dict(cls, d, what: str = ""):
     kw = {}
     for key, v in d.items():
         if is_dataclass(hints[key]) and not isinstance(v, hints[key]):
-            v = from_dict(hints[key], {} if v is None else v)
+            v = from_dict(hints[key], v)
         elif isinstance(v, list):
             v = tuple(v)
         if not _fits(v, hints[key]):

@@ -1,8 +1,13 @@
-"""Dense float64 tensor with an optional gradient slot.
+"""Dense float64 tensor with an optional gradient slot, and the row-block rule.
 
 Activations and dataset features are plain numpy arrays; Tensor wraps a
 network's parameters and batchnorm running statistics so that gradients,
 checkpointing, and fingerprinting have a single carrier type.
+
+Every inference pass over a whole dataset writes `row_blocks(n)` one at a time
+into its output, so it needs a few blocks beside the output however many rows
+there are: the eval-mode `Network.forward`, `pseudo_label`, each calibration
+round and the raw scores of `calibrate_classifier`.
 """
 from __future__ import annotations
 
@@ -11,6 +16,18 @@ import hashlib
 import numpy as np
 
 from .errors import NumericalError, ShapeError
+
+
+BLOCK_ROWS = 512
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices over rows 0..n in blocks of BLOCK_ROWS, a short tail joined to the last
+    block. On a block of at least BLOCK_ROWS rows (or all n) BLAS runs the gemm kernel
+    it runs on all n, so every row gets the bits of one pass; below about a hundred
+    rows OpenBLAS picks other kernels whose rounding differs."""
+    stops = [*range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
 def check_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:

@@ -3,16 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec, apply_shift,
-                           generate, subsample_longtail)
+from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec, UnlabeledView,
+                           apply_shift, augment, generate, subsample_longtail)
 from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabels,
-                              _scaled, calibrate_classifier, distill, pseudo_label, run_phase)
+                              _raw_scores, _scaled, calibrate_classifier, distill, pseudo_label,
+                              run_phase)
 from adaptkit.errors import ConfigError
 from adaptkit.harness import ExperimentConfig, make_datasets
-from adaptkit.layers import ArchSpec, Dense, Network, build_network
+from adaptkit.layers import ArchSpec, Dense, Network, build_network, forward_layers
+from adaptkit.losses import cross_entropy_grad, softmax
 from adaptkit.metrics import evaluate
+from adaptkit.optim import SGD, fit
 from adaptkit.selfsup import ContrastiveConfig, InitializedStudent, pretrain
-from adaptkit.tensor import fingerprint_all
+from adaptkit.tensor import Tensor, fingerprint_all
 
 IDENTITY = AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0))  # no jitter, dropout or scaling
 
@@ -241,8 +244,8 @@ def test_scaled_copy_predicts_the_scaled_head_of_the_features_bit_for_bit():
 
 
 def test_calibration_memory_is_the_features_and_one_view():
-    # the default teacher on the default target: the raw scores need the N x 64
-    # features once; each round's pseudo-labels need one N x 32 view and a few blocks
+    # the default teacher on the default target: never more than the N x 64
+    # features and one N x 32 view (the row-block passes need far less)
     cfg = ExperimentConfig()
     _, tgt = make_datasets(cfg, 0)
     net = build_network(ArchSpec(32, cfg.teacher_hidden, 10), np.random.default_rng(0))
@@ -256,6 +259,23 @@ def test_calibration_memory_is_the_features_and_one_view():
     finally:
         tracemalloc.stop()
     assert peak <= len(tgt) * (64 + 32) * 8
+
+
+def test_calibration_memory_is_its_per_row_arrays_and_a_few_blocks():
+    # 50,000 rows: the raw scores, labels and weights of every row, plus a few
+    # 1024-row blocks; whole-target passes would add an N x 64 and an N x 32 array
+    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
+    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)), 10)
+    run = lambda: calibrate_classifier(net, view, CalibrateConfig(rounds=2, epochs=1),  # noqa: E731
+                                       np.random.default_rng(0))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50_000 * (10 + 2) * 8 + 4 * 1024 * 64 * 8
 
 
 def test_calibration_deterministic():
@@ -289,3 +309,91 @@ def test_distill_trains_copies_of_its_inputs(kind):
             assert pretrained.tensors[name].tobytes() == data.tobytes(), name
     assert (fingerprint_all(student.backbone_tensors())
             != fingerprint_all(teacher.backbone_tensors()))
+
+
+# ---------------------------------------------------------------------------
+# whole-target passes in row blocks: the bits of the whole-array expressions
+
+STREAM_ROWS = [1, 2, 511, 512, 513, 1023, 1024, 1025, 5000]
+
+
+def _teacher_and_target(rows):
+    """The default teacher with drawn running statistics, and `rows` target rows."""
+    rng = np.random.default_rng(rows)
+    net = build_network(ArchSpec(32, (64, 64), 10), rng)
+    for layer in net.layers:
+        if layer.kind == "batchnorm":
+            layer.running_mean.data = rng.normal(size=layer.dim)
+            layer.running_var.data = rng.uniform(0.5, 2.0, size=layer.dim)
+    return net, UnlabeledView(rng.normal(size=(rows, 32)), 10)
+
+
+@pytest.mark.parametrize("rows", STREAM_ROWS)
+def test_pseudo_label_matches_the_whole_target_pass_bit_for_bit(rows):
+    net, view = _teacher_and_target(rows)
+    rng, whole_rng = np.random.default_rng(7), np.random.default_rng(7)
+    labels = pseudo_label(net, view, AugmentationPolicy(), rng)
+    x = augment(view.features, AugmentationPolicy(), "weak", whole_rng)
+    soft = softmax(forward_layers(net.layers, x, False)[0])  # one pass over all rows
+    assert labels.soft.tobytes() == soft.tobytes()
+    assert labels.hard.tobytes() == np.argmax(soft, axis=1).astype(np.int64).tobytes()
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def _whole_target_scales(model, target, cfg, rng):
+    """calibrate_classifier's scales from one pass over all rows per whole-target
+    pass (no abort)."""
+    w, bias = model.classifier.weight.data, model.classifier.bias.data
+    s = Tensor(np.ones(len(bias)), "scale")
+    opt = SGD([s], cfg.lr, cfg.momentum)
+    raw_scores = forward_layers(model.layers[:-1], target.features, False)[0] @ w.T
+
+    def grads(idx):
+        s.data = np.maximum(s.data, 1e-3)
+        scores = raw_scores[idx]
+        p = softmax(scores * s.data + bias)
+        dlogits = cross_entropy_grad(p, hard[idx]) * weights[idx][:, None]
+        s.add_grad((dlogits * scores).sum(axis=0))
+        return {}
+
+    for _ in range(cfg.rounds):
+        x = augment(target.features, cfg.policy, "weak", rng)
+        logits = forward_layers(_scaled(model, s.data).layers, x, False)[0]
+        hard = np.argmax(softmax(logits), axis=1).astype(np.int64)
+        counts = np.bincount(hard, minlength=len(bias)).astype(float)
+        weights = np.where(counts[hard] > 0, 1.0 / counts[hard], 0.0)
+        weights *= len(hard) / weights.sum()
+        _, abort = fit(opt, [s], cfg.epochs, len(target), cfg.batch_size, rng, grads)
+        assert abort is None
+        s.data = np.maximum(s.data, 1e-3)
+    return s.data
+
+
+@pytest.mark.parametrize("rows", STREAM_ROWS)
+def test_calibration_matches_the_whole_target_passes_bit_for_bit(rows):
+    net, view = _teacher_and_target(rows)
+    w = net.classifier.weight.data
+    assert (_raw_scores(net, view.features).tobytes()
+            == (forward_layers(net.layers[:-1], view.features, False)[0] @ w.T).tobytes())
+    cfg = CalibrateConfig(rounds=2, epochs=1, batch_size=64)
+    rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
+    scales, _, abort = calibrate_classifier(net, view, cfg, rng)
+    assert abort is None
+    assert scales.tobytes() == _whole_target_scales(net, view, cfg, whole_rng).tobytes()
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_pseudo_label_memory_is_its_labels_and_a_few_blocks():
+    # 50,000 rows: the soft and hard labels plus a few 1024-row blocks; one
+    # whole-target pass would add an N x 32 view and N x 64 activations
+    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
+    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)), 10)
+    run = lambda: pseudo_label(net, view, AugmentationPolicy(), np.random.default_rng(0))  # noqa: E731
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50_000 * (10 + 1) * 8 + 4 * 1024 * 64 * 8

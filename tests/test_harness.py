@@ -299,6 +299,31 @@ def test_compare_rejects_schema_mismatch(tmp_path):
 # CLI exit codes
 
 
+@pytest.mark.parametrize("d, section", [({"adapt_cfg": None}, "AdaptConfig"),
+                                        ({"distill_cfg": {"schedule": None}}, "PhaseSchedule")])
+def test_null_section_is_a_config_error_not_the_defaults(d, section):
+    with pytest.raises(ConfigError, match=f"{section} must be a mapping, got NoneType"):
+        ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("edit", [{"domain_tag": "bogus"}, {"c": 7}, {"c": 2},
+                                  {"domain_tag": "bogus", "c": 7}],
+                         ids=["bogus_tag", "more_classes", "fewer_classes", "both"])
+def test_dataset_header_must_agree_with_itself(tmp_path, capsys, edit):
+    # a 15-row, 3-class dataset rewritten through store.write: the container is
+    # valid, but its tag or its class count is not the generator's
+    path = tmp_path / "x.ds"
+    save_dataset(generate(GeneratorSpec(n_per_class=5, num_classes=3, input_dim=4), 0), path)
+    header, arrays = store.read(path, b"OTAD")
+    store.write(path, b"OTAD", {**header, **edit}, arrays)
+    with pytest.raises(StorageError):
+        load_dataset(path)
+    assert cli.main(["train-source", "--data", str(path), "--out",
+                     str(tmp_path / "m.ckpt")]) == 3
+    assert "x.ds" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_cli_gen_data_and_evaluate_flow(tmp_path):
     cfg, src, tgt = tmp_path / "cfg.json", str(tmp_path / "src.ds"), str(tmp_path / "tgt.ds")
     cfg.write_text(json.dumps({"benchmark": {"n_per_class": 40, "num_classes": 4,
@@ -379,6 +404,9 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("c.json", json.dumps({"benchmark": {"n_per_class": 60}, "imbalance_ratio": 1000})),
     ("c.json", json.dumps({"source_data": "s.ds", "target_data": "t.ds",
                            "imbalance_ratio": 10})),
+    ("c.json", json.dumps({"adapt_cfg": None})),
+    ("c.json", json.dumps({"distill_cfg": {"schedule": None}})),
+    ("c.yaml", "benchmark:\nstage2: false\n"),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
@@ -388,7 +416,8 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
      "negative_contrastive_lr", "negative_distill_lr", "negative_calibrate_lr", "nan_lr",
      "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed",
      "nonzero_benchmark_seed", "nonzero_shift_seed", "imbalance_empties_a_class",
-     "imbalance_with_source_data"])
+     "imbalance_with_source_data", "null_section", "null_nested_section",
+     "yaml_empty_section"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from adaptkit.errors import ConfigError, ShapeError
-from adaptkit.layers import (INFER_BLOCK_ROWS, ArchSpec, BatchNorm, Dense, Network, ReLU,
+from adaptkit.layers import (ArchSpec, BatchNorm, Dense, Network, ReLU,
                              backward_layers, build_network, forward_layers)
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, infomax_loss,
                              infomax_loss_grad, infonce_loss, infonce_loss_grad,
                              kl_soft_loss, kl_soft_loss_grad, softmax)
+from adaptkit.tensor import BLOCK_ROWS
 from fdcheck import fd_grad, fd_param_grads, max_rel_error
 
 
@@ -308,7 +309,7 @@ def _random_bn_state(net, rng):
     return net
 
 
-B = INFER_BLOCK_ROWS
+B = BLOCK_ROWS
 
 
 # 1 to 2B+1 rows: one block, a full block, a tail that joins the last block
