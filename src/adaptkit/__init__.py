@@ -10,7 +10,7 @@ from .harness import ExperimentConfig, compare, run_experiment, run_seed
 from .layers import ArchSpec, Network, build_network
 from .metrics import MetricsReport, evaluate
 from .optim import SGD
-from .selfsup import ContrastiveConfig, InitializedStudent, make_student, pretrain
+from .selfsup import ContrastiveConfig, make_student, pretrain
 from .source import SourceConfig, train_source
 from .tensor import Tensor
 

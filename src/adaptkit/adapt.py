@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .layers import Network
 from .losses import diversity_loss, entropy_loss, infomax_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
+from .tensor import fingerprint_all
 
 UPDATE_SETS = ("representation_all", "batchnorm_only")
 
@@ -31,7 +32,7 @@ class AdaptConfig:
     update_set: str = "representation_all"
 
     def __post_init__(self):
-        check_fit_args(self.batch_size, self.lr, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs, self.momentum, self.weight_decay)
         if self.update_set not in UPDATE_SETS:
             raise ConfigError(f"unknown update set {self.update_set!r}")
 
@@ -50,7 +51,7 @@ def partition_parameters(net: Network, update_set: str):
     if update_set == "representation_all":
         trainable = net.representation_parameters()
     elif update_set == "batchnorm_only":
-        trainable = [p for layer in net.layers[: net.classifier_index]
+        trainable = [p for layer in net.layers[:-1]
                      if layer.kind == "batchnorm" for p in layer.parameters()]
     else:
         raise ConfigError(f"unknown update set {update_set!r}")
@@ -63,7 +64,7 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
           rng: np.random.Generator) -> tuple[Network, AdaptReport, dict | None]:
     """Return an adapted copy of the source model, its report and its abort record."""
     net = source.copy()
-    report = AdaptReport(classifier_fingerprint_before=net.classifier_fingerprint())
+    report = AdaptReport(classifier_fingerprint_before=fingerprint_all(net.classifier.parameters()))
     trainable, _ = partition_parameters(net, cfg.update_set)
 
     def grads(idx):
@@ -83,5 +84,5 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
     with np.errstate(over="ignore"):  # delta can overflow after an abort
         report.param_delta_norm = float(np.sqrt(sum(
             float(((a - b) ** 2).sum()) for a, b in zip(after, before))))
-    report.classifier_fingerprint_after = net.classifier_fingerprint()
+    report.classifier_fingerprint_after = fingerprint_all(net.classifier.parameters())
     return net, report, abort

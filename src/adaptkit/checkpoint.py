@@ -14,7 +14,6 @@ import numpy as np
 from . import store
 from .errors import ConfigError, StorageError
 from .layers import ArchSpec, Network, build_network
-from .selfsup import InitializedStudent
 
 MAGIC = b"OTAC"
 
@@ -68,7 +67,6 @@ def save_backbone(arch: ArchSpec, tensors: dict[str, np.ndarray], path) -> None:
                 dict(sorted(tensors.items())))
 
 
-def load_backbone(path) -> InitializedStudent:
+def load_backbone(path) -> Network:
     """Read a backbone file, checked as load_checkpoint checks a full one."""
-    net, _ = _read(path, backbone_only=True)
-    return InitializedStudent(net.arch, {t.name: t.data for t in net.backbone_tensors()})
+    return _read(path, backbone_only=True)[0]

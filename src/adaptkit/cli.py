@@ -55,7 +55,7 @@ def cmd_stage(args) -> int:
         print(f"{args.command} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)
     if getattr(args, "report", None):  # before --out, so a failed command leaves no checkpoint
         store.write_json(args.report, reduce(getitem, args.report_keys, fragment))
-    harness.save_product(product, args.out)
+    harness.save_product(stage, product, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -11,7 +11,7 @@ hopeless, which is what adaptation needs.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import ceil, cos, pi, sin
+from math import ceil, cos, isfinite, pi, sin
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class GeneratorSpec:
             raise ConfigError("need at least 2 input dimensions")
         if self.n_per_class < 1:
             raise ConfigError("need at least 1 sample per class")
+        if not (isfinite(self.ring_radius) and isfinite(self.ambient_scale)
+                and 0 <= self.cluster_sigma < np.inf):
+            raise ConfigError("ring_radius and ambient_scale must be finite, and cluster_sigma "
+                              "finite and non-negative")
         _rng(self.geometry_seed, "geometry_seed")  # raises on a bad seed
 
 
@@ -56,6 +60,8 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ConfigError(f"unknown shift kind {self.kind!r}")
+        if not isfinite(self.magnitude):
+            raise ConfigError(f"shift magnitude must be finite, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -66,22 +72,25 @@ class AugmentationPolicy:
     scale_range: tuple[float, float] = (0.8, 1.25)
 
     def __post_init__(self):
-        if self.weak_sigma > self.strong_sigma:
-            raise ConfigError("weak jitter must not exceed strong jitter")
+        if not 0 <= self.weak_sigma <= self.strong_sigma < np.inf:
+            raise ConfigError("jitter sigmas must be finite, non-negative, and the weak one "
+                              f"must not exceed the strong one, got {self.weak_sigma} and "
+                              f"{self.strong_sigma}")
         if not 0 <= self.dropout_prob <= 1:
             raise ConfigError("dropout probability must be in [0, 1]")
-        if self.scale_range[0] > self.scale_range[1]:
-            raise ConfigError(f"scale_range low must not exceed high, got {self.scale_range}")
+        low, high = self.scale_range
+        if not (isfinite(low) and isfinite(high) and low <= high):
+            raise ConfigError(f"scale_range must be finite, low not above high, got "
+                              f"{self.scale_range}")
 
 
 class UnlabeledView:
     """Label-stripped window onto a dataset; exposes no label accessor."""
 
-    __slots__ = ("features", "num_classes")
+    __slots__ = ("features",)
 
-    def __init__(self, features: np.ndarray, num_classes: int):
+    def __init__(self, features: np.ndarray):
         self.features = features
-        self.num_classes = num_classes
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -95,10 +104,8 @@ class UnlabeledView:
 class Dataset:
     features: np.ndarray  # N x D float64
     labels: np.ndarray | None  # int64[N] or None
-    num_classes: int
-    domain_tag: str  # "source" | "target"
-    spec: GeneratorSpec
-    shift: ShiftSpec | None = None
+    spec: GeneratorSpec  # its num_classes is the dataset's
+    shift: ShiftSpec | None = None  # None: a source dataset, else a target
     bucket_thresholds: tuple[int, int] | None = None  # (many >, few <)
 
     def __post_init__(self):
@@ -119,13 +126,21 @@ class Dataset:
         return self.features.shape[1]
 
     @property
+    def num_classes(self) -> int:
+        return self.spec.num_classes
+
+    @property
+    def domain_tag(self) -> str:
+        return "source" if self.shift is None else "target"
+
+    @property
     def class_counts(self) -> np.ndarray:
         if self.labels is None:
             raise ConfigError("dataset has no labels")
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def unlabeled_view(self) -> UnlabeledView:
-        return UnlabeledView(self.features, self.num_classes)
+        return UnlabeledView(self.features)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +197,7 @@ def _draw(spec: GeneratorSpec, seed: int, shift: ShiftSpec | None = None,
     by_class += centers[:, None, :]
     if shift is not None:
         _plane_transform(latent, shift)
-    return Dataset(latent @ q.T, labels, spec.num_classes,
-                   "source" if shift is None else "target", spec, shift, thresholds)
+    return Dataset(latent @ q.T, labels, spec, shift, thresholds)
 
 
 def generate(spec: GeneratorSpec, seed: int) -> Dataset:
@@ -237,9 +251,8 @@ def subsample_longtail(src: Dataset, ratio: float, seed: int) -> Dataset:
         chosen = rng.choice(idx, size=keep_counts[c], replace=False)
         keep.append(np.sort(chosen))
     keep = np.concatenate(keep)
-    return Dataset(src.features[keep], src.labels[keep], src.num_classes,
-                   src.domain_tag, src.spec, shift=src.shift,
-                   bucket_thresholds=bucket_thresholds(n_max))
+    return Dataset(src.features[keep], src.labels[keep], src.spec, src.shift,
+                   bucket_thresholds(n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +279,15 @@ def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
 
 # ---------------------------------------------------------------------------
 # dataset files: magic b"OTAD" in the store container, holding `features`
-# (N x D) and, for labeled sets, `labels` as integral f64 (exact below 2**53)
+# (N x D) and, for labeled sets, `labels` as integral f64 (exact below 2**53).
+# The header's `generator`, `shift` and `bucket_thresholds` are the Dataset's;
+# the older keys `c` and `domain_tag` are ignored.
 
 MAGIC = b"OTAD"
 
 
 def save_dataset(ds: Dataset, path) -> None:
     header = {
-        "c": ds.num_classes,
-        "domain_tag": ds.domain_tag,
         "shift": asdict(ds.shift) if ds.shift else None,
         "generator": asdict(ds.spec),
         "bucket_thresholds": list(ds.bucket_thresholds) if ds.bucket_thresholds else None,
@@ -291,7 +304,6 @@ def load_dataset(path) -> Dataset:
         shift, bt = header.get("shift"), header.get("bucket_thresholds")
         shift = store.from_dict(ShiftSpec, shift, "shift") if shift is not None else None
         spec = store.from_dict(GeneratorSpec, header["generator"], "generator")
-        c, tag = header["c"], header["domain_tag"]
     except (KeyError, ConfigError) as e:
         raise StorageError(f"{path}: malformed dataset header: {e!r}") from e
     if bt is not None and not (isinstance(bt, list) and len(bt) == 2
@@ -302,14 +314,13 @@ def load_dataset(path) -> Dataset:
     if features is None or features.ndim != 2 or len(features) == 0 or arrays:
         raise StorageError(f"{path}: a dataset holds non-empty 2-d features and "
                            "optional labels, nothing else")
-    if c != spec.num_classes or not store.is_count(c):
-        raise StorageError(f"{path}: dataset header c must be the generator's "
-                           f"num_classes {spec.num_classes}, got {c!r}")
-    if tag not in ("source", "target"):
-        raise StorageError(f'{path}: domain_tag must be "source" or "target", got {tag!r}')
+    if features.shape[1] != spec.input_dim:
+        raise StorageError(f"{path}: features are {features.shape[1]} wide, the generator's "
+                           f"input_dim is {spec.input_dim}")
     if labels is not None:
         if labels.shape != (len(features),) or not np.all(
-                (labels == np.floor(labels)) & (labels >= 0) & (labels < c)):
-            raise StorageError(f"{path}: labels must be one integer in [0, {c}) per row")
+                (labels == np.floor(labels)) & (labels >= 0) & (labels < spec.num_classes)):
+            raise StorageError(f"{path}: labels must be one integer in "
+                               f"[0, {spec.num_classes}) per row")
         labels = labels.astype(np.int64)
-    return Dataset(features, labels, c, tag, spec, shift, bt and tuple(bt))
+    return Dataset(features, labels, spec, shift, bt and tuple(bt))

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
-from .selfsup import InitializedStudent, make_student
+from .selfsup import make_student
 from .tensor import Tensor, fingerprint_all, row_blocks
 
 
@@ -55,7 +55,8 @@ class DistillConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
     def __post_init__(self):
-        check_fit_args(self.batch_size, self.lr)
+        check_fit_args(self.batch_size, self.lr, momentum=self.momentum,
+                       weight_decay=self.weight_decay)
 
 
 @dataclass
@@ -102,7 +103,7 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
     return student, abort
 
 
-def distill(teacher: Network, arch: ArchSpec, backbone: InitializedStudent | None,
+def distill(teacher: Network, arch: ArchSpec, backbone: Network | None,
             target: UnlabeledView, cfg: DistillConfig, rng: np.random.Generator,
             eval_fn=None) -> tuple[Network, list[dict]]:
     """Run the full phase loop; returns the final student and the trace. Each phase
@@ -151,7 +152,7 @@ class CalibrateConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
     def __post_init__(self):
-        check_fit_args(self.batch_size, self.lr, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs, self.momentum)
         if self.rounds < 0:
             raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
 

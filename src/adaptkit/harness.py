@@ -24,7 +24,7 @@ from .distill import CalibrateConfig, DistillConfig, calibrate_classifier, disti
 from .errors import AdaptkitError, ConfigError, StorageError
 from .layers import ArchSpec, Network, build_network
 from .metrics import MetricsReport, evaluate
-from .selfsup import ContrastiveConfig, InitializedStudent, pretrain
+from .selfsup import ContrastiveConfig, pretrain
 from .source import SourceConfig, train_source
 
 SCHEMA_VERSION = 1
@@ -157,7 +157,7 @@ class StageInputs:
     teacher_hidden: tuple[int, ...]
     student_hidden: tuple[int, ...]
     model: Network | None = None  # the latest classifier; a given one stands in for stage 0
-    pretrained: InitializedStudent | None = None  # stage 2's backbone
+    pretrained: Network | None = None  # stage 2's backbone
     phase_acc: Callable[[Network], float] | None = None  # stage 3's eval_fn
 
     def arch(self, hidden) -> ArchSpec:
@@ -182,9 +182,9 @@ def _stage1(c: AdaptConfig, seed: int, s: StageInputs):
 
 
 def _stage2(c: ContrastiveConfig, seed: int, s: StageInputs):
-    s.pretrained = pretrain(s.arch(s.student_hidden), s.target, c, stream(seed, "stage2"))
-    fragment = {"contrastive": {"loss_history": s.pretrained.loss_history}}
-    return s.pretrained, fragment, s.pretrained.abort
+    s.pretrained, history, abort = pretrain(s.arch(s.student_hidden), s.target, c,
+                                            stream(seed, "stage2"))
+    return s.pretrained, {"contrastive": {"loss_history": history}}, abort
 
 
 def _stage3(c: DistillConfig, seed: int, s: StageInputs):
@@ -222,11 +222,12 @@ STAGES = (
 )
 
 
-def save_product(product, path) -> None:
-    """Save what a stage step made to `path`: a backbone or a network; nothing
-    for a given source model."""
-    if isinstance(product, InitializedStudent):
-        checkpoint.save_backbone(product.arch, product.tensors, path)
+def save_product(stage: Stage, product: Network | None, path) -> None:
+    """Save what `stage` made to `path`: the backbone of a stage that makes no
+    classifier, else the whole network; nothing for a given source model."""
+    if stage.metric is None:
+        checkpoint.save_backbone(product.arch, {t.name: t.data for t in
+                                                product.backbone_tensors()}, path)
     elif product is not None:
         checkpoint.save_checkpoint(product, path)
 
@@ -247,7 +248,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
         if stage.flag and not getattr(cfg, stage.flag):
             continue
         product, fragment, aborts[stage.name] = stage.step(getattr(cfg, stage.section), seed, s)
-        save_product(product, outdir / stage.ckpt)
+        save_product(stage, product, outdir / stage.ckpt)
         report.update(fragment)
         if stage.metric:
             report["metrics"][stage.metric] = _eval(s.model, tgt, src).to_dict()

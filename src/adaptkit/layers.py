@@ -1,10 +1,9 @@
 """Layer stack with explicit reverse-mode backprop.
 
 A Network is an ordered list of layers whose last element is always a dense
-classifier. The parameter set is partitioned into representation parameters
-(everything before the classifier) and classifier parameters (final dense
-weight + bias); the partition is what lets the adaptation stage freeze the
-classifier while updating the features.
+classifier: the classifier is `layers[-1]` and the representation (the
+backbone) is `layers[:-1]`. That split is what lets the adaptation stage
+freeze the classifier while updating the features.
 
 A Network holds no mode. `forward(x)` runs on the running statistics, keeps no
 backprop cache and changes neither the network nor the batch; `forward(x,
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .store import is_count
-from .tensor import Tensor, check_finite, fingerprint_all, row_blocks
+from .tensor import Tensor, check_finite, row_blocks
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1  # new = 0.9 * old + 0.1 * batch
@@ -218,12 +217,11 @@ class Network:
             raise ConfigError("last layer must be the dense classifier")
         self.layers = layers
         self.arch = arch
-        self.classifier_index = len(layers) - 1
 
     # -- parameters ------------------------------------------------------
     @property
     def classifier(self) -> Dense:
-        return self.layers[self.classifier_index]
+        return self.layers[-1]
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -233,12 +231,9 @@ class Network:
 
     def representation_parameters(self) -> list[Tensor]:
         out = []
-        for layer in self.layers[: self.classifier_index]:
+        for layer in self.layers[:-1]:
             out.extend(layer.parameters())
         return out
-
-    def classifier_parameters(self) -> list[Tensor]:
-        return self.classifier.parameters()
 
     def state_tensors(self) -> list[Tensor]:
         """Non-trainable state: batchnorm running statistics."""
@@ -254,9 +249,6 @@ class Network:
     def backbone_tensors(self) -> list[Tensor]:
         """What a stage-2 backbone holds: representation parameters, then running stats."""
         return self.representation_parameters() + self.state_tensors()
-
-    def classifier_fingerprint(self) -> str:
-        return fingerprint_all(self.classifier_parameters())
 
     # -- forward / backward ----------------------------------------------
     def _forward(self, layers: list, batch: np.ndarray, train: bool, what: str):
@@ -285,15 +277,14 @@ class Network:
 
     def forward_features(self, batch: np.ndarray, train: bool = False):
         """Like forward, through the representation layers only (no classifier)."""
-        return self._forward(self.layers[: self.classifier_index], batch, train,
-                             "feature output")
+        return self._forward(self.layers[:-1], batch, train, "feature output")
 
     def backward(self, caches: list, dout: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads from an upstream gradient; returns dx."""
         return backward_layers(self.layers, caches, dout)
 
     def backward_features(self, caches: list, dout: np.ndarray) -> np.ndarray:
-        return backward_layers(self.layers[: self.classifier_index], caches, dout)
+        return backward_layers(self.layers[:-1], caches, dout)
 
     def copy(self) -> "Network":
         return Network([layer.copy() for layer in self.layers], self.arch)

@@ -47,9 +47,13 @@ def evaluate(model: Network, dataset: Dataset, train_counts: np.ndarray | None =
         raise ConfigError("empty evaluation set")
     if dataset.labels is None:
         raise ConfigError("evaluation needs labels")
-    preds = np.argmax(model.forward(dataset.features), axis=1)
-    labels = dataset.labels
+    logits = model.forward(dataset.features)
     c = dataset.num_classes
+    if logits.shape[1] != c:
+        raise ConfigError(f"the model predicts {logits.shape[1]} classes, "
+                          f"the dataset has {c}")
+    preds = np.argmax(logits, axis=1)
+    labels = dataset.labels
     counts = np.bincount(labels, minlength=c)
     correct = np.bincount(labels[preds == labels], minlength=c)
     per_class = np.where(counts > 0, correct / np.maximum(counts, 1), 0.0)

@@ -54,16 +54,22 @@ def minibatches(n: int, batch_size: int, rng: np.random.Generator):
             yield block
 
 
-def check_fit_args(batch_size: int, lr: float, epochs: int = 0) -> None:
-    """The rule for what a stage config hands to `fit`: it skips one-row minibatches
-    (batchnorm needs two rows), so a batch size of 1 would train nothing; the lr may
-    be infinite but not negative or NaN."""
+def check_fit_args(batch_size: int, lr: float, epochs: int = 0, momentum: float = 0.0,
+                   weight_decay: float = 0.0) -> None:
+    """The rule for what a stage config hands to `fit` and `SGD`: `fit` skips one-row
+    minibatches (batchnorm needs two rows), so a batch size of 1 would train nothing;
+    the lr may be infinite but not negative or NaN; momentum is in [0, 1), and weight
+    decay is finite and non-negative."""
     if batch_size < 2:
         raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
     if epochs < 0:
         raise ConfigError(f"epochs must be non-negative, got {epochs}")
     if not lr >= 0:
         raise ConfigError(f"lr must be non-negative, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    if not 0 <= weight_decay < np.inf:
+        raise ConfigError(f"weight_decay must be finite and non-negative, got {weight_decay}")
 
 
 def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,

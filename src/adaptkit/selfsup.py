@@ -2,8 +2,9 @@
 
 The backbone is trained with in-batch InfoNCE over two independently
 strong-augmented views per sample, through a small projection head that is
-discarded afterwards. Stage 3 starts each student from this backbone or, without
-one, from a random draw.
+discarded afterwards. The backbone is the trained Network; its classifier is the
+untrained draw, never saved or copied. Stage 3 starts each student from this
+backbone or, without one, from a random draw.
 """
 from __future__ import annotations
 
@@ -31,26 +32,17 @@ class ContrastiveConfig:
     policy: AugmentationPolicy = field(default_factory=AugmentationPolicy)
 
     def __post_init__(self):
-        check_fit_args(self.batch_size, self.lr, self.epochs)
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        check_fit_args(self.batch_size, self.lr, self.epochs, self.momentum, self.weight_decay)
+        if not 0 < self.temperature < np.inf:
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature}")
         if self.embedding_dim < 2:
             raise ConfigError("embedding dim must be at least 2")
 
 
-@dataclass
-class InitializedStudent:
-    """Representation-only checkpoint: no classifier parameters."""
-
-    arch: ArchSpec
-    tensors: dict[str, np.ndarray]  # name -> array, over Network.backbone_tensors()
-    loss_history: list[dict] = field(default_factory=list)
-    abort: dict | None = None  # pretrain's abort record (see optim.fit)
-
-
 def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
-             rng: np.random.Generator) -> InitializedStudent:
-    """Train the backbone of `arch` on unlabeled target data with InfoNCE."""
+             rng: np.random.Generator) -> tuple[Network, list[dict], dict | None]:
+    """Train the backbone of an `arch` network on unlabeled target data with InfoNCE;
+    returns the network, its per-epoch losses and its abort (see optim.fit)."""
     if len(target) < 2 * cfg.batch_size:
         raise ConfigError(
             f"target too small for contrastive pretraining: {len(target)} rows, "
@@ -78,20 +70,17 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
     opt = SGD(net.representation_parameters() + head_params, cfg.lr, cfg.momentum, cfg.weight_decay)
     history, abort = fit(opt, net.all_tensors() + head_params, cfg.epochs, len(target),
                          cfg.batch_size, rng, grads)
-    return InitializedStudent(arch, {t.name: t.data.copy() for t in net.backbone_tensors()},
-                              history, abort)
+    return net, history, abort
 
 
-def make_student(arch: ArchSpec, backbone: InitializedStudent | None,
+def make_student(arch: ArchSpec, backbone: Network | None,
                  rng: np.random.Generator) -> Network:
-    """Build a student from `rng`; with a backbone, its tensors replace the drawn ones
-    and only the classifier keeps the draw."""
+    """Build a student from `rng`; with a backbone, copies of its backbone tensors
+    replace the drawn ones and only the classifier keeps the draw."""
     student = build_network(arch, rng)
     if backbone is not None:
         if backbone.arch != arch:
             raise ConfigError(f"backbone is for {backbone.arch}, student is {arch}")
-        for t in student.backbone_tensors():
-            if t.name not in backbone.tensors:
-                raise ConfigError(f"backbone is missing tensor {t.name!r}")
-            t.data = backbone.tensors[t.name].copy()
+        for t, b in zip(student.backbone_tensors(), backbone.backbone_tensors()):
+            t.data = b.data.copy()
     return student

@@ -22,7 +22,9 @@ class SourceConfig:
     smoothing: float = 0.1
 
     def __post_init__(self):
-        check_fit_args(self.batch_size, self.lr, self.epochs)
+        check_fit_args(self.batch_size, self.lr, self.epochs, self.momentum, self.weight_decay)
+        if not 0 <= self.smoothing < 1:
+            raise ConfigError(f"smoothing must be in [0, 1), got {self.smoothing}")
 
 
 def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,

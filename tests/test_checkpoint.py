@@ -126,9 +126,9 @@ def test_backbone_round_trip(tmp_path, net):
     save_backbone(net.arch, {t.name: t.data for t in net.backbone_tensors()}, path)
     loaded = load_backbone(path)
     assert loaded.arch == net.arch
-    assert list(loaded.tensors) == [t.name for t in net.backbone_tensors()]
-    for t in net.backbone_tensors():
-        assert np.array_equal(loaded.tensors[t.name], t.data)
+    assert [t.name for t in loaded.backbone_tensors()] == [t.name for t in net.backbone_tensors()]
+    for got, t in zip(loaded.backbone_tensors(), net.backbone_tensors()):
+        assert np.array_equal(got.data, t.data)
 
 
 def _save_edited_backbone(net, path, **edits):

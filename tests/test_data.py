@@ -261,6 +261,22 @@ def test_dataset_file_round_trip(tmp_path):
     assert loaded.spec == ds.spec
 
 
+def test_dataset_file_older_header_keys_are_ignored(tmp_path):
+    # files written before the class count and domain came from `generator` and
+    # `shift` also carry `c` and `domain_tag`; they load as before
+    ds = apply_shift(generate(small_spec(), 0), ShiftSpec("rotation", 45.0), 2)
+    ds = subsample_longtail(ds, 10.0, 3)
+    path = tmp_path / "old.ds"
+    save_dataset(ds, path)
+    _edit_header(lambda h, t: h.update(c=4, domain_tag="target"))(path)
+    loaded = load_dataset(path)
+    for attr in ("features", "labels"):
+        assert getattr(loaded, attr).tobytes() == getattr(ds, attr).tobytes()
+    assert (loaded.spec, loaded.shift, loaded.bucket_thresholds) == (
+        ds.spec, ds.shift, ds.bucket_thresholds)
+    assert (loaded.num_classes, loaded.domain_tag) == (4, "target")
+
+
 def test_dataset_file_unlabeled(tmp_path):
     ds = generate(small_spec(), 0)
     ds.labels = None
@@ -277,13 +293,13 @@ def test_non_finite_features_rejected(tmp_path):
     with pytest.raises(NumericalError):
         load_dataset(path)
     with pytest.raises(NumericalError):
-        Dataset(ds.features, ds.labels, ds.num_classes, "source", ds.spec)
+        Dataset(ds.features, ds.labels, ds.spec)
 
 
 def test_empty_dataset_rejected():
     for labels in (np.zeros(0, dtype=np.int64), None):
         with pytest.raises(ConfigError, match="at least one row"):
-            Dataset(np.zeros((0, 8)), labels, 4, "source", small_spec())
+            Dataset(np.zeros((0, 8)), labels, small_spec())
 
 
 def _edit_header(edit):
@@ -309,8 +325,8 @@ def _edit_arrays(edit):
 
 
 DATASET_EDITS = {
-    "no_c": _edit_header(lambda h, t: h.pop("c")),
-    "float_c": _edit_header(lambda h, t: h.update(c=4.0)),
+    "input_dim_not_features_width": _edit_header(
+        lambda h, t: h["generator"].update(input_dim=9)),
     "unknown_shift_kind": _edit_header(lambda h, t: h.update(
         shift={"kind": "warp", "magnitude": 1.0})),
     "negative_shift_seed": _edit_header(lambda h, t: h.update(

@@ -14,7 +14,7 @@ from adaptkit.layers import ArchSpec, Dense, Network, build_network, forward_lay
 from adaptkit.losses import cross_entropy_grad, softmax
 from adaptkit.metrics import evaluate
 from adaptkit.optim import SGD, fit
-from adaptkit.selfsup import ContrastiveConfig, InitializedStudent, pretrain
+from adaptkit.selfsup import ContrastiveConfig, pretrain
 from adaptkit.tensor import Tensor, fingerprint_all
 
 IDENTITY = AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0))  # no jitter, dropout or scaling
@@ -138,8 +138,7 @@ def test_student_reset_each_phase():
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                         batch_size=32)
     arch = ArchSpec(8, (10,), 4)
-    drawn = build_network(arch, np.random.default_rng(5))
-    pre = InitializedStudent(arch, {t.name: t.data for t in drawn.backbone_tensors()})
+    pre = build_network(arch, np.random.default_rng(5))
     for backbone, same in ((pre, True), (None, False)):
         _, trace = distill(teacher, arch, backbone, view, cfg, np.random.default_rng(0))
         fps = [e["backbone_reset_fingerprint"] for e in trace]
@@ -265,7 +264,7 @@ def test_calibration_memory_is_its_per_row_arrays_and_a_few_blocks():
     # 50,000 rows: the raw scores, labels and weights of every row, plus a few
     # 1024-row blocks; whole-target passes would add an N x 64 and an N x 32 array
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
-    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)), 10)
+    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)))
     run = lambda: calibrate_classifier(net, view, CalibrateConfig(rounds=2, epochs=1),  # noqa: E731
                                        np.random.default_rng(0))
     run()
@@ -296,17 +295,18 @@ def test_distill_trains_copies_of_its_inputs(kind):
     arch = ArchSpec(8, (12,), 4)
     teacher = build_network(arch, np.random.default_rng(0))
     pretrained = (pretrain(arch, view, ContrastiveConfig(epochs=1, batch_size=64),
-                           np.random.default_rng(1)) if kind == "contrastive" else None)
-    backbone = {} if pretrained is None else {k: v.copy() for k, v in pretrained.tensors.items()}
+                           np.random.default_rng(1))[0] if kind == "contrastive" else None)
+    backbone = {} if pretrained is None else {t.name: t.data.copy()
+                                              for t in pretrained.backbone_tensors()}
     teacher_before = fingerprint_all(teacher.all_tensors())
     student, _ = distill(teacher, arch, pretrained, view,
                          DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                                        batch_size=32), np.random.default_rng(2))
     assert fingerprint_all(teacher.all_tensors()) == teacher_before
     if pretrained is not None:
-        assert set(pretrained.tensors) == set(backbone)
-        for name, data in backbone.items():
-            assert pretrained.tensors[name].tobytes() == data.tobytes(), name
+        assert [t.name for t in pretrained.backbone_tensors()] == list(backbone)
+        for t in pretrained.backbone_tensors():
+            assert t.data.tobytes() == backbone[t.name].tobytes(), t.name
     assert (fingerprint_all(student.backbone_tensors())
             != fingerprint_all(teacher.backbone_tensors()))
 
@@ -325,7 +325,7 @@ def _teacher_and_target(rows):
         if layer.kind == "batchnorm":
             layer.running_mean.data = rng.normal(size=layer.dim)
             layer.running_var.data = rng.uniform(0.5, 2.0, size=layer.dim)
-    return net, UnlabeledView(rng.normal(size=(rows, 32)), 10)
+    return net, UnlabeledView(rng.normal(size=(rows, 32)))
 
 
 @pytest.mark.parametrize("rows", STREAM_ROWS)
@@ -387,7 +387,7 @@ def test_pseudo_label_memory_is_its_labels_and_a_few_blocks():
     # 50,000 rows: the soft and hard labels plus a few 1024-row blocks; one
     # whole-target pass would add an N x 32 view and N x 64 activations
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
-    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)), 10)
+    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)))
     run = lambda: pseudo_label(net, view, AugmentationPolicy(), np.random.default_rng(0))  # noqa: E731
     run()
     tracemalloc.start()

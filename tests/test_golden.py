@@ -1,5 +1,5 @@
-"""Golden digests: refactors must not move a single bit of report.json or of
-the checkpoint files.
+"""Golden digests: refactors must not move a single bit of report.json,
+summary.json or the checkpoint files.
 
 A deliberate change to the numbers or to the checkpoint layout updates these
 digests and says why in CHANGES.md.
@@ -62,6 +62,18 @@ def test_checkpoint_digests_pinned(tiny_run):
     assert got == GOLDEN_CHECKPOINT_SHA256
 
 
+# the tiny run's summary.json with config.outdir (the run's temporary directory)
+# removed, dumped as summary.json is written
+GOLDEN_SUMMARY_SHA256 = "af5982c558af51f03f7f49394c7b54499a62cafa55b8024c515e3ca46b762356"
+
+
+def test_summary_digest_pinned(tiny_run):
+    summary = json.loads((tiny_run / "summary.json").read_text())
+    del summary["config"]["outdir"]
+    text = json.dumps(summary, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SUMMARY_SHA256
+
+
 def test_calibrated_run_digests_pinned(tmp_path):
     run_experiment(tiny_config(seeds=(0,), calibrate=True, outdir=str(tmp_path)))
     got = {name: _sha256(tmp_path / name) for name in GOLDEN_CALIBRATED_SHA256}
@@ -77,14 +89,14 @@ GOLDEN_DEFAULT_PRETRAIN_SHA256 = "08244b8bdf18539010e81b80de89c4e05a63d9e7d84c17
 def test_default_shape_pretrain_digest_pinned():
     cfg = ExperimentConfig()
     src, tgt = make_datasets(cfg, 0)
-    student = pretrain(ArchSpec(src.dim, cfg.student_hidden, src.num_classes),
-                       tgt.unlabeled_view(), replace(cfg.contrastive_cfg, epochs=2),
-                       stream(0, "stage2"))
+    backbone, history, _ = pretrain(ArchSpec(src.dim, cfg.student_hidden, src.num_classes),
+                                    tgt.unlabeled_view(), replace(cfg.contrastive_cfg, epochs=2),
+                                    stream(0, "stage2"))
     h = hashlib.sha256()
-    for name, arr in sorted(student.tensors.items()):
-        h.update(name.encode())
-        h.update(arr.astype("<f8").tobytes())
-    h.update(json.dumps(student.loss_history, sort_keys=True).encode())
+    for t in sorted(backbone.backbone_tensors(), key=lambda t: t.name):
+        h.update(t.name.encode())
+        h.update(t.data.astype("<f8").tobytes())
+    h.update(json.dumps(history, sort_keys=True).encode())
     assert h.hexdigest() == GOLDEN_DEFAULT_PRETRAIN_SHA256
 
 

@@ -306,16 +306,18 @@ def test_null_section_is_a_config_error_not_the_defaults(d, section):
         ExperimentConfig.from_dict(d)
 
 
-@pytest.mark.parametrize("edit", [{"domain_tag": "bogus"}, {"c": 7}, {"c": 2},
-                                  {"domain_tag": "bogus", "c": 7}],
-                         ids=["bogus_tag", "more_classes", "fewer_classes", "both"])
+@pytest.mark.parametrize("edit", [{"input_dim": 9}, {"num_classes": 2},
+                                  {"input_dim": 9, "num_classes": 2}],
+                         ids=["wider_input", "fewer_classes", "both"])
 def test_dataset_header_must_agree_with_itself(tmp_path, capsys, edit):
-    # a 15-row, 3-class dataset rewritten through store.write: the container is
-    # valid, but its tag or its class count is not the generator's
+    # a 15-row, 3-class, 4-wide dataset rewritten through store.write: the container
+    # is valid, but its generator's input_dim is not the features' width, or its
+    # num_classes leaves labels out of range
     path = tmp_path / "x.ds"
     save_dataset(generate(GeneratorSpec(n_per_class=5, num_classes=3, input_dim=4), 0), path)
     header, arrays = store.read(path, b"OTAD")
-    store.write(path, b"OTAD", {**header, **edit}, arrays)
+    store.write(path, b"OTAD", {**header, "generator": {**header["generator"], **edit}},
+                arrays)
     with pytest.raises(StorageError):
         load_dataset(path)
     assert cli.main(["train-source", "--data", str(path), "--out",
@@ -333,6 +335,18 @@ def test_cli_gen_data_and_evaluate_flow(tmp_path):
     assert cli.main(["gen-data", "--config", str(cfg), "--source", src, "--target", tgt]) == 0
     assert cli.main(["train-source", "--data", src, "--out", ckpt, "--config", str(cfg)]) == 0
     assert cli.main(["evaluate", "--model", ckpt, "--data", tgt, "--train-data", src]) == 0
+
+
+def test_cli_evaluate_class_count_mismatch_is_config_error(tmp_path, capsys):
+    # a 7-class checkpoint on a 3-class, 15-row dataset
+    data, model = tmp_path / "d.ds", tmp_path / "m.ckpt"
+    save_dataset(generate(GeneratorSpec(n_per_class=5, num_classes=3, input_dim=4), 0), data)
+    checkpoint.save_checkpoint(build_network(ArchSpec(4, (6,), 7), np.random.default_rng(0)),
+                               model)
+    assert cli.main(["evaluate", "--model", str(model), "--data", str(data)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err and "7 classes" in err
 
 
 def test_cli_missing_file_is_io_error(tmp_path):
@@ -360,6 +374,10 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 3
     summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
     assert summary["num_failed"] == 2
+
+
+TINY_RUN = {"benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
+            "stage1": False, "stage2": False, "stage3": False, "seeds": [0]}
 
 
 @pytest.mark.parametrize("name,text", [
@@ -407,6 +425,18 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
     ("c.json", json.dumps({"adapt_cfg": None})),
     ("c.json", json.dumps({"distill_cfg": {"schedule": None}})),
     ("c.yaml", "benchmark:\nstage2: false\n"),
+    # values that raised a raw exception in a seed, or ran on, before each config
+    # object checked them; on a tiny one-seed run, so that a missed check fails fast
+    *(("c.json", json.dumps({**TINY_RUN, **edit})) for edit in [
+        {"shift": {"magnitude": float("inf")}},
+        {"benchmark": {**TINY_RUN["benchmark"], "cluster_sigma": -1}},
+        {"distill_cfg": {"policy": {"scale_range": [float("nan"), 1.0]}}},
+        {"source_cfg": {"momentum": float("nan")}},
+        {"adapt_cfg": {"momentum": -5}},
+        {"source_cfg": {"weight_decay": float("inf")}},
+        {"calibrate_cfg": {"policy": {"weak_sigma": -1}}},
+        {"contrastive_cfg": {"temperature": float("inf")}},
+        {"source_cfg": {"smoothing": 2}}]),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
@@ -417,7 +447,9 @@ def test_cli_run_failed_seed_exit_code(tmp_path):
      "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed",
      "nonzero_benchmark_seed", "nonzero_shift_seed", "imbalance_empties_a_class",
      "imbalance_with_source_data", "null_section", "null_nested_section",
-     "yaml_empty_section"])
+     "yaml_empty_section", "inf_shift_magnitude", "negative_cluster_sigma", "nan_scale_range",
+     "nan_momentum", "negative_momentum", "inf_weight_decay", "negative_weak_sigma",
+     "inf_temperature", "smoothing_above_one"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -429,7 +461,9 @@ def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
 @pytest.mark.parametrize("key", sorted(SECTIONS))
 def test_sections_reject_untrainable_loop_sizes(key):
     names = {f.name for f in fields(SECTIONS[key])}
-    for field_name, bad in (("batch_size", 1), ("epochs", -1)):
+    for field_name, bad in (("batch_size", 1), ("epochs", -1), ("momentum", float("nan")),
+                            ("momentum", -5), ("momentum", 1), ("weight_decay", float("inf")),
+                            ("weight_decay", -1)):
         if field_name in names:
             with pytest.raises(ConfigError, match=field_name):
                 store.from_dict(SECTIONS[key], {field_name: bad})

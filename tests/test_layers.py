@@ -111,14 +111,14 @@ def test_partition_disjoint_and_exhaustive():
     for hidden in [(), (8,), (8, 4), (16, 8, 4)]:
         net = small_net(hidden=hidden)
         rep = {id(p) for p in net.representation_parameters()}
-        clf = {id(p) for p in net.classifier_parameters()}
+        clf = {id(p) for p in net.classifier.parameters()}
         assert rep.isdisjoint(clf)
         assert rep | clf == {id(p) for p in net.parameters()}
 
 
 def test_classifier_is_last_dense():
     net = small_net(hidden=(8, 4))
-    assert net.layers[net.classifier_index].kind == "dense"
+    assert net.layers[-1].kind == "dense"
     assert net.classifier.out_dim == 3
 
 
@@ -207,7 +207,7 @@ def test_randomized_nets_and_losses_match_fd(trial):
 
 def _backbone_and_head(rng):
     net = build_network(ArchSpec(32, (32, 32), 10), rng)
-    return net.layers[: net.classifier_index] + [Dense(32, 32, rng), ReLU(), Dense(32, 16, rng)]
+    return net.layers[:-1] + [Dense(32, 32, rng), ReLU(), Dense(32, 16, rng)]
 
 
 def _batchnorm_with_stats(rng):
@@ -259,7 +259,7 @@ def test_stacked_backward_matches_fd():
     # InfoNCE between the two views of one stack, through batchnorm in train mode
     rng = np.random.default_rng(4)
     net = build_network(ArchSpec(5, (6,), 3), rng)
-    layers = net.layers[: net.classifier_index] + [Dense(6, 4, rng), ReLU(), Dense(4, 3, rng)]
+    layers = net.layers[:-1] + [Dense(6, 4, rng), ReLU(), Dense(4, 3, rng)]
     params = [p for layer in layers for p in layer.parameters()]
     x = rng.normal(size=(2, 4, 5))
 
@@ -324,7 +324,7 @@ def test_eval_forward_matches_recorded_forward_bit_for_bit(rows, views, batchnor
     y, feats = net.forward(x), net.forward_features(x)
     assert _bits(y) == _bits(forward_layers(net.layers, x, False)[0])
     assert _bits(y) == _bits(_old_eval_expressions(net.layers, x))
-    assert _bits(feats) == _bits(forward_layers(net.layers[: net.classifier_index], x, False)[0])
+    assert _bits(feats) == _bits(forward_layers(net.layers[:-1], x, False)[0])
     assert _bits(x) == _bits(kept)
 
 

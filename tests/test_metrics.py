@@ -22,7 +22,7 @@ def labeled_dataset(labels, num_classes, dim=4):
     labels = np.asarray(labels, dtype=np.int64)
     feats = np.zeros((len(labels), dim))
     spec = GeneratorSpec(n_per_class=1, num_classes=num_classes, input_dim=dim)
-    return Dataset(feats, labels, num_classes, "target", spec)
+    return Dataset(feats, labels, spec)
 
 
 def test_two_class_oracle():
@@ -57,7 +57,7 @@ def test_row_permutation_invariance():
     net = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(0))
     base = evaluate(net, ds)
     perm = np.random.default_rng(1).permutation(len(ds))
-    shuffled = Dataset(ds.features[perm], ds.labels[perm], 4, "target", ds.spec)
+    shuffled = Dataset(ds.features[perm], ds.labels[perm], ds.spec)
     rep = evaluate(net, shuffled)
     assert rep.overall_acc == base.overall_acc
     assert rep.class_mean_acc == base.class_mean_acc
@@ -74,6 +74,8 @@ def test_evaluate_rejects_bad_inputs():
     empty.labels = empty.labels[:0]
     with pytest.raises(ConfigError, match="empty"):
         evaluate(FixedPredictor([], 2), empty)
+    with pytest.raises(ConfigError, match="predicts 3 classes, the dataset has 2"):
+        evaluate(FixedPredictor([0, 1], 3), labeled_dataset([0, 1], 2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec,
                            apply_shift, generate)
 from adaptkit.errors import ConfigError
 from adaptkit.layers import ArchSpec, build_network
-from adaptkit.selfsup import (ContrastiveConfig, InitializedStudent, make_student,
-                              pretrain)
+from adaptkit.selfsup import ContrastiveConfig, make_student, pretrain
 
 ARCH = ArchSpec(32, (32, 32), 10)
 
@@ -35,21 +34,22 @@ def linear_probe(student, dataset):
 def test_zero_epochs_equals_random_init():
     tgt = default_target()
     view = tgt.unlabeled_view()
-    pre = pretrain(ARCH, view, ContrastiveConfig(epochs=0), np.random.default_rng(5))
+    pre, history, _ = pretrain(ARCH, view, ContrastiveConfig(epochs=0), np.random.default_rng(5))
     fresh = build_network(ARCH, np.random.default_rng(5))
-    for t in fresh.backbone_tensors():
-        assert np.array_equal(pre.tensors[t.name], t.data)
-    assert pre.loss_history == []
+    for t, p in zip(fresh.backbone_tensors(), pre.backbone_tensors()):
+        assert t.name == p.name
+        assert np.array_equal(p.data, t.data)
+    assert history == []
 
 
 def test_pretrain_deterministic():
     view = default_target().unlabeled_view()
     cfg = ContrastiveConfig(epochs=2)
-    a = pretrain(ARCH, view, cfg, np.random.default_rng(3))
-    b = pretrain(ARCH, view, cfg, np.random.default_rng(3))
-    for name in a.tensors:
-        assert np.array_equal(a.tensors[name], b.tensors[name])
-    assert a.loss_history == b.loss_history
+    a, a_history, _ = pretrain(ARCH, view, cfg, np.random.default_rng(3))
+    b, b_history, _ = pretrain(ARCH, view, cfg, np.random.default_rng(3))
+    for ta, tb in zip(a.backbone_tensors(), b.backbone_tensors()):
+        assert np.array_equal(ta.data, tb.data)
+    assert a_history == b_history
 
 
 def test_pretrain_never_sees_labels():
@@ -59,10 +59,10 @@ def test_pretrain_never_sees_labels():
     relabeled = default_target()
     relabeled.labels = (relabeled.labels + 1) % relabeled.num_classes
     cfg = ContrastiveConfig(epochs=1)
-    a = pretrain(ARCH, tgt.unlabeled_view(), cfg, np.random.default_rng(0))
-    b = pretrain(ARCH, relabeled.unlabeled_view(), cfg, np.random.default_rng(0))
-    for name in a.tensors:
-        assert np.array_equal(a.tensors[name], b.tensors[name])
+    a, _, _ = pretrain(ARCH, tgt.unlabeled_view(), cfg, np.random.default_rng(0))
+    b, _, _ = pretrain(ARCH, relabeled.unlabeled_view(), cfg, np.random.default_rng(0))
+    for ta, tb in zip(a.backbone_tensors(), b.backbone_tensors()):
+        assert np.array_equal(ta.data, tb.data)
 
 
 def test_small_target_rejected():
@@ -85,10 +85,10 @@ def test_loss_decreases_thirty_percent_median():
     drops = []
     for seed in range(5):
         tgt = default_target(seed=100 + seed, shift_seed=200 + seed)
-        pre = pretrain(ARCH, tgt.unlabeled_view(), ContrastiveConfig(epochs=50),
-                       np.random.default_rng(seed))
-        first = pre.loss_history[0]["infonce"]
-        last = pre.loss_history[-1]["infonce"]
+        _, history, _ = pretrain(ARCH, tgt.unlabeled_view(), ContrastiveConfig(epochs=50),
+                                 np.random.default_rng(seed))
+        first = history[0]["infonce"]
+        last = history[-1]["infonce"]
         drops.append((first - last) / first)
     assert np.median(drops) >= 0.30
 
@@ -96,7 +96,7 @@ def test_loss_decreases_thirty_percent_median():
 def test_probe_gap_vs_random_backbone():
     tgt = default_target()
     view = tgt.unlabeled_view()
-    pre = pretrain(ARCH, view, ContrastiveConfig(epochs=100), np.random.default_rng(0))
+    pre, _, _ = pretrain(ARCH, view, ContrastiveConfig(epochs=100), np.random.default_rng(0))
     contrastive = make_student(ARCH, pre, np.random.default_rng(1))
     random_student = make_student(ARCH, None, np.random.default_rng(1))
     gap = linear_probe(contrastive, tgt) - linear_probe(random_student, tgt)
@@ -110,7 +110,7 @@ def test_identity_augmentation_gives_no_representation_benefit():
     tgt = default_target()
     view = tgt.unlabeled_view()
     cfg = ContrastiveConfig(epochs=10, policy=AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0)))
-    pre = pretrain(ARCH, view, cfg, np.random.default_rng(0))
+    pre, _, _ = pretrain(ARCH, view, cfg, np.random.default_rng(0))
     degenerate = make_student(ARCH, pre, np.random.default_rng(1))
     random_student = make_student(ARCH, None, np.random.default_rng(1))
     assert linear_probe(degenerate, tgt) <= linear_probe(random_student, tgt) + 0.05
@@ -122,17 +122,16 @@ def test_identity_augmentation_gives_no_representation_benefit():
 
 def test_make_student_contrastive_copies_backbone_not_classifier():
     view = default_target().unlabeled_view()
-    pre = pretrain(ARCH, view, ContrastiveConfig(epochs=1), np.random.default_rng(0))
+    pre, _, _ = pretrain(ARCH, view, ContrastiveConfig(epochs=1), np.random.default_rng(0))
     student = make_student(ARCH, pre, np.random.default_rng(9))
-    for t in student.backbone_tensors():
-        assert np.array_equal(t.data, pre.tensors[t.name])
+    for t, p in zip(student.backbone_tensors(), pre.backbone_tensors()):
+        assert t.name == p.name
+        assert np.array_equal(t.data, p.data)
     fresh = build_network(ARCH, np.random.default_rng(9))
     assert np.array_equal(student.classifier.weight.data, fresh.classifier.weight.data)
 
 
 def test_make_student_arch_mismatch_rejected():
-    pre = InitializedStudent(ArchSpec(32, (16,), 10), {})
+    pre = build_network(ArchSpec(32, (16,), 10), np.random.default_rng(0))
     with pytest.raises(ConfigError, match="backbone is for"):
         make_student(ARCH, pre, np.random.default_rng(0))
-    with pytest.raises(ConfigError, match="missing tensor"):
-        make_student(ARCH, InitializedStudent(ARCH, {}), np.random.default_rng(0))
