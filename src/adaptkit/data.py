@@ -17,7 +17,7 @@ import numpy as np
 
 from . import store
 from .errors import ConfigError, ShapeError, StorageError
-from .tensor import check_finite
+from .tensor import check_finite, row_blocks
 
 SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
 
@@ -188,7 +188,12 @@ def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> None:
 
 def _draw(spec: GeneratorSpec, seed: int, shift: ShiftSpec | None = None,
           thresholds: tuple[int, int] | None = None) -> Dataset:
-    """Latent samples from `seed`, shifted in the plane when given a shift, embedded."""
+    """Latent samples from `seed`, shifted in the plane when given a shift, embedded.
+
+    The features are the latent buffer itself: the noise, its class centres, the
+    shift and the embedding are each applied in place, the embedding one
+    `tensor.row_blocks` block at a time, so the draw holds one N x D array and a
+    block. A block of at least BLOCK_ROWS rows gets the bits of one `latent @ q.T`."""
     centers, q = _geometry(spec)
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.n_per_class)
     latent = _rng(seed).normal(0.0, spec.cluster_sigma, size=(len(labels), spec.input_dim))
@@ -197,7 +202,9 @@ def _draw(spec: GeneratorSpec, seed: int, shift: ShiftSpec | None = None,
     by_class += centers[:, None, :]
     if shift is not None:
         _plane_transform(latent, shift)
-    return Dataset(latent @ q.T, labels, spec, shift, thresholds)
+    for rows in row_blocks(len(latent)):
+        latent[rows] = latent[rows] @ q.T
+    return Dataset(latent, labels, spec, shift, thresholds)
 
 
 def generate(spec: GeneratorSpec, seed: int) -> Dataset:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError
-from .layers import ArchSpec, Network
+from .layers import ArchSpec, Network, Workspace
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
 from .selfsup import make_student
@@ -86,15 +86,17 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
     if len(labels.hard) != len(target):
         raise ConfigError("pseudo-labels and target data are not aligned")
 
+    ws = Workspace()
+
     def grads(idx):
         x = augment(target.features[idx], cfg.policy, "strong", rng)
-        logits, caches = student.forward(x, train=True)
+        logits, caches = student.forward(x, train=True, ws=ws)
         probs = softmax(logits)
         if mode == "hard":
             dlogits = cross_entropy_grad(probs, labels.hard[idx])
         else:
             dlogits = kl_soft_loss_grad(probs, labels.soft[idx])
-        student.backward(caches, dlogits)
+        student.backward(caches, dlogits, ws)
         return {}
 
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)

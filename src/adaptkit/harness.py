@@ -23,7 +23,7 @@ from .data import (Dataset, GeneratorSpec, ShiftSpec, UnlabeledView, apply_shift
 from .distill import CalibrateConfig, DistillConfig, calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, StorageError
 from .layers import ArchSpec, Network, build_network
-from .metrics import MetricsReport, evaluate
+from .metrics import evaluate
 from .selfsup import ContrastiveConfig, pretrain
 from .source import SourceConfig, train_source
 
@@ -84,6 +84,9 @@ class ExperimentConfig:
                               f"got {list(self.seeds)}")
         if any(w < 1 for w in (*self.teacher_hidden, *self.student_hidden)):
             raise ConfigError("hidden widths must be at least 1")
+        if self.stage2 and not self.student_hidden:
+            raise ConfigError("stage 2 trains the student's hidden layers: student_hidden "
+                              "needs at least one width")
         if self.imbalance_ratio is not None:
             if self.source_data:
                 raise ConfigError("imbalance_ratio does not apply to source_data")
@@ -142,26 +145,27 @@ def make_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     return src, apply_shift(src, cfg.shift, stream_seed(seed, "target_data"))
 
 
-def _eval(model, tgt: Dataset, src: Dataset) -> MetricsReport:
-    counts = src.class_counts if src.bucket_thresholds else None
-    return evaluate(model, tgt, train_counts=counts, thresholds=src.bucket_thresholds)
-
-
 @dataclass
 class StageInputs:
-    """What the stage steps read and hand on: the labeled data (stage 0 trains on it,
-    and every new network takes its input width and class count from it), the
-    unlabeled target, the hidden widths, and what the last steps made."""
-    data: Dataset
+    """What the stage steps read and hand on: the labeled data that stage 0 trains on,
+    the unlabeled target, the hidden widths, and what the last steps made. Every new
+    network takes its input width and class count from the labeled data, read once
+    here, so stage 0 can let go of the rows."""
+    data: Dataset | None  # stage 0 takes it and leaves None
     target: UnlabeledView
     teacher_hidden: tuple[int, ...]
     student_hidden: tuple[int, ...]
     model: Network | None = None  # the latest classifier; a given one stands in for stage 0
     pretrained: Network | None = None  # stage 2's backbone
     phase_acc: Callable[[Network], float] | None = None  # stage 3's eval_fn
+    input_dim: int = field(init=False)
+    num_classes: int = field(init=False)
+
+    def __post_init__(self):
+        self.input_dim, self.num_classes = self.data.dim, self.data.num_classes
 
     def arch(self, hidden) -> ArchSpec:
-        return ArchSpec(self.data.dim, tuple(hidden), self.data.num_classes)
+        return ArchSpec(self.input_dim, tuple(hidden), self.num_classes)
 
 
 # Each step(section config, master seed, inputs) draws from its stage's stream, runs
@@ -169,10 +173,11 @@ class StageInputs:
 # Steps look the stage functions up by name when called, so tracers can swap them.
 
 def _stage0(c: SourceConfig, seed: int, s: StageInputs):
+    data, s.data = s.data, None  # no later stage reads the labeled rows
     if s.model is not None:
         return None, {}, None
     net = build_network(s.arch(s.teacher_hidden), stream(seed, "stage0"))
-    s.model, _, abort = train_source(net, s.data, c, stream(seed, "stage0"))
+    s.model, _, abort = train_source(net, data, c, stream(seed, "stage0"))
     return s.model, {}, abort
 
 
@@ -236,8 +241,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
     """Execute the enabled stages for one seed and write its artifacts."""
     outdir.mkdir(parents=True, exist_ok=True)
     src, tgt = make_datasets(cfg, seed)
+    # evaluate's source class counts and bucket thresholds; the source rows go with stage 0
+    buckets = (src.class_counts if src.bucket_thresholds else None), src.bucket_thresholds
     s = StageInputs(src, tgt.unlabeled_view(), cfg.teacher_hidden, cfg.student_hidden,
-                    phase_acc=lambda net: _eval(net, tgt, src).overall_acc)
+                    phase_acc=lambda net: evaluate(net, tgt, *buckets).overall_acc)
+    del src
     if cfg.source_checkpoint:
         s.model, _ = checkpoint.load_checkpoint(cfg.source_checkpoint,
                                                 expect_arch=s.arch(cfg.teacher_hidden))
@@ -251,7 +259,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
         save_product(stage, product, outdir / stage.ckpt)
         report.update(fragment)
         if stage.metric:
-            report["metrics"][stage.metric] = _eval(s.model, tgt, src).to_dict()
+            report["metrics"][stage.metric] = evaluate(s.model, tgt, *buckets).to_dict()
     if any(aborts.values()):
         report["aborts"] = {stage: a for stage, a in aborts.items() if a}
     _write_report_files(report, outdir)

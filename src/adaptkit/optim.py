@@ -19,7 +19,9 @@ class SGD:
     """v <- momentum*v + grad + wd*param;  param <- param - lr*v.
 
     Both updates are in place: a caller that keeps a parameter's values across a
-    step must hold a copy of `p.data`, not the array itself."""
+    step must hold a copy of `p.data`, not the array itself. The decay term and the
+    update term are computed in one scratch array per parameter, kept with the
+    optimizer, so a step allocates no parameter-sized array."""
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
@@ -31,18 +33,19 @@ class SGD:
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in self.params]
         self.decay = [bool(weight_decay) and decays(p) for p in self.params]
+        self.scratch = [np.empty_like(p.data) for p in self.params]
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        for p, v, decay in zip(self.params, self.velocity, self.decay):
+        for p, v, decay, tmp in zip(self.params, self.velocity, self.decay, self.scratch):
             if p.grad is None:
                 raise ConfigError(f"step() before backward: {p.name or 'parameter'} has no grad")
             g = p.grad
             if decay:
-                g = g + self.weight_decay * p.data
+                g = np.add(g, np.multiply(self.weight_decay, p.data, out=tmp), out=tmp)
             v *= self.momentum
             v += g
-            p.data -= lr * v
+            p.data -= np.multiply(lr, v, out=tmp)
 
 
 def minibatches(n: int, batch_size: int, rng: np.random.Generator):

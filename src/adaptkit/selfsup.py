@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError, NumericalError
-from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
-                     forward_layers)
+from .layers import (ArchSpec, Dense, Network, ReLU, Workspace, backward_layers,
+                     build_network, forward_layers)
 from .losses import infonce_loss, infonce_loss_grad
 from .optim import SGD, check_fit_args, fit
 
@@ -43,6 +43,8 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
              rng: np.random.Generator) -> tuple[Network, list[dict], dict | None]:
     """Train the backbone of an `arch` network on unlabeled target data with InfoNCE;
     returns the network, its per-epoch losses and its abort (see optim.fit)."""
+    if not arch.hidden:
+        raise ConfigError("contrastive pretraining needs an architecture with a hidden layer")
     if len(target) < 2 * cfg.batch_size:
         raise ConfigError(
             f"target too small for contrastive pretraining: {len(target)} rows, "
@@ -53,18 +55,21 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
             Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")]
     head_params = [p for layer in head for p in layer.parameters()]
 
+    ws = Workspace()
+
     def grads(idx):
         x = target.features[idx]
         # both views go through backbone and head as one 2 x B x d stack
         views = np.stack([augment(x, cfg.policy, "strong", rng),
                           augment(x, cfg.policy, "strong", rng)])
-        feats, caches = net.forward_features(views, train=True)
-        (q, k), head_caches = forward_layers(head, feats, train=True)
+        feats, caches = net.forward_features(views, train=True, ws=ws)
+        (q, k), head_caches = forward_layers(head, feats, True, ws)
         loss = infonce_loss(q, k, cfg.temperature)
         if not np.isfinite(loss.scalar):
             raise NumericalError("non-finite contrastive loss")
         dq, dk = infonce_loss_grad(q, k, cfg.temperature)
-        net.backward_features(caches, backward_layers(head, head_caches, np.stack([dq, dk])))
+        net.backward_features(caches, backward_layers(head, head_caches, np.stack([dq, dk]), ws),
+                              ws)
         return {"infonce": loss.scalar}
 
     opt = SGD(net.representation_parameters() + head_params, cfg.lr, cfg.momentum, cfg.weight_decay)

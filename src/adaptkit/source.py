@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .layers import Network
+from .layers import Network, Workspace
 from .losses import cross_entropy, cross_entropy_grad, softmax
 from .optim import SGD, check_fit_args, fit
 
@@ -33,11 +33,13 @@ def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
     if dataset.labels is None:
         raise ConfigError("source training needs labels")
 
+    ws = Workspace()
+
     def grads(idx):
-        logits, caches = net.forward(dataset.features[idx], train=True)
+        logits, caches = net.forward(dataset.features[idx], train=True, ws=ws)
         probs = softmax(logits)
         loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)
-        net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing))
+        net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing), ws)
         return {"loss": loss.scalar}
 
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)

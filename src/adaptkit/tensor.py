@@ -59,8 +59,11 @@ class Tensor:
         self.grad = None
 
     def add_grad(self, g: np.ndarray) -> None:
-        """Accumulate g. The first call keeps g itself and later calls add into it,
-        so g must be a fresh array that the caller does not hold on to."""
+        """Accumulate g. The first call after zero_grad keeps g itself, not a copy,
+        and later calls add into it, so the caller hands g over: a fresh array, or
+        an array of a training loop's `layers.Workspace`, which that loop writes
+        again only in its next step, after `fit` has called zero_grad. The grad is
+        then valid until that step; the last step's grads outlive the loop."""
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.data.shape:
             raise ShapeError(

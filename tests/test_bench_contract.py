@@ -1,13 +1,16 @@
 """The benchmark's contract with the package, checked in the fast suite: every
-function the benchmark's tracer wraps still exists under its name, and every
-span a workload requires is the span of some traced function. A refactor that
-renames a traced function fails here, not only in the benchmark's own tests.
+function the benchmark's tracer wraps still exists under its name, every span a
+workload requires is the span of some traced function, and every argument the
+tracer's counters read by position still sits at that position. A refactor that
+renames a traced function or moves a counted argument fails here, not only in
+the benchmark's own tests.
 
 The benchmark's modules are loaded from their files as they are; nothing in
 them runs beyond their top-level definitions.
 """
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -25,20 +28,21 @@ def _load(name: str):
 tracer, workloads = _load("tracer"), _load("workloads")
 
 
-def _target_exists(modname: str, attr: str) -> bool:
-    """Whether the tracer can wrap `attr` of adaptkit.`modname`: a callable module
-    attribute, or a method defined on the class itself (the tracer patches the
-    class's own __dict__)."""
+def _resolve(modname: str, attr: str):
+    """What the tracer would wrap for `attr` of adaptkit.`modname`: a module attribute,
+    or a method defined on the class itself (the tracer patches the class's own
+    __dict__); None if there is none."""
     module = importlib.import_module(f"adaptkit.{modname}")
     owner_name, _, fn_name = attr.rpartition(".")
     if owner_name:
         owner = getattr(module, owner_name, None)
-        return owner is not None and callable(vars(owner).get(fn_name))
-    return callable(getattr(module, fn_name, None))
+        return None if owner is None else vars(owner).get(fn_name)
+    return getattr(module, fn_name, None)
 
 
 def test_every_traced_target_exists():
-    missing = [f"adaptkit.{m}.{a}" for m, a, _, _ in tracer.TARGETS if not _target_exists(m, a)]
+    missing = [f"adaptkit.{m}.{a}" for m, a, _, _ in tracer.TARGETS
+               if not callable(_resolve(m, a))]
     assert missing == []
 
 
@@ -50,3 +54,31 @@ def test_every_required_span_is_a_traced_span():
     required = {*workloads.ALWAYS_SPANS, *workloads.LONGTAIL_SPANS,
                 *(span for spans in workloads.STAGE_SPANS.values() for span in spans)}
     assert sorted(s for s in required if s not in names and not s.startswith(prefixes)) == []
+
+
+# The positional arguments that the tracer reads from a traced call, as
+# (parameter name, position) per target; a method's `self` is position 0.
+COUNTED_SLOTS = {
+    ("harness", "run_seed"): [("seed", 1)],
+    ("layers", "Dense.forward"): [("x", 1)],
+    ("layers", "Dense.backward"): [("dy", 2)],
+    ("layers", "BatchNorm.forward"): [("x", 1)],
+    ("layers", "ReLU.forward"): [("x", 1)],
+    ("data", "augment"): [("x", 0), ("mode", 2)],
+    ("metrics", "evaluate"): [("dataset", 1)],
+    ("checkpoint", "save_checkpoint"): [("path", 1)],
+    ("checkpoint", "save_backbone"): [("path", 2)],
+}
+# targets whose counter reads only `self` or the call's result
+UNSLOTTED_COUNTERS = {("optim", "SGD.step"), ("adapt", "adapt"),
+                      *(("losses", f) for f in tracer.LOSS_VALUE_FUNCTIONS)}
+
+
+def test_every_counted_argument_keeps_its_position():
+    counted = {(m, a) for m, a, name, count in tracer.TARGETS
+               if count is not None or not isinstance(name, str)}
+    assert counted | {("harness", "run_seed")} == set(COUNTED_SLOTS) | UNSLOTTED_COUNTERS
+    moved = [f"adaptkit.{m}.{a}: {param} at {pos}"
+             for (m, a), slots in COUNTED_SLOTS.items() for param, pos in slots
+             if list(inspect.signature(_resolve(m, a)).parameters)[pos:pos + 1] != [param]]
+    assert moved == []

@@ -2,7 +2,9 @@
 summary.json or the checkpoint files.
 
 A deliberate change to the numbers or to the checkpoint layout updates these
-digests and says why in CHANGES.md.
+digests and says why in CHANGES.md. To regenerate one, run its test at the
+change, take the digest that the failing assert prints as the new constant,
+and check that every digest it did not mean to move still passes.
 """
 import hashlib
 import json
@@ -10,10 +12,11 @@ from dataclasses import replace
 
 import pytest
 
-from adaptkit.distill import PhaseSchedule
+from adaptkit.distill import PhaseSchedule, distill
 from adaptkit.harness import ExperimentConfig, make_datasets, run_experiment, stream
-from adaptkit.layers import ArchSpec
+from adaptkit.layers import ArchSpec, build_network
 from adaptkit.selfsup import pretrain
+from adaptkit.source import train_source
 from test_harness import ABORT_TRIGGERS, tiny_config
 
 GOLDEN_REPORT_SHA256 = {
@@ -80,24 +83,64 @@ def test_calibrated_run_digests_pinned(tmp_path):
     assert got == GOLDEN_CALIBRATED_SHA256
 
 
-# Stage 2 at the default shapes (backbone widths 32, batch 128 and a trailing
-# 8-row block from 5000 target rows), two epochs, seed 0: SHA-256 over the
-# sorted backbone tensors and the loss history.
-GOLDEN_DEFAULT_PRETRAIN_SHA256 = "08244b8bdf18539010e81b80de89c4e05a63d9e7d84c17073e5f357176c833c7"
+DEFAULT = ExperimentConfig()
 
 
-def test_default_shape_pretrain_digest_pinned():
-    cfg = ExperimentConfig()
-    src, tgt = make_datasets(cfg, 0)
-    backbone, history, _ = pretrain(ArchSpec(src.dim, cfg.student_hidden, src.num_classes),
-                                    tgt.unlabeled_view(), replace(cfg.contrastive_cfg, epochs=2),
-                                    stream(0, "stage2"))
+@pytest.fixture(scope="module")
+def default_data():
+    return make_datasets(DEFAULT, 0)
+
+
+def _tensors_digest(tensors, record) -> str:
+    """SHA-256 over the tensors sorted by name, then the JSON of `record`."""
     h = hashlib.sha256()
-    for t in sorted(backbone.backbone_tensors(), key=lambda t: t.name):
+    for t in sorted(tensors, key=lambda t: t.name):
         h.update(t.name.encode())
         h.update(t.data.astype("<f8").tobytes())
-    h.update(json.dumps(history, sort_keys=True).encode())
-    assert h.hexdigest() == GOLDEN_DEFAULT_PRETRAIN_SHA256
+    h.update(json.dumps(record, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# Stages 0, 2 and 3 at the default shapes (batch 128 and a trailing 8-row block
+# from 5000 rows), two epochs each, seed 0. Stage 0 trains the default teacher on
+# the source: its tensors and loss history. Stage 2: the backbone tensors and
+# loss history. Stage 3 distils that teacher into random students over one hard
+# and one soft phase of two epochs: the last student's tensors and the trace.
+GOLDEN_DEFAULT_SOURCE_SHA256 = "e1f17c2d144a21465187e9ef5a2236ab4e051313345ec5fa57b58c3d3cbb0cbd"
+GOLDEN_DEFAULT_PRETRAIN_SHA256 = "08244b8bdf18539010e81b80de89c4e05a63d9e7d84c17073e5f357176c833c7"
+GOLDEN_DEFAULT_DISTILL_SHA256 = "dc1675912394164f911ae92d6e623ee30dde88fd479633fdabf4d4247d5c21b1"
+
+
+@pytest.fixture(scope="module")
+def default_teacher(default_data):
+    src, _ = default_data
+    net = build_network(ArchSpec(src.dim, DEFAULT.teacher_hidden, src.num_classes),
+                        stream(0, "stage0"))
+    return train_source(net, src, replace(DEFAULT.source_cfg, epochs=2), stream(0, "stage0"))
+
+
+def test_default_shape_source_digest_pinned(default_teacher):
+    net, history, _ = default_teacher
+    assert _tensors_digest(net.all_tensors(), history) == GOLDEN_DEFAULT_SOURCE_SHA256
+
+
+def test_default_shape_pretrain_digest_pinned(default_data):
+    src, tgt = default_data
+    backbone, history, _ = pretrain(ArchSpec(src.dim, DEFAULT.student_hidden, src.num_classes),
+                                    tgt.unlabeled_view(),
+                                    replace(DEFAULT.contrastive_cfg, epochs=2), stream(0, "stage2"))
+    assert _tensors_digest(backbone.backbone_tensors(), history) == GOLDEN_DEFAULT_PRETRAIN_SHA256
+
+
+def test_default_shape_distill_digest_pinned(default_data, default_teacher):
+    src, tgt = default_data
+    schedule = PhaseSchedule(num_phases=2, epochs_per_phase=2, soft_label_interleave=True,
+                             soft_phase_epochs=2)
+    student, trace = distill(default_teacher[0],
+                             ArchSpec(src.dim, DEFAULT.student_hidden, src.num_classes), None,
+                             tgt.unlabeled_view(), replace(DEFAULT.distill_cfg, schedule=schedule),
+                             stream(0, "stage3"))
+    assert _tensors_digest(student.all_tensors(), trace) == GOLDEN_DEFAULT_DISTILL_SHA256
 
 
 # The long-tailed benchmark (imbalance ratio 10) at the default shapes, seed 0,

@@ -82,6 +82,33 @@ def test_stage2_requires_stage3():
         ExperimentConfig(stage2=True, stage3=False)
 
 
+def test_cli_run_with_stage2_and_no_student_hidden_is_config_error(tmp_path, capsys):
+    # stage 2 trains the student's hidden layers; without one it used to fail with a raw
+    # IndexError after stages 0 and 1 had written their checkpoints
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"student_hidden": []}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "exp")]) == 1
+    assert "student_hidden needs at least one width" in capsys.readouterr().err
+    assert not list(tmp_path.glob("exp/seed_*"))
+
+
+@pytest.mark.parametrize("config", [{}, {"stage2": False}], ids=["stage2_on", "stage2_off"])
+def test_cli_pretrain_without_student_hidden_is_config_error(tmp_path, capsys, config):
+    argv = stage_argv(tmp_path, "pretrain", "--target", {
+        "student_hidden": [], "contrastive_cfg": {"batch_size": 32}, **config})
+    assert cli.main(argv) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_no_hidden_layers_stay_legal_without_stage2(tmp_path):
+    result = run_experiment(tiny_config(seeds=(0,), teacher_hidden=(), outdir=str(tmp_path)))
+    assert result["errors"] == [] and "stage3" in result["reports"][0]["metrics"]
+    result = run_experiment(tiny_config(seeds=(0,), student_hidden=(), stage2=False,
+                                        outdir=str(tmp_path)))
+    assert result["errors"] == [] and "stage3" in result["reports"][0]["metrics"]
+
+
 def test_unknown_config_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"stage_one": True})
@@ -241,10 +268,8 @@ def test_longtail_target_is_the_balanced_benchmarks_target():
     assert tgt.bucket_thresholds == src.bucket_thresholds
 
 
-def test_longtail_make_datasets_memory_is_about_two_target_arrays():
-    # the target's latent buffer and its features, plus the much smaller long-tailed
-    # source; no second balanced draw and no per-step copies of the latent samples
-    cfg = ExperimentConfig(imbalance_ratio=100.0)
+def _make_datasets_peak(cfg) -> float:
+    """make_datasets' tracemalloc peak at seed 1000, in target feature arrays."""
     make_datasets(cfg, 1000)
     tracemalloc.start()
     try:
@@ -252,7 +277,17 @@ def test_longtail_make_datasets_memory_is_about_two_target_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * tgt.features.nbytes
+    return peak / tgt.features.nbytes
+
+
+def test_longtail_make_datasets_memory_is_about_two_target_arrays():
+    # each draw embeds its latent buffer in place: the balanced source while it is
+    # subsampled, then the target beside the much smaller long-tailed source
+    assert _make_datasets_peak(ExperimentConfig(imbalance_ratio=100.0)) <= 1.6
+
+
+def test_balanced_make_datasets_memory_is_its_two_datasets_and_a_block():
+    assert _make_datasets_peak(ExperimentConfig()) <= 2.4
 
 
 # ---------------------------------------------------------------------------

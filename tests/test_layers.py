@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adaptkit.errors import ConfigError, ShapeError
-from adaptkit.layers import (ArchSpec, BatchNorm, Dense, Network, ReLU,
+from adaptkit.layers import (ArchSpec, BatchNorm, Dense, Network, ReLU, Workspace,
                              backward_layers, build_network, forward_layers)
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, infomax_loss,
                              infomax_loss_grad, infonce_loss, infonce_loss_grad,
@@ -253,6 +253,38 @@ def test_stacked_views_match_separate_passes_bit_for_bit(case, b):
             assert _bits(ts.grad) == _bits(ta.grad), ta.name
         for ta, ts in zip(getattr(a, "state_tensors", list)(), getattr(s, "state_tensors", list)()):
             assert _bits(ts.data) == _bits(ta.data), ta.name
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_workspace_passes_match_passes_without_one_bit_for_bit(case):
+    make, train = STACK_CASES[case]
+    rng = np.random.default_rng(5)
+    plain = make(rng)
+    reused = [layer.copy() for layer in plain]
+    ws = Workspace()
+    outputs = []
+    # a full batch, an epoch's trailing rows, a stack of two views, a full batch again
+    for shape in [(128, 32), (8, 32), (2, 55, 32), (128, 32)]:
+        x = rng.normal(size=shape)
+        batch = _bits(x)
+        y, caches = forward_layers(plain, x, train)
+        dy = rng.normal(size=y.shape)
+        dx = backward_layers(plain, caches, dy)
+        y_ws, caches_ws = forward_layers(reused, x, train, ws)
+        dx_ws = backward_layers(reused, caches_ws, dy, ws)
+        assert _bits(y_ws) == _bits(y) and _bits(dx_ws) == _bits(dx)
+        assert _bits(x) == batch  # layers write over intermediates, never the batch
+        for a, r in zip(plain, reused):
+            for ta, tr in zip(a.parameters(), r.parameters()):
+                assert _bits(tr.grad) == _bits(ta.grad), ta.name
+                ta.zero_grad()
+                tr.zero_grad()
+            for ta, tr in zip(getattr(a, "state_tensors", list)(),
+                              getattr(r, "state_tensors", list)()):
+                assert _bits(tr.data) == _bits(ta.data), ta.name
+        outputs.append(y_ws)
+    # every step wrote its output into the first step's array
+    assert all(np.shares_memory(out, outputs[0]) for out in outputs)
 
 
 def test_stacked_backward_matches_fd():

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from adaptkit import source
 from adaptkit.errors import ConfigError
+from adaptkit.harness import ExperimentConfig, make_datasets, stream
 from adaptkit.layers import ArchSpec, build_network
 from adaptkit.optim import SGD, decays, fit
 from adaptkit.tensor import Tensor
@@ -121,3 +130,75 @@ def test_schedule_step_out_of_range():
     assert len(lrs) == 9  # 6 scheduled steps, 3 past the total
     assert lrs[6:] == [lrs[6]] * 3
     assert lrs[6] == pytest.approx(0.0, abs=1e-15) and lrs[6] >= 0
+
+
+# ---------------------------------------------------------------------------
+# a training loop reuses its step arrays
+
+
+def test_stage0_step_after_the_first_allocates_little(monkeypatch):
+    # from one step's start to the next: forward, backward and the SGD step at the
+    # default shapes, the epoch's trailing 8-row batch included
+    cfg = ExperimentConfig()
+    src, _ = make_datasets(cfg, 0)
+    net = build_network(ArchSpec(src.dim, cfg.teacher_hidden, src.num_classes),
+                        stream(0, "stage0"))
+    rises, starts = [], []
+
+    def measured_fit(opt, tensors, epochs, n, batch_size, rng, grads, cosine=False):
+        def measured(idx):
+            if starts:
+                rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return grads(idx)
+        return fit(opt, tensors, epochs, n, batch_size, rng, measured, cosine)
+
+    monkeypatch.setattr(source, "fit", measured_fit)
+    tracemalloc.start()
+    try:
+        source.train_source(net, src, replace(cfg.source_cfg, epochs=2), stream(0, "stage0"))
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 2 * 40 - 1  # one per step but the last, 40 steps per epoch
+    assert max(rises[1:]) <= 160_000
+    # the loop's workspace went with it: the layers hold their tensors and nothing else
+    assert all(isinstance(v, Tensor) for layer in net.layers for v in vars(layer).values())
+
+
+# Stage 0 after make_datasets in a fresh process with one BLAS thread: its minor
+# page faults. A step that allocates and frees its batch-sized arrays makes glibc
+# grow and trim the heap every step (~120,000 faults at the default shapes or at
+# width 256, batch 512, 5 epochs) until the process has freed an array large
+# enough to raise glibc's trim threshold.
+_STAGE0_FAULTS = """
+import resource, sys
+from dataclasses import replace
+from adaptkit.harness import ExperimentConfig, make_datasets, stream
+from adaptkit.layers import ArchSpec, build_network
+from adaptkit.source import train_source
+width, batch, epochs = map(int, sys.argv[1:])
+cfg = ExperimentConfig(teacher_hidden=(width, width))
+src, _ = make_datasets(cfg, 0)
+net = build_network(ArchSpec(src.dim, cfg.teacher_hidden, src.num_classes), stream(0, "stage0"))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_source(net, src, replace(cfg.source_cfg, batch_size=batch, epochs=epochs),
+             stream(0, "stage0"))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+                                "1")
+
+
+@pytest.mark.parametrize("width,batch,epochs,most", [(64, 128, 30, 3_000),
+                                                     (256, 512, 5, 20_000)],
+                         ids=["default", "width256_batch512"])
+def test_stage0_does_not_grow_and_trim_the_heap_every_step(width, batch, epochs, most):
+    env = {**os.environ, **ONE_BLAS_THREAD,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _STAGE0_FAULTS, str(width), str(batch),
+                           str(epochs)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) <= most
