@@ -28,8 +28,8 @@ then writes its batch-sized arrays into the workspace's arrays with `out=`, in
 the same expressions, so the bits are those of a pass without one. One training
 loop owns one workspace, so its steps after the first allocate no batch-sized
 array. The outputs and caches of a forward pass, and the weight grads a
-backward pass adds, stay valid until that loop's next step; the input grad a
-backward pass returns, until the next backward pass. Without a workspace a pass
+backward pass adds, stay valid until that loop's next step; the input grad that
+`backward_layers` returns, until the next backward pass. Without a workspace a pass
 allocates what it returns. Either way `forward_layers` lets each BatchNorm and
 ReLU after the first layer write over its input, which no other layer holds.
 """
@@ -139,12 +139,15 @@ class Dense:
         return np.add(y, self.bias.data, out=y)
 
     def backward(self, cache, dy: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-        x = cache
-        dw = np.matmul(np.swapaxes(dy, -1, -2), x,
+        self.param_grads(cache, dy, ws)
+        return np.matmul(dy, self.weight.data, out=_dx_out(ws, cache.shape))
+
+    def param_grads(self, cache, dy: np.ndarray, ws: Workspace | None = None) -> None:
+        """backward's weight and bias grads, without its input grad."""
+        dw = np.matmul(np.swapaxes(dy, -1, -2), cache,
                        out=_out(ws, (self, "dw"), dy.shape[:-2] + self.weight.shape))
         self.weight.add_grad(_sum_views(dw, 2))
         self.bias.add_grad(_sum_views(dy.sum(axis=-2), 1))
-        return np.matmul(dy, self.weight.data, out=_dx_out(ws, x.shape))
 
 
 class BatchNorm:
@@ -357,13 +360,24 @@ class Network:
         """Like forward, through the representation layers only (no classifier)."""
         return self._forward(self.layers[:-1], batch, train, "feature output", ws)
 
-    def backward(self, caches: list, dout: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-        """Accumulate parameter grads from an upstream gradient; returns dx."""
-        return backward_layers(self.layers, caches, dout, ws)
+    def _backward(self, layers: list, caches: list, dout: np.ndarray,
+                  ws: Workspace | None) -> None:
+        if len(caches) != len(layers):
+            raise ConfigError("backward called with a cache that does not match the forward pass")
+        if layers:  # nothing reads the first layer's input grad, which a Dense skips
+            first = layers[0]
+            grads = first.param_grads if first.kind == "dense" else first.backward
+            grads(caches[0], backward_layers(layers[1:], caches[1:], dout, ws), ws)
+
+    def backward(self, caches: list, dout: np.ndarray, ws: Workspace | None = None) -> None:
+        """Accumulate parameter grads from an upstream gradient. The input grad is not
+        computed: a first Dense layer takes only its weight and bias grads."""
+        self._backward(self.layers, caches, dout, ws)
 
     def backward_features(self, caches: list, dout: np.ndarray,
-                          ws: Workspace | None = None) -> np.ndarray:
-        return backward_layers(self.layers[:-1], caches, dout, ws)
+                          ws: Workspace | None = None) -> None:
+        """Like backward, through the representation layers only (no classifier)."""
+        self._backward(self.layers[:-1], caches, dout, ws)
 
     def copy(self) -> "Network":
         return Network([layer.copy() for layer in self.layers], self.arch)

@@ -5,10 +5,14 @@ helpers return gradients with respect to the pre-softmax logits, already
 averaged over the batch, which is what the layer-stack backward expects.
 Probabilities are clamped at 1e-12 before any log; when clamping fires the
 returned LossValue is flagged instead of silently swallowing the issue.
+
+InfoNCE takes embeddings. `infonce_loss_grad` runs `infonce_loss`, input checks
+included, and returns `(value, (dq, dk))` built from the arrays the value keeps
+in `LossValue.saved`, so a step makes one pass over the similarities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +26,7 @@ class LossValue:
     scalar: float
     per_sample: np.ndarray | None = None
     clamped: bool = False
+    saved: tuple = field(default=(), repr=False, compare=False)
 
     def __float__(self) -> float:
         return self.scalar
@@ -153,29 +158,30 @@ def infonce_loss(queries: np.ndarray, keys: np.ndarray, temperature: float) -> L
         raise ShapeError("queries and keys must have identical shape")
     if queries.shape[0] < 2:
         raise ConfigError("InfoNCE needs a batch of at least 2")
-    q, _ = _normalize_rows(queries, "queries")
-    k, _ = _normalize_rows(keys, "keys")
-    sims = q @ k.T / temperature
-    top = sims.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(sims - top).sum(axis=1)) + top[:, 0]
-    per = lse - np.diag(sims)
-    return LossValue(float(per.mean()), per)
-
-
-def infonce_loss_grad(queries: np.ndarray, keys: np.ndarray,
-                      temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of infonce_loss w.r.t. the raw (pre-normalization) inputs."""
-    queries = np.asarray(queries, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    b = queries.shape[0]
     q, qn = _normalize_rows(queries, "queries")
     k, kn = _normalize_rows(keys, "keys")
-    ds = softmax(q @ k.T / temperature)
+    sims = q @ k.T / temperature
+    top = sims.max(axis=1, keepdims=True)
+    e = np.exp(sims - top)
+    total = e.sum(axis=1)
+    per = np.log(total) + top[:, 0] - np.diag(sims)
+    return LossValue(float(per.mean()), per, saved=(q, qn, k, kn, e, total))
+
+
+def infonce_loss_grad(queries: np.ndarray, keys: np.ndarray, temperature: float
+                      ) -> tuple[LossValue, tuple[np.ndarray, np.ndarray]]:
+    """infonce_loss and its gradients w.r.t. the raw (pre-normalization) inputs, from
+    the value's own normalized rows and exponentials."""
+    value = infonce_loss(queries, keys, temperature)
+    if not np.isfinite(value.scalar):
+        raise NumericalError("non-finite contrastive loss")
+    q, qn, k, kn, e, total = value.saved
+    b = q.shape[0]
+    ds = e / total[:, None]  # the row softmax of the similarities
     ds[np.diag_indices(b)] -= 1.0
     ds /= b * temperature
-    dqhat = ds @ k
-    dkhat = ds.T @ q
+    dqhat, dkhat = ds @ k, ds.T @ q
     # project through the row-normalization jacobian
     dq = (dqhat - (dqhat * q).sum(axis=1, keepdims=True) * q) / qn
     dk = (dkhat - (dkhat * k).sum(axis=1, keepdims=True) * k) / kn
-    return dq, dk
+    return value, (dq, dk)

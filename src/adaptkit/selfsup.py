@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .layers import (ArchSpec, Dense, Network, ReLU, Workspace, backward_layers,
                      build_network, forward_layers)
-from .losses import infonce_loss, infonce_loss_grad
+from .losses import infonce_loss_grad
 from .optim import SGD, check_fit_args, fit
 
 
@@ -64,10 +64,7 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
                           augment(x, cfg.policy, "strong", rng)])
         feats, caches = net.forward_features(views, train=True, ws=ws)
         (q, k), head_caches = forward_layers(head, feats, True, ws)
-        loss = infonce_loss(q, k, cfg.temperature)
-        if not np.isfinite(loss.scalar):
-            raise NumericalError("non-finite contrastive loss")
-        dq, dk = infonce_loss_grad(q, k, cfg.temperature)
+        loss, (dq, dk) = infonce_loss_grad(q, k, cfg.temperature)
         net.backward_features(caches, backward_layers(head, head_caches, np.stack([dq, dk]), ws),
                               ws)
         return {"infonce": loss.scalar}

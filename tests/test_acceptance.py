@@ -107,7 +107,7 @@ def test_criterion_01_gradient_correctness():
     for seed in range(8):  # InfoNCE in embedding space
         rng = np.random.default_rng(seed)
         q, k = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        dq, dk = infonce_loss_grad(q, k, 0.2)
+        _, (dq, dk) = infonce_loss_grad(q, k, 0.2)
         worst = max(worst, max_rel_error(
             [dq, dk], [fd_grad(lambda v: infonce_loss(v, k, 0.2).scalar, q.copy()),
                        fd_grad(lambda v: infonce_loss(q, v, 0.2).scalar, k.copy())]))

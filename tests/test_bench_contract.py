@@ -5,14 +5,22 @@ tracer's counters read by position still sits at that position. A refactor that
 renames a traced function or moves a counted argument fails here, not only in
 the benchmark's own tests.
 
-The benchmark's modules are loaded from their files as they are; nothing in
-them runs beyond their top-level definitions.
+The benchmark's modules are loaded from their files as they are. Beyond their
+top-level definitions, only the tracer runs: installed around a tiny one-seed
+run of a workload's stages, it must see every span the workload requires and
+none that it bypasses, as the benchmark's own multi-minute self-checks do.
 """
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
+
+from adaptkit.data import GeneratorSpec
+from adaptkit.harness import run_experiment
+from test_harness import tiny_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -82,3 +90,24 @@ def test_every_counted_argument_keeps_its_position():
              for (m, a), slots in COUNTED_SLOTS.items() for param, pos in slots
              if list(inspect.signature(_resolve(m, a)).parameters)[pos:pos + 1] != [param]]
     assert moved == []
+
+
+# the tiny run's source must keep a row of every class at the workload's imbalance ratio
+TINY_SHAPES = {"full-1seed": {},
+               "longtail-cal": {"benchmark": GeneratorSpec(n_per_class=200, num_classes=4,
+                                                           input_dim=8)}}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_SHAPES))
+def test_traced_tiny_run_calls_required_spans_and_no_bypassed_one(tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    cfg = {k: v for k, v in workload.config_dict(0, str(tmp_path)).items() if k != "seeds"}
+    traced = tracer.Tracer().install()
+    try:
+        run_experiment(tiny_config(**cfg, **TINY_SHAPES[name], seeds=(0,)))
+    finally:
+        traced.uninstall()
+    called = {span[0] for spans in traced.spans() for span in spans}
+    required, bypassed = workload.expected_spans()
+    assert sorted(required - called) == []
+    assert sorted(bypassed & called) == []

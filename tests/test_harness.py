@@ -1,11 +1,17 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptkit import checkpoint, cli, store
 from adaptkit.adapt import AdaptConfig
@@ -13,9 +19,9 @@ from adaptkit.data import (Dataset, GeneratorSpec, ShiftSpec, generate, load_dat
                            save_dataset)
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.errors import ConfigError, StorageError
-from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, compare,
-                              load_config, make_datasets, run_experiment, run_seed, stream,
-                              stream_seed, summarize)
+from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _percentile,
+                              compare, load_config, make_datasets, run_experiment, run_seed,
+                              stream, stream_seed, summarize)
 from adaptkit.layers import ArchSpec, build_network
 from adaptkit.metrics import evaluate
 from adaptkit.selfsup import ContrastiveConfig
@@ -303,6 +309,33 @@ def test_summarize_median_and_iqr():
     assert out["stages"]["stage1"]["overall_acc"]["median"] == pytest.approx(0.4)
     assert out["stages"]["stage1"]["overall_acc"]["iqr"] == pytest.approx(0.2)
     assert out["num_seeds"] == 4 and out["num_failed"] == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=12),
+       st.sampled_from([0.25, 0.5, 0.75]))
+def test_percentile_equals_numpys(values, q):
+    assert _percentile(values, q) == float(np.percentile(values, 100 * q))
+
+
+_RUN_WITHOUT_NUMPY_MA = """
+import sys, tempfile
+from test_harness import tiny_config
+from adaptkit.harness import run_experiment
+assert "numpy.ma" not in sys.modules
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(tiny_config(seeds=(0,), calibrate=True, outdir=out))
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_a_run_never_imports_numpy_ma():
+    # numpy.ma costs ~1.3 MB of pages: summarize takes its quartiles without it
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    proc = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_NUMPY_MA], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_compare_renders_missing_cells(tmp_path):

@@ -300,7 +300,7 @@ def test_stacked_backward_matches_fd():
         return infonce_loss(q, k, 0.5).scalar
 
     (q, k), caches = forward_layers(layers, x, True)
-    dx = backward_layers(layers, caches, np.stack(infonce_loss_grad(q, k, 0.5)))
+    dx = backward_layers(layers, caches, np.stack(infonce_loss_grad(q, k, 0.5)[1]))
     assert max_rel_error([p.grad for p in params], fd_param_grads(lambda: loss(x), params)) < 1e-4
     assert max_rel_error([dx], [fd_grad(loss, x)]) < 1e-4
 

@@ -216,6 +216,55 @@ def test_infonce_rejects_bad_inputs():
     q[1] = 0.0
     with pytest.raises(NumericalError):
         infonce_loss(q, np.ones((3, 2)), 0.2)
+    # the gradient runs the value's checks
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError):
+        infonce_loss_grad(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), 0.2)
+    with pytest.raises(ConfigError):
+        infonce_loss_grad(rng.normal(size=(1, 3)), rng.normal(size=(1, 3)), 0.2)
+    with pytest.raises(ConfigError):
+        infonce_loss_grad(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), -1.0)
+    with pytest.raises(NumericalError):
+        infonce_loss_grad(q, np.ones((3, 2)), 0.2)
+    with pytest.raises(NumericalError), np.errstate(all="ignore"):  # similarities overflow
+        infonce_loss_grad(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), 1e-320)
+
+
+def _two_pass_infonce(queries, keys, temperature):
+    """infonce_loss and infonce_loss_grad as two separate passes, each normalizing
+    the rows and exponentiating the similarities itself: the reference that the
+    one-pass gradient must match bit for bit."""
+    q = queries / np.sqrt((queries * queries).sum(axis=1, keepdims=True))
+    k = keys / np.sqrt((keys * keys).sum(axis=1, keepdims=True))
+    sims = q @ k.T / temperature
+    top = sims.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(sims - top).sum(axis=1)) + top[:, 0]
+    per = lse - np.diag(sims)
+
+    b = queries.shape[0]
+    qn = np.sqrt((queries * queries).sum(axis=1, keepdims=True))
+    kn = np.sqrt((keys * keys).sum(axis=1, keepdims=True))
+    q, k = queries / qn, keys / kn
+    ds = softmax(q @ k.T / temperature)
+    ds[np.diag_indices(b)] -= 1.0
+    ds /= b * temperature
+    dqhat, dkhat = ds @ k, ds.T @ q
+    dq = (dqhat - (dqhat * q).sum(axis=1, keepdims=True) * q) / qn
+    dk = (dkhat - (dkhat * k).sum(axis=1, keepdims=True) * k) / kn
+    return float(per.mean()), per, dq, dk
+
+
+def test_infonce_grad_is_the_two_pass_result_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        b, d, tau = int(rng.integers(2, 201)), int(rng.integers(2, 41)), rng.uniform(0.05, 2)
+        q, k = rng.normal(size=(b, d)), rng.normal(size=(b, d))
+        value, (dq, dk) = infonce_loss_grad(q, k, tau)
+        scalar, per, ref_dq, ref_dk = _two_pass_infonce(q, k, tau)
+        assert value.scalar == scalar
+        assert value.per_sample.tobytes() == per.tobytes()
+        assert infonce_loss(q, k, tau).per_sample.tobytes() == per.tobytes()
+        assert dq.tobytes() == ref_dq.tobytes() and dk.tobytes() == ref_dk.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +335,7 @@ def test_infonce_grads_match_fd(seed):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(4, 3))
     k = rng.normal(size=(4, 3))
-    dq, dk = infonce_loss_grad(q, k, 0.2)
+    _, (dq, dk) = infonce_loss_grad(q, k, 0.2)
     fdq = fd_grad(lambda x: infonce_loss(x, k, 0.2).scalar, q.copy())
     fdk = fd_grad(lambda x: infonce_loss(q, x, 0.2).scalar, k.copy())
     assert max_rel_error([dq, dk], [fdq, fdk]) < 1e-4
