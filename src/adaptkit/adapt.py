@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import UnlabeledView
 from .errors import ConfigError
-from .layers import Network, Workspace
+from .layers import Network
 from .losses import diversity_loss, entropy_loss, infomax_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
 from .tensor import fingerprint_all
@@ -67,9 +67,7 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
     report = AdaptReport(classifier_fingerprint_before=fingerprint_all(net.classifier.parameters()))
     trainable, _ = partition_parameters(net, cfg.update_set)
 
-    ws = Workspace()
-
-    def grads(idx):
+    def grads(idx, ws):
         logits, caches = net.forward(target.features[idx], train=True, ws=ws)
         probs = softmax(logits)
         net.backward(caches, infomax_loss_grad(probs), ws)

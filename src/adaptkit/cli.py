@@ -40,6 +40,14 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _for_data(net, inputs: harness.StageInputs, path: str):
+    """`net`, loaded from `path`, if it takes the data's width and predicts its classes."""
+    if (net.arch.input_dim, net.arch.num_classes) != (inputs.input_dim, inputs.num_classes):
+        raise ConfigError(f"{path} is for {net.arch.input_dim} features and {net.arch.num_classes}"
+                          f" classes, the data has {inputs.input_dim} and {inputs.num_classes}")
+    return net
+
+
 def cmd_stage(args) -> int:
     """train-source, adapt, pretrain, distill and calibrate: one step of `run`'s stage
     table on files, so the same --seed and --config give the same checkpoint bytes."""
@@ -47,9 +55,10 @@ def cmd_stage(args) -> int:
     inputs = harness.StageInputs(data, data.unlabeled_view(), cfg.teacher_hidden,
                                  cfg.student_hidden)
     if getattr(args, "model", None):
-        inputs.model, _ = checkpoint.load_checkpoint(args.model)
+        inputs.model = _for_data(checkpoint.load_checkpoint(args.model)[0], inputs, args.model)
     if getattr(args, "student_init", None):
-        inputs.pretrained = checkpoint.load_backbone(args.student_init)
+        inputs.pretrained = _for_data(checkpoint.load_backbone(args.student_init), inputs,
+                                      args.student_init)
     product, fragment, abort = stage.step(getattr(cfg, stage.section), args.seed, inputs)
     if abort:  # the stage hit a non-finite value and kept its last good state
         print(f"{args.command} aborted: {json.dumps(abort, sort_keys=True)}", file=sys.stderr)

@@ -79,7 +79,7 @@ class AugmentationPolicy:
         if not 0 <= self.dropout_prob <= 1:
             raise ConfigError("dropout probability must be in [0, 1]")
         low, high = self.scale_range
-        if not (isfinite(low) and isfinite(high) and low <= high):
+        if not (low <= high and isfinite(high - low)):
             raise ConfigError(f"scale_range must be finite, low not above high, got "
                               f"{self.scale_range}")
 

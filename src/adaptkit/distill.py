@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError
-from .layers import ArchSpec, Network, Workspace
+from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
 from .selfsup import make_student
@@ -86,9 +86,7 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
     if len(labels.hard) != len(target):
         raise ConfigError("pseudo-labels and target data are not aligned")
 
-    ws = Workspace()
-
-    def grads(idx):
+    def grads(idx, ws):
         x = augment(target.features[idx], cfg.policy, "strong", rng)
         logits, caches = student.forward(x, train=True, ws=ws)
         probs = softmax(logits)
@@ -180,7 +178,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     hard = np.empty(len(target), np.int64)
     abort = None
 
-    def grads(idx):
+    def grads(idx, ws):  # no layer runs, so the loop's workspace goes unused
         s.data = np.maximum(s.data, 1e-3)
         scores = raw_scores[idx]
         p = softmax(scores * s.data + bias)

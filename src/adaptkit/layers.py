@@ -23,18 +23,20 @@ updates its running statistics once per view, in view order, and a parameter
 grad is the sum of the per-view grads in view order. Each view's numbers are
 bit for bit those of a separate B x d pass.
 
-A train step may hand its forward and backward passes a `Workspace`: each layer
-then writes its batch-sized arrays into the workspace's arrays with `out=`, in
-the same expressions, so the bits are those of a pass without one. One training
-loop owns one workspace, so its steps after the first allocate no batch-sized
-array. The outputs and caches of a forward pass, and the weight grads a
-backward pass adds, stay valid until that loop's next step; the input grad that
-`backward_layers` returns, until the next backward pass. Without a workspace a pass
+A train-mode pass may write into a `Workspace`: each layer then puts its
+batch-sized arrays in the workspace's arrays with `out=`, in the same
+expressions, so the bits are those of a pass without one. `optim.fit` makes one
+per training loop and hands it to every step, so the steps after the first
+allocate no batch-sized array. A forward pass's outputs and caches, and the
+weight grads a backward pass adds, live until the loop's next step, and `fit`
+clears the grads when it returns; the input grad that `backward_layers`
+returns lives until the next backward pass. Without a workspace a pass
 allocates what it returns. Either way `forward_layers` lets each BatchNorm and
 ReLU after the first layer write over its input, which no other layer holds.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -50,18 +52,16 @@ BN_MOMENTUM = 0.1  # new = 0.9 * old + 0.1 * batch
 
 
 class Workspace:
-    """The arrays that the train steps of one training loop write into, one flat
+    """The arrays that the train steps of one `optim.fit` call write into, one flat
     array per key, as large as the largest batch seen. A step takes its first
     elements, reshaped, so a smaller batch (an epoch's trailing one) reuses the
     array and every array handed out is contiguous.
 
     What outlives a layer's call has a key of its own, (layer, role): outputs,
     caches and weight grads. Scratch that dies within the call is one array per
-    role for all layers, and the input grads that backward passes hand down take
-    two arrays in turn. Few arrays keep a step's working set small, which its
-    speed depends on: with an array per (layer, role) for everything, and no
-    layer writing over its input, a step ran ~10% slower than one that
-    allocates its arrays."""
+    role for all layers, and backward input grads take two arrays in turn. The
+    small working set is what makes a step fast: with an array per (layer, role)
+    for everything, a step ran ~10% slower than one that allocates its arrays."""
 
     def __init__(self):
         self._flat: dict = {}
@@ -122,12 +122,6 @@ class Dense:
     def parameters(self):
         return [self.weight, self.bias]
 
-    def copy(self) -> "Dense":
-        new = Dense.__new__(Dense)
-        new.weight = self.weight.copy()
-        new.bias = self.bias.copy()
-        return new
-
     def forward(self, x: np.ndarray, train: bool, ws: Workspace | None = None,
                 own: bool = False):
         return self._infer(x, False, _out(ws, (self, "y"), x.shape[:-1] + (self.out_dim,))), x
@@ -168,14 +162,6 @@ class BatchNorm:
 
     def state_tensors(self):
         return [self.running_mean, self.running_var]
-
-    def copy(self) -> "BatchNorm":
-        new = BatchNorm.__new__(BatchNorm)
-        new.gamma = self.gamma.copy()
-        new.beta = self.beta.copy()
-        new.running_mean = self.running_mean.copy()
-        new.running_var = self.running_var.copy()
-        return new
 
     def forward(self, x: np.ndarray, train: bool, ws: Workspace | None = None,
                 own: bool = False):
@@ -232,9 +218,6 @@ class ReLU:
 
     def parameters(self):
         return []
-
-    def copy(self) -> "ReLU":
-        return ReLU()
 
     def forward(self, x: np.ndarray, train: bool, ws: Workspace | None = None,
                 own: bool = False):
@@ -380,7 +363,7 @@ class Network:
         self._backward(self.layers[:-1], caches, dout, ws)
 
     def copy(self) -> "Network":
-        return Network([layer.copy() for layer in self.layers], self.arch)
+        return copy.deepcopy(self)
 
 
 def build_network(arch: ArchSpec, rng: np.random.Generator) -> Network:

@@ -28,9 +28,6 @@ class LossValue:
     clamped: bool = False
     saved: tuple = field(default=(), repr=False, compare=False)
 
-    def __float__(self) -> float:
-        return self.scalar
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .layers import Workspace
 from .tensor import Tensor, check_finite
 
 # Decay is skipped for biases and batchnorm affine parameters.
@@ -77,28 +78,32 @@ def check_fit_args(batch_size: int, lr: float, epochs: int = 0, momentum: float 
 
 def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
         rng: np.random.Generator, grads, cosine: bool = False) -> tuple[list[dict], dict | None]:
-    """The one epoch x minibatch loop: grads(idx) runs forward and backward and returns
-    {loss name: value}, then `opt` steps at a constant or cosine lr. Returns per-epoch mean
-    losses and None, or, if a NumericalError put `tensors` back as they were at the start
-    of its epoch and ended the run, the losses so far and the abort {"epoch", "reason"}."""
-    total = max(1, epochs * max(1, n // batch_size))
-    history, step = [], 0
-    for epoch in range(epochs):
-        start, losses = [t.data.copy() for t in tensors], []
-        try:
+    """The one epoch x minibatch loop: grads(idx, ws) runs forward and backward into the
+    loop's one `Workspace` and returns {loss name: value}, then `opt` steps at a constant
+    or cosine lr. Returns per-epoch mean losses and None, or, if a NumericalError put
+    `tensors` back as at the start of its epoch and ended the run, the losses so far and
+    the abort {"epoch", "reason"}. On return no tensor keeps a grad a step wrote."""
+    ws, total = Workspace(), max(1, epochs * max(1, n // batch_size))
+    history, step, abort = [], 0, None
+    try:
+        for epoch in range(epochs):
+            start, losses = [t.data.copy() for t in tensors], []
             for idx in minibatches(n, batch_size, rng):
                 for t in tensors:
                     t.zero_grad()
-                losses.append(grads(idx))
+                losses.append(grads(idx, ws))
                 opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (min(step, total) / total)))
                          if cosine else opt.lr)
                 step += 1
             for t in tensors:
                 check_finite(t.data, t.name)
-        except NumericalError as e:
-            for t, data in zip(tensors, start):
-                t.data = data
-            return history, {"epoch": epoch, "reason": str(e)}
-        history.append({"epoch": epoch, **{k: float(np.mean([b[k] for b in losses]))
-                                           for k in (losses[0] if losses else ())}})
-    return history, None
+            history.append({"epoch": epoch, **{k: float(np.mean([b[k] for b in losses]))
+                                               for k in (losses[0] if losses else ())}})
+    except NumericalError as e:
+        for t, data in zip(tensors, start):
+            t.data = data
+        abort = {"epoch": epoch, "reason": str(e)}
+    finally:
+        for t in tensors:
+            t.zero_grad()
+    return history, abort

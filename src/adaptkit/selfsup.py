@@ -14,8 +14,8 @@ import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError
-from .layers import (ArchSpec, Dense, Network, ReLU, Workspace, backward_layers,
-                     build_network, forward_layers)
+from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
+                     forward_layers)
 from .losses import infonce_loss_grad
 from .optim import SGD, check_fit_args, fit
 
@@ -55,9 +55,7 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
             Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")]
     head_params = [p for layer in head for p in layer.parameters()]
 
-    ws = Workspace()
-
-    def grads(idx):
+    def grads(idx, ws):
         x = target.features[idx]
         # both views go through backbone and head as one 2 x B x d stack
         views = np.stack([augment(x, cfg.policy, "strong", rng),

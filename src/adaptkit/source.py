@@ -7,7 +7,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
-from .layers import Network, Workspace
+from .layers import Network
 from .losses import cross_entropy, cross_entropy_grad, softmax
 from .optim import SGD, check_fit_args, fit
 
@@ -33,9 +33,7 @@ def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
     if dataset.labels is None:
         raise ConfigError("source training needs labels")
 
-    ws = Workspace()
-
-    def grads(idx):
+    def grads(idx, ws):
         logits, caches = net.forward(dataset.features[idx], train=True, ws=ws)
         probs = softmax(logits)
         loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)

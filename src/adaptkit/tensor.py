@@ -61,9 +61,8 @@ class Tensor:
     def add_grad(self, g: np.ndarray) -> None:
         """Accumulate g. The first call after zero_grad keeps g itself, not a copy,
         and later calls add into it, so the caller hands g over: a fresh array, or
-        an array of a training loop's `layers.Workspace`, which that loop writes
-        again only in its next step, after `fit` has called zero_grad. The grad is
-        then valid until that step; the last step's grads outlive the loop."""
+        an array of the `layers.Workspace` of `optim.fit`, which clears every grad
+        before the loop's next step writes that array again, and when it returns."""
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.data.shape:
             raise ShapeError(
@@ -73,12 +72,6 @@ class Tensor:
             self.grad = g
         else:
             self.grad += g
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), self.name)
-        if self.grad is not None:
-            t.grad = self.grad.copy()
-        return t
 
     def __repr__(self) -> str:
         nm = f" {self.name!r}" if self.name else ""

@@ -504,7 +504,8 @@ TINY_RUN = {"benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
         {"source_cfg": {"weight_decay": float("inf")}},
         {"calibrate_cfg": {"policy": {"weak_sigma": -1}}},
         {"contrastive_cfg": {"temperature": float("inf")}},
-        {"source_cfg": {"smoothing": 2}}]),
+        {"source_cfg": {"smoothing": 2}},
+        {"distill_cfg": {"policy": {"scale_range": [-1e308, 1e308]}}}]),
 ], ids=["bad_json", "bad_yaml", "non_mapping", "non_mapping_section", "unknown_benchmark_key",
      "unknown_shift_key", "str_epochs", "list_lr", "null_num_classes", "str_seeds",
      "str_stage1", "zero_batch", "one_row_batch", "zero_calibrate_batch", "negative_epochs",
@@ -517,7 +518,7 @@ TINY_RUN = {"benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
      "imbalance_with_source_data", "null_section", "null_nested_section",
      "yaml_empty_section", "inf_shift_magnitude", "negative_cluster_sigma", "nan_scale_range",
      "nan_momentum", "negative_momentum", "inf_weight_decay", "negative_weak_sigma",
-     "inf_temperature", "smoothing_above_one"])
+     "inf_temperature", "smoothing_above_one", "overflowing_scale_range"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -647,6 +648,30 @@ def test_cli_prints_abort_record(tmp_path, capsys, command, section, data_flag):
     assert record["epoch"] == 0 and "non-finite" in record["reason"]
     # distill prints run's record: the phase folded into the epoch's record
     assert set(record) == {"epoch", "reason"} | ({"phase"} if command == "distill" else set())
+
+
+@pytest.mark.parametrize("command,arch,flag", [
+    ("adapt", ArchSpec(8, (8,), 3), None), ("calibrate", ArchSpec(8, (8,), 3), None),
+    ("distill", ArchSpec(8, (8,), 3), None), ("distill", ArchSpec(8, (8,), 5), None),
+    ("distill", ArchSpec(6, (8,), 4), None), ("distill", ArchSpec(8, (8,), 3), "--student-init"),
+], ids=["adapt_3_classes", "calibrate_3_classes", "distill_3_classes", "distill_5_classes",
+     "distill_6_features", "student_init_3_classes"])
+def test_cli_stage_rejects_a_checkpoint_that_does_not_fit_the_data(tmp_path, capsys, command,
+                                                                    arch, flag):
+    # the data has 4 classes and 8 features; the checkpoint given by MODEL_FLAGS, or with
+    # `flag` the student-init backbone, is for `arch`
+    argv = stage_argv(tmp_path, command, "--target", {"distill_cfg": ONE_PHASE})
+    net, bad = build_network(arch, np.random.default_rng(0)), tmp_path / "bad.ckpt"
+    if flag:
+        checkpoint.save_backbone(arch, {t.name: t.data for t in net.backbone_tensors()}, bad)
+        argv += [flag, str(bad)]
+    else:
+        checkpoint.save_checkpoint(net, bad)
+        argv[argv.index(MODEL_FLAGS[command]) + 1] = str(bad)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {bad} is for {arch.input_dim} features and {arch.num_classes}" in err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("command,data_flag", [(c, f) for c, _, f in STAGE_COMMANDS])

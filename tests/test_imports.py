@@ -4,6 +4,8 @@ dependencies on them show at the top.
 
 __init__.py is exempt from the first check: its imports are the package's
 public re-exports.
+
+Only optim.py calls `Workspace(`: `fit` makes each training loop's workspace.
 """
 import ast
 from pathlib import Path
@@ -46,3 +48,16 @@ def imports_in_functions(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_package_imports_in_functions(path):
     assert imports_in_functions(path) == []
+
+
+def workspace_calls(path: Path) -> list[str]:
+    """Lines that call `Workspace(`, by its bare or its module-qualified name."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Workspace"]
+
+
+def test_only_fit_makes_a_workspace():
+    # optim.fit owns each training loop's workspace; no stage builds its own
+    calls = [c for path in sorted(SRC.glob("*.py")) for c in workspace_calls(path)]
+    assert [c.split(":")[0] for c in calls] == ["optim.py"]

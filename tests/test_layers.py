@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -238,7 +239,7 @@ def test_stacked_views_match_separate_passes_bit_for_bit(case, b):
     make, train = STACK_CASES[case]
     rng = np.random.default_rng(b)
     separate = make(rng)
-    stacked = [layer.copy() for layer in separate]
+    stacked = [copy.deepcopy(layer) for layer in separate]
     x = rng.normal(size=(2, b, 32))
     # the separate passes run as stage 2 ran them: both forwards, then both backwards
     outs = [forward_layers(separate, view, train) for view in x]
@@ -260,7 +261,7 @@ def test_workspace_passes_match_passes_without_one_bit_for_bit(case):
     make, train = STACK_CASES[case]
     rng = np.random.default_rng(5)
     plain = make(rng)
-    reused = [layer.copy() for layer in plain]
+    reused = [copy.deepcopy(layer) for layer in plain]
     ws = Workspace()
     outputs = []
     # a full batch, an epoch's trailing rows, a stack of two views, a full batch again
@@ -330,6 +331,23 @@ def _old_eval_expressions(layers, x):
         else:
             x = x * (x > 0)
     return x
+
+
+@pytest.mark.parametrize("batchnorm", [True, False], ids=["batchnorm", "no_batchnorm"])
+def test_network_copy_is_whole_and_shares_no_memory(batchnorm):
+    rng = np.random.default_rng(9)
+    net = _random_bn_state(small_net(seed=9, hidden=(8, 5), batchnorm=batchnorm), rng)
+    for t in net.all_tensors():
+        t.grad = rng.normal(size=t.shape)
+    new = net.copy()
+    assert new.arch == net.arch and len(new.layers) == len(net.layers)
+    assert [layer.kind for layer in new.layers] == [layer.kind for layer in net.layers]
+    pairs = list(zip(net.all_tensors(), new.all_tensors()))
+    assert len(pairs) == (14 if batchnorm else 6)
+    for t, c in pairs:
+        assert c is not t and c.name == t.name
+        assert _bits(c.data) == _bits(t.data) and _bits(c.grad) == _bits(t.grad), t.name
+        assert not np.shares_memory(c.data, t.data) and not np.shares_memory(c.grad, t.grad)
 
 
 def _random_bn_state(net, rng):

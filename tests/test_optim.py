@@ -10,9 +10,11 @@ import pytest
 
 from adaptkit import source
 from adaptkit.errors import ConfigError
+from adaptkit.data import GeneratorSpec, generate
 from adaptkit.harness import ExperimentConfig, make_datasets, stream
-from adaptkit.layers import ArchSpec, build_network
+from adaptkit.layers import ArchSpec, Workspace, build_network
 from adaptkit.optim import SGD, decays, fit
+from adaptkit.source import SourceConfig
 from adaptkit.tensor import Tensor
 
 
@@ -99,7 +101,7 @@ def fit_lrs(cosine, epochs, n, batch_size, lr=0.1):
     p = scalar_param(1.0)
     opt = RecordingSGD([p], lr=lr, momentum=0.9)
 
-    def grads(idx):
+    def grads(idx, ws):
         p.add_grad(np.array([0.5]))
         return {}
 
@@ -136,6 +138,37 @@ def test_schedule_step_out_of_range():
 # a training loop reuses its step arrays
 
 
+def test_fit_hands_one_workspace_to_every_step_of_a_call():
+    p = scalar_param(1.0)
+    seen = []
+
+    def grads(idx, ws):
+        seen.append(ws)
+        p.add_grad(np.array([0.5]))
+        return {}
+
+    for _ in range(2):
+        fit(SGD([p], lr=0.1), [p], 2, 10, 4, np.random.default_rng(0), grads)
+    assert len(seen) == 12  # 2 calls x 2 epochs x blocks of 4, 4 and 2 rows
+    assert isinstance(seen[0], Workspace)
+    assert all(ws is seen[0] for ws in seen[:6]) and all(ws is seen[6] for ws in seen[6:])
+    assert seen[6] is not seen[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lr", [0.05, np.inf], ids=["normal_end", "abort"])
+def test_no_tensor_keeps_a_grad_after_fit(lr):
+    # stage 0's Dense weight grads are arrays of its loop's workspace; none outlives fit.
+    # One step per epoch: an infinite lr makes the parameters non-finite in the epoch's
+    # only step, so the abort comes from the epoch-end check, after a backward pass.
+    data = generate(GeneratorSpec(n_per_class=10, num_classes=3, input_dim=4), 0)
+    net = build_network(ArchSpec(4, (6, 5), 3), np.random.default_rng(0))
+    _, history, abort = source.train_source(
+        net, data, SourceConfig(epochs=2, batch_size=30, lr=lr), np.random.default_rng(1))
+    assert (abort is None) == (lr < 1) and len(history) == (2 if lr < 1 else 0)
+    assert all(t.grad is None for t in net.all_tensors())
+
+
 def test_stage0_step_after_the_first_allocates_little(monkeypatch):
     # from one step's start to the next: forward, backward and the SGD step at the
     # default shapes, the epoch's trailing 8-row batch included
@@ -146,12 +179,12 @@ def test_stage0_step_after_the_first_allocates_little(monkeypatch):
     rises, starts = [], []
 
     def measured_fit(opt, tensors, epochs, n, batch_size, rng, grads, cosine=False):
-        def measured(idx):
+        def measured(idx, ws):
             if starts:
                 rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
             tracemalloc.reset_peak()
             starts.append(tracemalloc.get_traced_memory()[0])
-            return grads(idx)
+            return grads(idx, ws)
         return fit(opt, tensors, epochs, n, batch_size, rng, measured, cosine)
 
     monkeypatch.setattr(source, "fit", measured_fit)
@@ -174,8 +207,9 @@ def test_stage0_step_after_the_first_allocates_little(monkeypatch):
 _STAGE0_FAULTS = """
 import resource, sys
 from dataclasses import replace
+from adaptkit.data import GeneratorSpec, generate
 from adaptkit.harness import ExperimentConfig, make_datasets, stream
-from adaptkit.layers import ArchSpec, build_network
+from adaptkit.layers import ArchSpec, Workspace, build_network
 from adaptkit.source import train_source
 width, batch, epochs = map(int, sys.argv[1:])
 cfg = ExperimentConfig(teacher_hidden=(width, width))
