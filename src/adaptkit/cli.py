@@ -1,13 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error.
-`run` exits with the code of the first failed seed's error.
+Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error, 4 a `run`
+seed that raised any other exception, whose traceback `run` prints. `run` exits with
+the code of the first failed seed's error. Other commands let an unexpected exception
+raise.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 from functools import reduce
 from operator import getitem
@@ -92,6 +95,9 @@ def cmd_run(args) -> int:
     if not result["errors"]:
         return 0
     print(f"{summary['num_failed']} seed(s) failed; see per-seed reports")
+    for e in result["errors"]:
+        if exit_status(e)[0] == 4:  # a program bug: show where it was raised
+            traceback.print_exception(e)
     return exit_status(result["errors"][0])[0]
 
 
@@ -167,8 +173,9 @@ EXIT_STATUS = {ConfigError: (1, "config error"), NumericalError: (2, "numerical 
 
 
 def exit_status(err: Exception) -> tuple[int, str]:
-    """(exit code, message prefix) for an error, from EXIT_STATUS."""
-    return next(status for cls, status in EXIT_STATUS.items() if isinstance(err, cls))
+    """(exit code, message prefix) for an error, from EXIT_STATUS; 4 for any other."""
+    return next((status for cls, status in EXIT_STATUS.items() if isinstance(err, cls)),
+                (4, "unexpected error"))
 
 
 def main(argv=None) -> int:

@@ -109,14 +109,16 @@ class Dataset:
     bucket_thresholds: tuple[int, int] | None = None  # (many >, few <)
 
     def __post_init__(self):
-        if len(self.features) == 0:
-            raise ConfigError("a dataset needs at least one row")
-        check_finite(self.features, "dataset features")
-        if self.labels is not None:
-            if len(self.labels) != len(self.features):
-                raise ConfigError("labels and features disagree on N")
-            if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-                raise ConfigError("label out of range")
+        f, labels, c = self.features, self.labels, self.num_classes
+        if f.ndim != 2 or len(f) == 0 or f.shape[1] != self.spec.input_dim:
+            raise ConfigError(f"a dataset needs at least one row of {self.spec.input_dim} "
+                              f"features (its generator's input_dim), got shape {f.shape}")
+        check_finite(f, "dataset features")
+        if labels is not None and not (np.issubdtype(labels.dtype, np.integer)
+                                       and labels.shape == (len(f),)
+                                       and labels.min() >= 0 and labels.max() < c):
+            raise ConfigError(f"labels must be one integer in [0, {c}) per row, got "
+                              f"{labels.dtype} labels of shape {labels.shape}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -318,16 +320,13 @@ def load_dataset(path) -> Dataset:
         raise StorageError(f"{path}: bucket_thresholds must be null or two non-negative "
                            f"integers, got {bt!r}")
     features, labels = arrays.pop("features", None), arrays.pop("labels", None)
-    if features is None or features.ndim != 2 or len(features) == 0 or arrays:
-        raise StorageError(f"{path}: a dataset holds non-empty 2-d features and "
-                           "optional labels, nothing else")
-    if features.shape[1] != spec.input_dim:
-        raise StorageError(f"{path}: features are {features.shape[1]} wide, the generator's "
-                           f"input_dim is {spec.input_dim}")
+    if features is None or arrays:
+        raise StorageError(f"{path}: a dataset holds features and optional labels, nothing else")
     if labels is not None:
-        if labels.shape != (len(features),) or not np.all(
-                (labels == np.floor(labels)) & (labels >= 0) & (labels < spec.num_classes)):
-            raise StorageError(f"{path}: labels must be one integer in "
-                               f"[0, {spec.num_classes}) per row")
+        if not np.all((labels == np.floor(labels)) & (np.abs(labels) < 2**53)):
+            raise StorageError(f"{path}: labels must be integral floats")
         labels = labels.astype(np.int64)
-    return Dataset(features, labels, spec, shift, bt and tuple(bt))
+    try:
+        return Dataset(features, labels, spec, shift, bt and tuple(bt))
+    except ConfigError as e:  # features or labels that do not fit the header's generator
+        raise StorageError(f"{path}: {e}") from e

@@ -286,8 +286,9 @@ def _write_report_files(report: dict, outdir: Path) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run every seed, one after another, and summarize. A seed that raises an
-    AdaptkitError gets an error report; its exception is kept under "errors"."""
+    """Run every seed, one after another, and summarize. A seed that raises gets an error
+    report, the message of an AdaptkitError or "<Type>: <message>" of any other
+    exception, and the remaining seeds still run; its exception is kept under "errors"."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -296,10 +297,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         t0 = perf_counter()
         try:
             rep = run_seed(cfg, seed, outdir / f"seed_{seed}")
-        except AdaptkitError as e:
+        except Exception as e:
             errors.append(e)
-            rep = {"schema_version": SCHEMA_VERSION, "seed": seed,
-                   "label": cfg.stage_label(), "error": str(e)}
+            rep = {"schema_version": SCHEMA_VERSION, "seed": seed, "label": cfg.stage_label(),
+                   "error": str(e) if isinstance(e, AdaptkitError) else f"{type(e).__name__}: {e}"}
             (outdir / f"seed_{seed}").mkdir(parents=True, exist_ok=True)
             store.write_json(outdir / f"seed_{seed}" / "report.json", rep)
         timings[seed] = perf_counter() - t0

@@ -338,29 +338,19 @@ class Network:
         `ws` when given one; an eval pass does not use it)."""
         return self._forward(self.layers, batch, train, "network output", ws)
 
-    def forward_features(self, batch: np.ndarray, train: bool = False,
-                         ws: Workspace | None = None):
-        """Like forward, through the representation layers only (no classifier)."""
-        return self._forward(self.layers[:-1], batch, train, "feature output", ws)
-
-    def _backward(self, layers: list, caches: list, dout: np.ndarray,
-                  ws: Workspace | None) -> None:
-        if len(caches) != len(layers):
-            raise ConfigError("backward called with a cache that does not match the forward pass")
-        if layers:  # nothing reads the first layer's input grad, which a Dense skips
-            first = layers[0]
-            grads = first.param_grads if first.kind == "dense" else first.backward
-            grads(caches[0], backward_layers(layers[1:], caches[1:], dout, ws), ws)
+    def forward_features(self, batch: np.ndarray) -> np.ndarray:
+        """Like forward(batch), through the representation layers only (no classifier)."""
+        return self._forward(self.layers[:-1], batch, False, "feature output", None)
 
     def backward(self, caches: list, dout: np.ndarray, ws: Workspace | None = None) -> None:
         """Accumulate parameter grads from an upstream gradient. The input grad is not
-        computed: a first Dense layer takes only its weight and bias grads."""
-        self._backward(self.layers, caches, dout, ws)
-
-    def backward_features(self, caches: list, dout: np.ndarray,
-                          ws: Workspace | None = None) -> None:
-        """Like backward, through the representation layers only (no classifier)."""
-        self._backward(self.layers[:-1], caches, dout, ws)
+        computed: nothing reads it, so a first Dense layer takes only its weight and bias
+        grads."""
+        if len(caches) != len(self.layers):
+            raise ConfigError("backward called with a cache that does not match the forward pass")
+        first = self.layers[0]
+        grads = first.param_grads if first.kind == "dense" else first.backward
+        grads(caches[0], backward_layers(self.layers[1:], caches[1:], dout, ws), ws)
 
     def copy(self) -> "Network":
         return copy.deepcopy(self)

@@ -1,10 +1,11 @@
 """Contrastive initialization of the student representation (stage 2).
 
 The backbone is trained with in-batch InfoNCE over two independently
-strong-augmented views per sample, through a small projection head that is
-discarded afterwards. The backbone is the trained Network; its classifier is the
-untrained draw, never saved or copied. Stage 3 starts each student from this
-backbone or, without one, from a random draw.
+strong-augmented views per sample. The Network trained is the backbone's hidden
+layers, shared with it, then a small projection head that is discarded afterwards.
+The backbone is the trained Network; its classifier is the untrained draw, never
+saved or copied. Stage 3 starts each student from this backbone or, without one,
+from a random draw.
 """
 from __future__ import annotations
 
@@ -14,8 +15,7 @@ import numpy as np
 
 from .data import AugmentationPolicy, UnlabeledView, augment
 from .errors import ConfigError
-from .layers import (ArchSpec, Dense, Network, ReLU, backward_layers, build_network,
-                     forward_layers)
+from .layers import ArchSpec, Dense, Network, ReLU, build_network
 from .losses import infonce_loss_grad
 from .optim import SGD, check_fit_args, fit
 
@@ -50,26 +50,24 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
             f"target too small for contrastive pretraining: {len(target)} rows, "
             f"need at least {2 * cfg.batch_size}")
     net = build_network(arch, rng)
-    # dense-relu-dense projection head: hidden -> embedding_dim -> embedding_dim // 2
-    head = [Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
-            Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")]
-    head_params = [p for layer in head for p in layer.parameters()]
+    # the backbone's hidden layers, then a dense-relu-dense head: hidden -> emb -> emb // 2
+    trainer = Network(net.layers[:-1] + [
+        Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
+        Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")], arch)
 
     def grads(idx, ws):
         x = target.features[idx]
-        # both views go through backbone and head as one 2 x B x d stack
+        # both views go through the trainer as one 2 x B x d stack
         views = np.stack([augment(x, cfg.policy, "strong", rng),
                           augment(x, cfg.policy, "strong", rng)])
-        feats, caches = net.forward_features(views, train=True, ws=ws)
-        (q, k), head_caches = forward_layers(head, feats, True, ws)
+        (q, k), caches = trainer.forward(views, train=True, ws=ws)
         loss, (dq, dk) = infonce_loss_grad(q, k, cfg.temperature)
-        net.backward_features(caches, backward_layers(head, head_caches, np.stack([dq, dk]), ws),
-                              ws)
+        trainer.backward(caches, np.stack([dq, dk]), ws)
         return {"infonce": loss.scalar}
 
-    opt = SGD(net.representation_parameters() + head_params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    history, abort = fit(opt, net.all_tensors() + head_params, cfg.epochs, len(target),
-                         cfg.batch_size, rng, grads)
+    opt = SGD(trainer.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
+    history, abort = fit(opt, trainer.all_tensors(), cfg.epochs, len(target), cfg.batch_size,
+                         rng, grads)
     return net, history, abort
 
 

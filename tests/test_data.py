@@ -130,6 +130,8 @@ def test_longtail_decay_formula():
     expected = np.round(500 * 100.0 ** (-np.arange(10) / 9)).astype(int)
     assert np.array_equal(counts, expected)
     assert counts[9] == 5
+    # a ratio that leaves the rarest class exactly one row is accepted
+    assert list(longtail_counts(100, 3, 100.0)) == [100, 10, 1]
 
 
 def test_longtail_counts_non_increasing_and_total():
@@ -300,6 +302,29 @@ def test_empty_dataset_rejected():
     for labels in (np.zeros(0, dtype=np.int64), None):
         with pytest.raises(ConfigError, match="at least one row"):
             Dataset(np.zeros((0, 8)), labels, small_spec())
+
+
+def _relabel(ds, labels):
+    return Dataset(ds.features, labels, ds.spec)
+
+
+# in-memory datasets that load_dataset would reject; each used to be accepted and then
+# fail later with a raw TypeError, ValueError or IndexError, or not at all
+BAD_DATASETS = {
+    "float_labels": lambda ds: _relabel(ds, ds.labels.astype(np.float64)),
+    "two_d_labels": lambda ds: _relabel(ds, ds.labels[:, None]),
+    "label_equal_to_class_count": lambda ds: _relabel(ds, np.full(len(ds), ds.num_classes)),
+    "one_d_features": lambda ds: Dataset(ds.features[:, 0], ds.labels, ds.spec),
+    "features_narrower_than_input_dim": lambda ds: Dataset(ds.features[:, :-1], ds.labels,
+                                                           ds.spec),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_in_memory_dataset_checks_what_a_file_is_checked_for(case):
+    ds = generate(small_spec(), 0)
+    with pytest.raises(ConfigError):
+        BAD_DATASETS[case](ds)
 
 
 def _edit_header(edit):

@@ -233,7 +233,7 @@ GOLDEN_VARIANT_SHA256 = {
         "seed_0/backbone.ckpt": "23c7cb97326e35b8272262f390ecb98505616c26bf6221727abd48389ed859e2",
         "seed_0/calibrated.ckpt": "5379a0ef5ef18ae8916199d9b6af30a07c029066bb1841d8193139a4e091ecf7",
         "seed_0/per_class.csv": "724caab33af47baf4f18000b2ca4194b35f9a21ab8748e12f625b4724e99d19a",
-        "seed_0/report.json": "ff4c5dd256935610724201ea186bffb9c93984822adb59e7e9753134c0cff9f4",
+        "seed_0/report.json": "bad87a1719ce8e70699c77d531067d32d391f31dccef006a362fe1fcb01e1e36",
         "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
         "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
         "seed_0/stage3.ckpt": "1fbd7c2a9663999bfdb89dd508121a93cfeaf629f24ef75a1f5def34395a1873",

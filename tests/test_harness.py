@@ -3,22 +3,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import asdict, fields, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptkit import checkpoint, cli, store
-from adaptkit.adapt import AdaptConfig
-from adaptkit.data import (Dataset, GeneratorSpec, ShiftSpec, generate, load_dataset,
-                           save_dataset)
+from adaptkit import checkpoint, cli, harness, store
+from adaptkit.adapt import UPDATE_SETS, AdaptConfig
+from adaptkit.data import (SHIFT_KINDS, Dataset, GeneratorSpec, ShiftSpec, generate,
+                           load_dataset, save_dataset)
 from adaptkit.distill import DistillConfig, PhaseSchedule
-from adaptkit.errors import ConfigError, StorageError
+from adaptkit.errors import AdaptkitError, ConfigError, StorageError
 from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _percentile,
                               compare, load_config, make_datasets, run_experiment, run_seed,
                               stream, stream_seed, summarize)
@@ -294,6 +297,92 @@ def test_longtail_make_datasets_memory_is_about_two_target_arrays():
 
 def test_balanced_make_datasets_memory_is_its_two_datasets_and_a_block():
     assert _make_datasets_peak(ExperimentConfig()) <= 2.4
+
+
+def test_a_seed_that_raises_any_other_exception_gets_an_error_report(tmp_path, monkeypatch,
+                                                                      capsys):
+    # stage 1 raises a RuntimeError for seed 0 only: seed 0 gets an error report, seed 1
+    # still runs, summary.json is written, and `run` exits 4
+    def stage1(c, seed, s):
+        if seed == 0:
+            raise RuntimeError("boom")
+        return harness._stage1(c, seed, s)
+    monkeypatch.setattr(harness, "STAGES", tuple(replace(st, step=stage1) if st.name == "stage1"
+                                                 else st for st in STAGES))
+    cfg = tiny_config(stage2=False, stage3=False, outdir=str(tmp_path / "exp"))
+    result = run_experiment(cfg)
+    assert [type(e) for e in result["errors"]] == [RuntimeError]
+    seed0, seed1 = (json.loads((tmp_path / "exp" / f"seed_{seed}" / "report.json").read_text())
+                    for seed in (0, 1))
+    assert seed0["error"] == "RuntimeError: boom" and "metrics" not in seed0
+    assert set(seed1["metrics"]) == {"source_only", "stage1"}
+    summary = json.loads((tmp_path / "exp" / "summary.json").read_text())
+    assert (summary["num_seeds"], summary["num_failed"]) == (2, 1)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(asdict(cfg)))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# A tiny benchmark with every stage on: each drawn config runs in well under a second
+HYPOTHESIS_BASE = {
+    "benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
+    "teacher_hidden": [6], "student_hidden": [4], "calibrate": True, "seeds": [0],
+    "source_cfg": {"epochs": 2, "batch_size": 8}, "adapt_cfg": {"epochs": 1, "batch_size": 8},
+    "contrastive_cfg": {"epochs": 1, "batch_size": 8, "embedding_dim": 4},
+    "distill_cfg": {"schedule": {"num_phases": 2, "epochs_per_phase": 1}, "batch_size": 8},
+    "calibrate_cfg": {"rounds": 1, "epochs": 1, "batch_size": 8}}
+EDGE_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, -1])
+# ExperimentConfig's own fields left at the base: the paths, and the seeds (one is enough)
+FIXED_FIELDS = {"outdir", "source_data", "target_data", "source_checkpoint", "seeds"}
+
+
+def values_of(hint):
+    """Values of a config field's annotated type, counts capped small, and the edge values."""
+    if get_origin(hint) is UnionType:
+        return st.one_of(*map(values_of, get_args(hint)))
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if args[-1:] == (...,):
+            return st.lists(values_of(args[0]), max_size=3)
+        return st.tuples(*map(values_of, args)).map(list)
+    return {int: st.integers(-1, 6), float: st.floats() | st.floats(0, 2), bool: st.booleans(),
+            str: st.sampled_from([*SHIFT_KINDS, *UPDATE_SETS, ""]),
+            type(None): st.none()}[hint] | EDGE_VALUES
+
+
+def leaf_fields(cls, prefix=()):
+    """(key path, annotation) of each field of a config, those of its sections included."""
+    for key, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            yield from leaf_fields(hint, prefix + (key,))
+        elif key not in FIXED_FIELDS:
+            yield prefix + (key,), hint
+
+
+EDITS = st.lists(st.sampled_from(list(leaf_fields(ExperimentConfig))).flatmap(
+    lambda f: values_of(f[1]).map(lambda v: (f[0], v))), min_size=1, max_size=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(EDITS)
+def test_no_config_value_escapes_as_a_raw_exception(edits):
+    # one to three fields of the tiny config set to drawn values: either the config is
+    # rejected as a ConfigError, or every seed ends in a report or an AdaptkitError
+    d = json.loads(json.dumps(HYPOTHESIS_BASE))
+    for path, v in edits:
+        reduce(lambda node, key: node.setdefault(key, {}), path[:-1], d)[path[-1]] = v
+    try:
+        cfg = ExperimentConfig.from_dict(d)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        result = run_experiment(replace(cfg, outdir=out))
+    assert all(isinstance(e, AdaptkitError) for e in result["errors"]), result["errors"]
+    assert [("metrics" in r, "error" in r).count(True) for r in result["reports"]] == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ __init__.py is exempt from the first check: its imports are the package's
 public re-exports.
 
 Only optim.py calls `Workspace(`: `fit` makes each training loop's workspace.
+Only layers.py calls the layer-list walkers: every stage trains a `Network`.
 """
 import ast
 from pathlib import Path
@@ -50,14 +51,21 @@ def test_no_package_imports_in_functions(path):
     assert imports_in_functions(path) == []
 
 
-def workspace_calls(path: Path) -> list[str]:
-    """Lines that call `Workspace(`, by its bare or its module-qualified name."""
+def calls_to(path: Path, names: set[str]) -> list[str]:
+    """Lines that call one of `names`, by its bare or its module-qualified name."""
     return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
-            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Workspace"]
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names]
 
 
 def test_only_fit_makes_a_workspace():
     # optim.fit owns each training loop's workspace; no stage builds its own
-    calls = [c for path in sorted(SRC.glob("*.py")) for c in workspace_calls(path)]
+    calls = [c for path in sorted(SRC.glob("*.py")) for c in calls_to(path, {"Workspace"})]
     assert [c.split(":")[0] for c in calls] == ["optim.py"]
+
+
+def test_only_layers_walks_a_layer_list():
+    # a stage's step is one Network forward, one loss and one Network backward
+    walkers = {"forward_layers", "backward_layers"}
+    calls = [c for path in sorted(SRC.glob("*.py")) for c in calls_to(path, walkers)]
+    assert {c.split(":")[0] for c in calls} == {"layers.py"}, calls

@@ -162,9 +162,10 @@ def test_kl_identical_zero():
 def test_kl_one_hot_teacher_reduces_to_ce():
     student = np.array([[0.6, 0.3, 0.1]])
     teacher = np.array([[0.0, 1.0, 0.0]])
-    kl = kl_soft_loss(student, teacher).scalar
+    kl = kl_soft_loss(student, teacher)
     ce = cross_entropy(student, np.array([1])).scalar
-    assert kl == pytest.approx(ce, abs=1e-9)
+    assert kl.scalar == pytest.approx(ce, abs=1e-9)
+    assert kl.clamped  # the teacher's zeros are clamped in its log, the student has none
 
 
 def test_kl_oracle():

@@ -26,6 +26,10 @@ def test_round_trip_keeps_order_and_bits(tmp_path):
     for name, data in arrays.items():
         assert loaded[name].shape == data.shape
         assert loaded[name].tobytes() == data.tobytes()
+    # a container that ends right after its header holds no arrays
+    store.write(path, b"TEST", {"note": "none"}, {})
+    header, loaded = store.read(path, b"TEST")
+    assert (header["note"], header["tensors"], loaded) == ("none", [], {})
 
 
 def _fail_replace(*args):
