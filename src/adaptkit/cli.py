@@ -20,6 +20,7 @@ from . import checkpoint, harness, store
 from .data import load_dataset, save_dataset
 from .errors import ConfigError, NumericalError, StorageError
 from .metrics import evaluate
+from .tensor import one_blas_thread
 
 
 def cmd_gen_data(args) -> int:
@@ -181,7 +182,8 @@ def exit_status(err: Exception) -> tuple[int, str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with one_blas_thread():  # a second BLAS thread mostly spins on the pipeline's gemms
+            return args.fn(args)
     except tuple(EXIT_STATUS) as e:
         code, what = exit_status(e)
         print(f"{what}: {e}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .layers import ArchSpec, Network, build_network
 from .metrics import evaluate
 from .selfsup import ContrastiveConfig, pretrain
 from .source import SourceConfig, train_source
+from .tensor import one_blas_thread
 
 SCHEMA_VERSION = 1
 
@@ -293,24 +294,27 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     timings = {}
     reports, errors = [], []
-    for seed in cfg.seeds:
-        t0 = perf_counter()
-        try:
-            rep = run_seed(cfg, seed, outdir / f"seed_{seed}")
-        except Exception as e:
-            errors.append(e)
-            rep = {"schema_version": SCHEMA_VERSION, "seed": seed, "label": cfg.stage_label(),
-                   "error": str(e) if isinstance(e, AdaptkitError) else f"{type(e).__name__}: {e}"}
-            (outdir / f"seed_{seed}").mkdir(parents=True, exist_ok=True)
-            store.write_json(outdir / f"seed_{seed}" / "report.json", rep)
-        timings[seed] = perf_counter() - t0
-        reports.append(rep)
+    with one_blas_thread() as blas:
+        for seed in cfg.seeds:
+            t0 = perf_counter()
+            try:
+                rep = run_seed(cfg, seed, outdir / f"seed_{seed}")
+            except Exception as e:
+                errors.append(e)
+                rep = {"schema_version": SCHEMA_VERSION, "seed": seed,
+                       "label": cfg.stage_label(), "error": str(e) if isinstance(e, AdaptkitError)
+                       else f"{type(e).__name__}: {e}"}
+                (outdir / f"seed_{seed}").mkdir(parents=True, exist_ok=True)
+                store.write_json(outdir / f"seed_{seed}" / "report.json", rep)
+            timings[seed] = perf_counter() - t0
+            reports.append(rep)
 
     summary = summarize(reports)
     summary["config"] = asdict(cfg)
     store.write_json(outdir / "summary.json", summary)
     store.write_json(outdir / "timings.json", {
-        "seconds_per_seed": {str(k): round(v, 3) for k, v in sorted(timings.items())}})
+        "seconds_per_seed": {str(k): round(v, 3) for k, v in sorted(timings.items())},
+        "blas": blas})
     return {"reports": reports, "summary": summary, "errors": errors}
 
 
@@ -347,46 +351,48 @@ def compare(paths: list[str]) -> tuple[str, list[list[str]]]:
     """Align reports/summaries into a text table plus CSV rows."""
     if not paths:
         raise ConfigError("compare needs at least one report")
-    rows = []
-    max_phases = 0
+    rows = []  # (config, acc, avg, phase accuracies)
     for path in paths:
         d = _read_mapping(path)
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(f"{path}: schema version mismatch")
         if "stages" in d:  # summary file
-            for stage, m in sorted(d["stages"].items()):
-                rows.append({"config": f"{Path(path).parent.name}:{stage}",
-                             "acc": m["overall_acc"]["median"],
-                             "avg": m["class_mean_acc"]["median"], "phases": []})
-        else:  # single-seed report
-            metrics = d.get("metrics", {})
-            final = _final_stage(metrics)
-            phases = [e["accuracy"] for e in d.get("distill", {}).get("trace", [])
-                      if "accuracy" in e]
-            rows.append({"config": f"{d.get('label', Path(path).parent.name)}"
-                                   f"(seed {d.get('seed')})",
-                         "acc": metrics.get(final, {}).get("overall_acc"),
-                         "avg": metrics.get(final, {}).get("class_mean_acc"),
-                         "phases": phases})
-            max_phases = max(max_phases, len(phases))
-    rows.sort(key=lambda r: r["config"])
-    header = ["config", "acc", "avg"] + [f"phase{i + 1}" for i in range(max_phases)]
-    table = [header]
-    for r in rows:
-        cells = [r["config"], _fmt(r["acc"]), _fmt(r["avg"])]
-        cells += [_fmt(r["phases"][i]) if i < len(r["phases"]) else "-"
-                  for i in range(max_phases)]
-        table.append(cells)
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+            rows += [(f"{Path(path).parent.name}:{stage}",
+                      *(_read(path, d, ("stages", stage, m, "median")) for m in _ACCS), [])
+                     for stage in sorted(_read(path, d, ("stages",), dict), key=str)]
+        else:  # single-seed report: its last stage's accuracies
+            metrics = _read(path, d, ("metrics",), dict, {})
+            final = next((st.metric for st in reversed(STAGES) if st.metric in metrics), None)
+            phases = [_read(path, d, ("distill", "trace", i, "accuracy"), float, None)
+                      for i in range(len(_read(path, d, ("distill", "trace"), list, [])))]
+            rows.append((f"{d.get('label', Path(path).parent.name)}(seed {d.get('seed')})",
+                         *(_read(path, d, ("metrics", final, m), float, None) for m in _ACCS),
+                         [v for v in phases if v is not None]))
+    rows.sort(key=lambda r: r[0])
+    n = max((len(r[3]) for r in rows), default=0)
+    table = [["config", "acc", "avg"] + [f"phase{i + 1}" for i in range(n)]]
+    table += [[config, *("-" if v is None else f"{100 * v:.1f}" for v in (acc, avg, *phases))]
+              + ["-"] * (n - len(phases)) for config, acc, avg, phases in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     text = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                      for row in table)
     return text, table
 
 
-def _final_stage(metrics: dict) -> str:
-    """The metric key of the last stage in STAGES that `metrics` holds."""
-    return next((st.metric for st in reversed(STAGES) if st.metric in metrics), "source_only")
+_ACCS = ("overall_acc", "class_mean_acc")
 
 
-def _fmt(v) -> str:
-    return "-" if v is None else f"{100 * v:.1f}"
+def _read(path, d: dict, keys: tuple, kind=float, default=ConfigError):
+    """d[keys[0]][keys[1]]... (an int key indexes a list), a number or a `kind`; `default`
+    where a mapping lacks a key, if given. Else a ConfigError naming the file and key."""
+    name = ".".join(map(str, keys))
+    for k in keys:
+        if isinstance(d, dict) and k in d or isinstance(d, list) and isinstance(k, int):
+            d = d[k]
+        elif isinstance(d, dict) and default is not ConfigError:
+            return default
+        else:
+            raise ConfigError(f"{path}: no {name}")
+    if isinstance(d, bool) or not isinstance(d, (int, float) if kind is float else kind):
+        raise ConfigError(f"{path}: {name} is a {type(d).__name__}, not a {kind.__name__}")
+    return d

@@ -11,7 +11,11 @@ round and the raw scores of `calibrate_classifier`.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
+from contextlib import contextmanager
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +32,34 @@ def row_blocks(n: int) -> list[slice]:
     rows OpenBLAS picks other kernels whose rounding differs."""
     stops = [*range(BLOCK_ROWS, n - BLOCK_ROWS + 1, BLOCK_ROWS), n]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded on first use; None for any other BLAS."""
+    libs = (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")
+    for lib in map(ctypes.CDLL, map(str, sorted(libs))):
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            return lib
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block's BLAS on the calling thread alone, restoring the count on exit: on
+    the pipeline's small gemms a second thread mostly spins, burning a core. Yields
+    {"threads", "core"} of the BLAS; without numpy's bundled OpenBLAS, None and no-op."""
+    if (lib := _openblas()) is None:
+        yield None
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield {"threads": lib.scipy_openblas_get_num_threads64_(),
+               "core": lib.scipy_openblas_get_corename64_().decode()}
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def check_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptkit import checkpoint, cli, harness, store
+from adaptkit import checkpoint, cli, harness, store, tensor
 from adaptkit.adapt import UPDATE_SETS, AdaptConfig
 from adaptkit.data import (SHIFT_KINDS, Dataset, GeneratorSpec, ShiftSpec, generate,
                            load_dataset, save_dataset)
@@ -326,6 +326,73 @@ def test_a_seed_that_raises_any_other_exception_gets_an_error_report(tmp_path, m
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+# ---------------------------------------------------------------------------
+# one BLAS thread for every run and every CLI command
+
+OPENBLAS = tensor._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None,
+                                    reason="numpy's BLAS is not its bundled OpenBLAS")
+
+
+def blas_threads() -> int:
+    return OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def two_blas_threads():
+    before = blas_threads()
+    OPENBLAS.scipy_openblas_set_num_threads64_(2)
+    yield
+    OPENBLAS.scipy_openblas_set_num_threads64_(before)
+
+
+@needs_openblas
+@pytest.mark.parametrize("raises", [False, True], ids=["ok", "seed_raises"])
+def test_run_experiment_runs_its_stages_on_one_blas_thread(tmp_path, monkeypatch,
+                                                           two_blas_threads, raises):
+    # every stage step sees one thread, and the caller's two are back on return, also
+    # when a seed raises a RuntimeError (seed 0's stage 1, as above)
+    seen = []
+
+    def recording(st):
+        def step(c, seed, s):
+            seen.append((st.name, blas_threads()))
+            if raises and seed == 0 and st.name == "stage1":
+                raise RuntimeError("boom")
+            return st.step(c, seed, s)
+        return replace(st, step=step)
+    monkeypatch.setattr(harness, "STAGES", tuple(map(recording, STAGES)))
+    cfg = tiny_config(calibrate=True, outdir=str(tmp_path / "exp"))
+    result = run_experiment(cfg)
+    assert [type(e) for e in result["errors"]] == ([RuntimeError] if raises else [])
+    assert {name for name, _ in seen} == {st.name for st in STAGES}
+    assert {n for _, n in seen} == {1}
+    assert blas_threads() == 2
+    blas = json.loads((tmp_path / "exp" / "timings.json").read_text())["blas"]
+    assert blas["threads"] == 1 and blas["core"]
+
+
+def test_without_openblas_the_pin_changes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(tensor, "_openblas", lambda: None)
+    run_experiment(tiny_config(stage2=False, stage3=False, seeds=(0,),
+                               outdir=str(tmp_path / "exp")))
+    assert json.loads((tmp_path / "exp" / "timings.json").read_text())["blas"] is None
+
+
+@needs_openblas
+def test_cli_gives_back_the_blas_thread_count_after_a_config_error(monkeypatch, capsys,
+                                                                   two_blas_threads):
+    seen = []
+
+    def compare(paths):
+        seen.append(blas_threads())
+        raise ConfigError("bad report")
+    monkeypatch.setattr(harness, "compare", compare)
+    assert cli.main(["compare", "r.json"]) == 1
+    assert "config error: bad report" in capsys.readouterr().err
+    assert seen == [1] and blas_threads() == 2
+
+
 # A tiny benchmark with every stage on: each drawn config runs in well under a second
 HYPOTHESIS_BASE = {
     "benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
@@ -441,6 +508,21 @@ def test_compare_renders_missing_cells(tmp_path):
     assert "-" in text  # stage1 run has no phase columns
     assert table[0][:3] == ["config", "acc", "avg"]
     assert any("50.0" in " ".join(row) for row in table)
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"stages": {"x": {}}}, "no stages.x.overall_acc.median"),
+    ({"metrics": {"stage3": {"overall_acc": "a"}}, "distill": {"trace": [{"accuracy": "z"}]}},
+     "distill.trace.0.accuracy is a str"),
+    ({"metrics": [1]}, "metrics is a list"),
+], ids=["summary_without_medians", "text_accuracies", "metrics_list"])
+def test_cli_compare_malformed_input_is_a_config_error(tmp_path, capsys, d, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, **d}))
+    assert cli.main(["compare", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {path}: {key}")
 
 
 def test_compare_rejects_schema_mismatch(tmp_path):

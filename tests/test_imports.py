@@ -7,8 +7,11 @@ public re-exports.
 
 Only optim.py calls `Workspace(`: `fit` makes each training loop's workspace.
 Only layers.py calls the layer-list walkers: every stage trains a `Network`.
+Only tensor.py loads a library through ctypes: `one_blas_thread` owns numpy's OpenBLAS.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,13 @@ def test_only_layers_walks_a_layer_list():
     walkers = {"forward_layers", "backward_layers"}
     calls = [c for path in sorted(SRC.glob("*.py")) for c in calls_to(path, walkers)]
     assert {c.split(":")[0] for c in calls} == {"layers.py"}, calls
+
+
+def test_only_tensor_loads_openblas_and_only_when_first_used():
+    # one module holds the ctypes handle on numpy's OpenBLAS; importing adaptkit loads none
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "ctypes" in p.read_text()]
+    assert users == ["tensor.py"]
+    probe = "import adaptkit; print(adaptkit.tensor._openblas.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.split() == ["0"], proc.stderr[-2000:]
