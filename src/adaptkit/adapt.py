@@ -67,10 +67,10 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
     report = AdaptReport(classifier_fingerprint_before=fingerprint_all(net.classifier.parameters()))
     trainable, _ = partition_parameters(net, cfg.update_set)
 
-    def grads(idx, ws):
-        logits, caches = net.forward(target.features[idx], train=True, ws=ws)
+    def grads(idx):
+        logits, caches = net.forward(target.features[idx], train=True)
         probs = softmax(logits)
-        net.backward(caches, infomax_loss_grad(probs), ws)
+        net.backward(caches, infomax_loss_grad(probs))
         return {"entropy": entropy_loss(probs).scalar, "diversity": diversity_loss(probs).scalar}
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)

@@ -18,7 +18,7 @@ from .layers import ArchSpec, Network, build_network
 MAGIC = b"OTAC"
 
 
-def _read(path, backbone_only: bool) -> tuple[Network, dict]:
+def _read(path, backbone_only: bool) -> Network:
     """Rebuild a network from a full or (backbone_only) a backbone file. Every
     tensor the file should hold is checked: a stray, missing or misshaped one
     is a StorageError. A backbone file leaves the classifier at its draw."""
@@ -43,7 +43,7 @@ def _read(path, backbone_only: bool) -> tuple[Network, dict]:
             raise StorageError(f"{path}: architecture mismatch for {t.name!r}: "
                                f"{tensors[t.name].shape} vs {t.shape}")
         t.data = tensors[t.name]
-    return net, header
+    return net
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -51,14 +51,14 @@ def save_checkpoint(net: Network, path) -> None:
                 {t.name: t.data for t in net.all_tensors()})
 
 
-def load_checkpoint(path, expect_arch: ArchSpec | None = None) -> tuple[Network, dict]:
-    """Rebuild a Network from a checkpoint; returns (net, header)."""
-    net, header = _read(path, backbone_only=False)
+def load_checkpoint(path, expect_arch: ArchSpec | None = None) -> Network:
+    """Rebuild a Network from a checkpoint."""
+    net = _read(path, backbone_only=False)
     if expect_arch is not None and net.arch != expect_arch:
         raise StorageError(
             f"architecture mismatch: checkpoint has {net.arch}, expected {expect_arch}"
         )
-    return net, header
+    return net
 
 
 def save_backbone(arch: ArchSpec, tensors: dict[str, np.ndarray], path) -> None:
@@ -69,4 +69,4 @@ def save_backbone(arch: ArchSpec, tensors: dict[str, np.ndarray], path) -> None:
 
 def load_backbone(path) -> Network:
     """Read a backbone file, checked as load_checkpoint checks a full one."""
-    return _read(path, backbone_only=True)[0]
+    return _read(path, backbone_only=True)

@@ -59,7 +59,7 @@ def cmd_stage(args) -> int:
     inputs = harness.StageInputs(data, data.unlabeled_view(), cfg.teacher_hidden,
                                  cfg.student_hidden)
     if getattr(args, "model", None):
-        inputs.model = _for_data(checkpoint.load_checkpoint(args.model)[0], inputs, args.model)
+        inputs.model = _for_data(checkpoint.load_checkpoint(args.model), inputs, args.model)
     if getattr(args, "student_init", None):
         inputs.pretrained = _for_data(checkpoint.load_backbone(args.student_init), inputs,
                                       args.student_init)
@@ -74,7 +74,7 @@ def cmd_stage(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    net, _ = checkpoint.load_checkpoint(args.model)
+    net = checkpoint.load_checkpoint(args.model)
     ds = load_dataset(args.data)
     counts = None
     if args.train_data:

@@ -86,15 +86,15 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
     if len(labels.hard) != len(target):
         raise ConfigError("pseudo-labels and target data are not aligned")
 
-    def grads(idx, ws):
+    def grads(idx):
         x = augment(target.features[idx], cfg.policy, "strong", rng)
-        logits, caches = student.forward(x, train=True, ws=ws)
+        logits, caches = student.forward(x, train=True)
         probs = softmax(logits)
         if mode == "hard":
             dlogits = cross_entropy_grad(probs, labels.hard[idx])
         else:
             dlogits = kl_soft_loss_grad(probs, labels.soft[idx])
-        student.backward(caches, dlogits, ws)
+        student.backward(caches, dlogits)
         return {}
 
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
@@ -178,7 +178,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     hard = np.empty(len(target), np.int64)
     abort = None
 
-    def grads(idx, ws):  # no layer runs, so the loop's workspace goes unused
+    def grads(idx):
         s.data = np.maximum(s.data, 1e-3)
         scores = raw_scores[idx]
         p = softmax(scores * s.data + bias)

@@ -248,8 +248,8 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
                     phase_acc=lambda net: evaluate(net, tgt, *buckets).overall_acc)
     del src
     if cfg.source_checkpoint:
-        s.model, _ = checkpoint.load_checkpoint(cfg.source_checkpoint,
-                                                expect_arch=s.arch(cfg.teacher_hidden))
+        s.model = checkpoint.load_checkpoint(cfg.source_checkpoint,
+                                             expect_arch=s.arch(cfg.teacher_hidden))
     report: dict = {"schema_version": SCHEMA_VERSION, "seed": seed,
                     "label": cfg.stage_label(), "metrics": {}}
     aborts: dict = {}  # stage -> abort record (see optim.fit)

@@ -74,9 +74,8 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray, smoothing: float = 0.0
 
 
 def cross_entropy_grad(probs: np.ndarray, targets: np.ndarray, smoothing: float = 0.0) -> np.ndarray:
-    """d(mean CE)/d(logits) = (p - q) / B."""
-    q = smoothed_targets(targets, probs.shape[1], smoothing)
-    return (probs - q) / probs.shape[0]
+    """d(mean CE)/d(logits) = (p - q) / B, the KL grad against the smoothed targets q."""
+    return kl_soft_loss_grad(probs, smoothed_targets(targets, probs.shape[1], smoothing))
 
 
 def entropy_loss(probs: np.ndarray) -> LossValue:

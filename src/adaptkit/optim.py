@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .layers import Workspace
-from .tensor import Tensor, check_finite
+from .tensor import Tensor, check_finite, keep_freed_memory
 
 # Decay is skipped for biases and batchnorm affine parameters.
 _NO_DECAY_SUFFIXES = (".bias", ".gamma", ".beta")
@@ -78,12 +77,14 @@ def check_fit_args(batch_size: int, lr: float, epochs: int = 0, momentum: float 
 
 def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
         rng: np.random.Generator, grads, cosine: bool = False) -> tuple[list[dict], dict | None]:
-    """The one epoch x minibatch loop: grads(idx, ws) runs forward and backward into the
-    loop's one `Workspace` and returns {loss name: value}, then `opt` steps at a constant
-    or cosine lr. Returns per-epoch mean losses and None, or, if a NumericalError put
-    `tensors` back as at the start of its epoch and ended the run, the losses so far and
-    the abort {"epoch", "reason"}. On return no tensor keeps a grad a step wrote."""
-    ws, total = Workspace(), max(1, epochs * max(1, n // batch_size))
+    """The one epoch x minibatch loop: grads(idx) runs forward and backward and returns
+    {loss name: value}, then `opt` steps at a constant or cosine lr. Returns per-epoch
+    mean losses and None, or, if a NumericalError put `tensors` back as at the start of
+    its epoch and ended the run, the losses so far and the abort {"epoch", "reason"}.
+    On return no tensor keeps a grad a step wrote. Its steps allocate their arrays, so
+    the first call keeps glibc from trimming the freed heap (`keep_freed_memory`)."""
+    keep_freed_memory()
+    total = max(1, epochs * max(1, n // batch_size))
     history, step, abort = [], 0, None
     try:
         for epoch in range(epochs):
@@ -91,7 +92,7 @@ def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
             for idx in minibatches(n, batch_size, rng):
                 for t in tensors:
                     t.zero_grad()
-                losses.append(grads(idx, ws))
+                losses.append(grads(idx))
                 opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (min(step, total) / total)))
                          if cosine else opt.lr)
                 step += 1

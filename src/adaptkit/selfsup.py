@@ -55,14 +55,14 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
         Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")], arch)
 
-    def grads(idx, ws):
+    def grads(idx):
         x = target.features[idx]
         # both views go through the trainer as one 2 x B x d stack
         views = np.stack([augment(x, cfg.policy, "strong", rng),
                           augment(x, cfg.policy, "strong", rng)])
-        (q, k), caches = trainer.forward(views, train=True, ws=ws)
+        (q, k), caches = trainer.forward(views, train=True)
         loss, (dq, dk) = infonce_loss_grad(q, k, cfg.temperature)
-        trainer.backward(caches, np.stack([dq, dk]), ws)
+        trainer.backward(caches, np.stack([dq, dk]))
         return {"infonce": loss.scalar}
 
     opt = SGD(trainer.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)

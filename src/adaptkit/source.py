@@ -33,11 +33,11 @@ def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
     if dataset.labels is None:
         raise ConfigError("source training needs labels")
 
-    def grads(idx, ws):
-        logits, caches = net.forward(dataset.features[idx], train=True, ws=ws)
+    def grads(idx):
+        logits, caches = net.forward(dataset.features[idx], train=True)
         probs = softmax(logits)
         loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)
-        net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing), ws)
+        net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing))
         return {"loss": loss.scalar}
 
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)

@@ -62,6 +62,19 @@ def one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(before)
 
 
+@cache
+def keep_freed_memory() -> None:
+    """Have glibc keep freed memory for reuse, once per process: heap blocks up to 32 MiB
+    (M_MMAP_THRESHOLD) and up to 64 MiB of free heap top (M_TRIM_THRESHOLD), the caps
+    its dynamic thresholds reach on 64-bit. Otherwise a train step that frees its
+    batch-sized arrays has the heap trimmed and page-faulted back every step. Without
+    glibc's `mallopt`, a no-op. No bit depends on it."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)
+        mallopt(-1, 64 << 20)
+
+
 def check_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
     """NaN/Inf is an error surface, never a silent state."""
     if not np.all(np.isfinite(arr)):
@@ -92,9 +105,8 @@ class Tensor:
 
     def add_grad(self, g: np.ndarray) -> None:
         """Accumulate g. The first call after zero_grad keeps g itself, not a copy,
-        and later calls add into it, so the caller hands g over: a fresh array, or
-        an array of the `layers.Workspace` of `optim.fit`, which clears every grad
-        before the loop's next step writes that array again, and when it returns."""
+        and later calls add into it, so the caller hands g over: a fresh array that
+        nothing else holds."""
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.data.shape:
             raise ShapeError(

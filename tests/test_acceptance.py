@@ -251,7 +251,7 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(3))
     path = tmp_path / "net.ckpt"
     checkpoint.save_checkpoint(net, path)
-    loaded, _ = checkpoint.load_checkpoint(path)
+    loaded = checkpoint.load_checkpoint(path)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(10):

@@ -20,7 +20,7 @@ def net():
 def test_round_trip_identical_logits(net, tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
-    loaded, _ = load_checkpoint(path)
+    loaded = load_checkpoint(path)
     x = np.random.default_rng(0).normal(size=(7, 5))
     assert np.array_equal(net.forward(x), loaded.forward(x))
 
@@ -28,7 +28,7 @@ def test_round_trip_identical_logits(net, tmp_path):
 def test_round_trip_many_batches_exact(net, tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
-    loaded, _ = load_checkpoint(path)
+    loaded = load_checkpoint(path)
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(size=(rng.integers(2, 9), 5))
@@ -43,7 +43,7 @@ def test_round_trip_preserves_running_stats(net, tmp_path):
         net.forward(rng.normal(3.0, 2.0, size=(16, 5)), train=True)
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)
-    loaded, _ = load_checkpoint(path)
+    loaded = load_checkpoint(path)
     x = rng.normal(size=(6, 5))
     assert np.array_equal(net.forward(x), loaded.forward(x))
 

@@ -348,7 +348,7 @@ def _whole_target_scales(model, target, cfg, rng):
     opt = SGD([s], cfg.lr, cfg.momentum)
     raw_scores = forward_layers(model.layers[:-1], target.features, False)[0] @ w.T
 
-    def grads(idx, ws):
+    def grads(idx):
         s.data = np.maximum(s.data, 1e-3)
         scores = raw_scores[idx]
         p = softmax(scores * s.data + bias)

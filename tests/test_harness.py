@@ -246,7 +246,7 @@ def test_stage_abort_restores_and_records(tmp_path, case):
         _, arrays = store.read(tmp_path / name, b"OTAC")
         assert all(np.all(np.isfinite(a)) for a in arrays.values()), name
         if name != "backbone.ckpt":
-            evaluate(checkpoint.load_checkpoint(tmp_path / name)[0], tgt)
+            evaluate(checkpoint.load_checkpoint(tmp_path / name), tgt)
 
 
 def _no_constant(name):

@@ -5,9 +5,9 @@ dependencies on them show at the top.
 __init__.py is exempt from the first check: its imports are the package's
 public re-exports.
 
-Only optim.py calls `Workspace(`: `fit` makes each training loop's workspace.
 Only layers.py calls the layer-list walkers: every stage trains a `Network`.
-Only tensor.py loads a library through ctypes: `one_blas_thread` owns numpy's OpenBLAS.
+Only tensor.py loads a library through ctypes: `one_blas_thread` owns numpy's OpenBLAS,
+and `keep_freed_memory` the C library's mallopt.
 """
 import ast
 import subprocess
@@ -61,12 +61,6 @@ def calls_to(path: Path, names: set[str]) -> list[str]:
             and getattr(node.func, "id", getattr(node.func, "attr", None)) in names]
 
 
-def test_only_fit_makes_a_workspace():
-    # optim.fit owns each training loop's workspace; no stage builds its own
-    calls = [c for path in sorted(SRC.glob("*.py")) for c in calls_to(path, {"Workspace"})]
-    assert [c.split(":")[0] for c in calls] == ["optim.py"]
-
-
 def test_only_layers_walks_a_layer_list():
     # a stage's step is one Network forward, one loss and one Network backward
     walkers = {"forward_layers", "backward_layers"}
@@ -75,10 +69,12 @@ def test_only_layers_walks_a_layer_list():
 
 
 def test_only_tensor_loads_openblas_and_only_when_first_used():
-    # one module holds the ctypes handle on numpy's OpenBLAS; importing adaptkit loads none
+    # one module holds the ctypes handles; importing adaptkit loads no OpenBLAS and sets
+    # no heap setting
     users = [p.name for p in sorted(SRC.glob("*.py")) if "ctypes" in p.read_text()]
     assert users == ["tensor.py"]
-    probe = "import adaptkit; print(adaptkit.tensor._openblas.cache_info().currsize)"
+    probe = ("import adaptkit; print(adaptkit.tensor._openblas.cache_info().currsize, "
+             "adaptkit.tensor.keep_freed_memory.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=SRC.parent, capture_output=True,
                           text=True, timeout=60)
-    assert proc.stdout.split() == ["0"], proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0", "0"], proc.stderr[-2000:]

@@ -1,8 +1,7 @@
+import ctypes
 import os
 import subprocess
 import sys
-import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +10,10 @@ import pytest
 from adaptkit import source
 from adaptkit.errors import ConfigError
 from adaptkit.data import GeneratorSpec, generate
-from adaptkit.harness import ExperimentConfig, make_datasets, stream
-from adaptkit.layers import ArchSpec, Workspace, build_network
+from adaptkit.layers import ArchSpec, build_network
 from adaptkit.optim import SGD, decays, fit
 from adaptkit.source import SourceConfig
-from adaptkit.tensor import Tensor
+from adaptkit.tensor import Tensor, keep_freed_memory
 
 
 def scalar_param(value, name="p.weight"):
@@ -101,7 +99,7 @@ def fit_lrs(cosine, epochs, n, batch_size, lr=0.1):
     p = scalar_param(1.0)
     opt = RecordingSGD([p], lr=lr, momentum=0.9)
 
-    def grads(idx, ws):
+    def grads(idx):
         p.add_grad(np.array([0.5]))
         return {}
 
@@ -135,31 +133,14 @@ def test_schedule_step_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# a training loop reuses its step arrays
-
-
-def test_fit_hands_one_workspace_to_every_step_of_a_call():
-    p = scalar_param(1.0)
-    seen = []
-
-    def grads(idx, ws):
-        seen.append(ws)
-        p.add_grad(np.array([0.5]))
-        return {}
-
-    for _ in range(2):
-        fit(SGD([p], lr=0.1), [p], 2, 10, 4, np.random.default_rng(0), grads)
-    assert len(seen) == 12  # 2 calls x 2 epochs x blocks of 4, 4 and 2 rows
-    assert isinstance(seen[0], Workspace)
-    assert all(ws is seen[0] for ws in seen[:6]) and all(ws is seen[6] for ws in seen[6:])
-    assert seen[6] is not seen[0]
+# a training loop leaves nothing behind, and its steps do not fault the heap back in
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lr", [0.05, np.inf], ids=["normal_end", "abort"])
 def test_no_tensor_keeps_a_grad_after_fit(lr):
-    # stage 0's Dense weight grads are arrays of its loop's workspace; none outlives fit.
-    # One step per epoch: an infinite lr makes the parameters non-finite in the epoch's
+    # fit clears every grad a step wrote, also when it aborts, so a trained net's layers
+    # hold their tensors and nothing else. One step per epoch: an infinite lr makes the parameters non-finite in the epoch's
     # only step, so the abort comes from the epoch-end check, after a backward pass.
     data = generate(GeneratorSpec(n_per_class=10, num_classes=3, input_dim=4), 0)
     net = build_network(ArchSpec(4, (6, 5), 3), np.random.default_rng(0))
@@ -167,49 +148,20 @@ def test_no_tensor_keeps_a_grad_after_fit(lr):
         net, data, SourceConfig(epochs=2, batch_size=30, lr=lr), np.random.default_rng(1))
     assert (abort is None) == (lr < 1) and len(history) == (2 if lr < 1 else 0)
     assert all(t.grad is None for t in net.all_tensors())
-
-
-def test_stage0_step_after_the_first_allocates_little(monkeypatch):
-    # from one step's start to the next: forward, backward and the SGD step at the
-    # default shapes, the epoch's trailing 8-row batch included
-    cfg = ExperimentConfig()
-    src, _ = make_datasets(cfg, 0)
-    net = build_network(ArchSpec(src.dim, cfg.teacher_hidden, src.num_classes),
-                        stream(0, "stage0"))
-    rises, starts = [], []
-
-    def measured_fit(opt, tensors, epochs, n, batch_size, rng, grads, cosine=False):
-        def measured(idx, ws):
-            if starts:
-                rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
-            tracemalloc.reset_peak()
-            starts.append(tracemalloc.get_traced_memory()[0])
-            return grads(idx, ws)
-        return fit(opt, tensors, epochs, n, batch_size, rng, measured, cosine)
-
-    monkeypatch.setattr(source, "fit", measured_fit)
-    tracemalloc.start()
-    try:
-        source.train_source(net, src, replace(cfg.source_cfg, epochs=2), stream(0, "stage0"))
-    finally:
-        tracemalloc.stop()
-    assert len(rises) == 2 * 40 - 1  # one per step but the last, 40 steps per epoch
-    assert max(rises[1:]) <= 160_000
-    # the loop's workspace went with it: the layers hold their tensors and nothing else
     assert all(isinstance(v, Tensor) for layer in net.layers for v in vars(layer).values())
 
 
 # Stage 0 after make_datasets in a fresh process with one BLAS thread: its minor
-# page faults. A step that allocates and frees its batch-sized arrays makes glibc
-# grow and trim the heap every step (~120,000 faults at the default shapes or at
-# width 256, batch 512, 5 epochs) until the process has freed an array large
-# enough to raise glibc's trim threshold.
+# page faults. A step allocates and frees its batch-sized arrays; unless glibc keeps
+# freed memory (`keep_freed_memory`, which fit calls), it grows and trims the heap
+# every step (~120,000 faults at the default shapes or at width 256, batch 512,
+# 5 epochs) until the process has freed an array large enough to raise glibc's
+# trim threshold.
 _STAGE0_FAULTS = """
 import resource, sys
 from dataclasses import replace
-from adaptkit.data import GeneratorSpec, generate
 from adaptkit.harness import ExperimentConfig, make_datasets, stream
-from adaptkit.layers import ArchSpec, Workspace, build_network
+from adaptkit.layers import ArchSpec, build_network
 from adaptkit.source import train_source
 width, batch, epochs = map(int, sys.argv[1:])
 cfg = ExperimentConfig(teacher_hidden=(width, width))
@@ -230,9 +182,29 @@ ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
                                                      (256, 512, 5, 20_000)],
                          ids=["default", "width256_batch512"])
 def test_stage0_does_not_grow_and_trim_the_heap_every_step(width, batch, epochs, most):
+    assert _stage0_faults(_STAGE0_FAULTS, width, batch, epochs) <= most
+
+
+def test_without_the_heap_setting_stage0_faults_the_heap_back_every_step():
+    # the bound above catches the cliff: with keep_freed_memory a no-op, the same
+    # stage 0 at width 256 takes ~130,000 faults
+    script = ("import adaptkit.optim\nadaptkit.optim.keep_freed_memory = lambda: None\n"
+              + _STAGE0_FAULTS)
+    assert _stage0_faults(script, 256, 512, 5) > 20_000
+
+
+def _stage0_faults(script: str, width: int, batch: int, epochs: int) -> int:
     env = {**os.environ, **ONE_BLAS_THREAD,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", _STAGE0_FAULTS, str(width), str(batch),
-                           str(epochs)], env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script, str(width), str(batch), str(epochs)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert int(proc.stdout) <= most
+    return int(proc.stdout)
+
+
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
+    # a C library without glibc's mallopt (musl, macOS): nothing is set and nothing raised
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or object())
+    assert keep_freed_memory.__wrapped__() is None
+    assert opened == [None]
