@@ -19,8 +19,8 @@ MAGIC = b"OTAC"
 
 
 def _read(path, backbone_only: bool) -> Network:
-    """Rebuild a network from a full or (backbone_only) a backbone file. Every
-    tensor the file should hold is checked: a stray, missing or misshaped one
+    """Rebuild a network from a full or (backbone_only) a backbone file. A stray,
+    missing or misshaped tensor, or a header arch larger than the file's tensors,
     is a StorageError. A backbone file leaves the classifier at its draw."""
     header, tensors = store.read(path, MAGIC)
     try:
@@ -31,7 +31,16 @@ def _read(path, backbone_only: bool) -> Network:
     if bool(header.get("backbone_only")) != backbone_only:
         raise StorageError(f"{path}: expected a backbone-only checkpoint" if backbone_only
                            else f"{path}: backbone-only checkpoint, expected a full network")
-    net = build_network(arch, np.random.default_rng(0))
+    widths = (arch.input_dim, *arch.hidden)  # count the values arch reads before any draw
+    need = sum((a + 1 + 4 * arch.batchnorm) * b for a, b in zip(widths, widths[1:]))
+    need += 0 if backbone_only else (widths[-1] + 1) * arch.num_classes
+    held = sum(t.size for t in tensors.values())
+    if need > held:
+        raise StorageError(f"{path}: {arch} needs {need} values, the file holds {held}")
+    try:  # now no bigger than the file, but for a backbone file's drawn classifier
+        net = build_network(arch, np.random.default_rng(0))
+    except MemoryError as e:
+        raise StorageError(f"{path}: cannot draw {arch}: {e}") from e
     wanted = net.backbone_tensors() if backbone_only else net.all_tensors()
     unused = set(tensors) - {t.name for t in wanted}
     if unused:

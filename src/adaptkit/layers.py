@@ -12,9 +12,10 @@ returns the per-layer caches that `backward` reads.
 
 `forward(x)` walks the batch in `tensor.row_blocks`, the one block rule that
 every whole-dataset inference pass follows (`pseudo_label` and calibration walk
-it too), so its extra memory is a few blocks' activations beside the output,
-however long the batch, and each row's bits are those of one pass over the
-whole batch.
+it too). On each block it runs every layer's own `forward(y, train=False)` and
+drops that layer's cache as soon as it returns, so its extra memory is a few
+blocks' activations beside the output, however long the batch, and each row's
+bits are those of one pass over the whole batch.
 
 A batch is a B x d array or a V x B x d stack of V views of the same B rows
 (stage 2 runs its two augmented views as one stack). Every layer treats the
@@ -23,9 +24,8 @@ updates its running statistics once per view, in view order, and a parameter
 grad is the sum of the per-view grads in view order. Each view's numbers are
 bit for bit those of a separate B x d pass.
 
-A pass allocates what it returns, except that `forward_layers` lets each
-BatchNorm and ReLU after the first layer write over its input, which no other
-layer holds.
+A pass allocates what it returns, except that in either mode each BatchNorm and
+ReLU after the first layer writes over its input, which no other layer holds.
 """
 from __future__ import annotations
 
@@ -71,14 +71,11 @@ class Dense:
         return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray, train: bool, own: bool = False):
-        return self._infer(x, own), x
-
-    def _infer(self, x: np.ndarray, own: bool) -> np.ndarray:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"dense expected width {self.in_dim}, got {x.shape[-1]}")
         y = x @ self.weight.data.T
         y += self.bias.data
-        return y
+        return y, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         self.param_grads(cache, dy)
@@ -129,13 +126,9 @@ class BatchNorm:
             var = self.running_var.data
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = np.multiply(d, inv_std, out=d)
-        return self.gamma.data * xhat + self.beta.data, (xhat, inv_std, train)
-
-    def _infer(self, x: np.ndarray, own: bool) -> np.ndarray:
-        y = np.subtract(x, self.running_mean.data, out=x if own else None)
-        y *= 1.0 / np.sqrt(self.running_var.data + BN_EPS)
-        y *= self.gamma.data
-        return np.add(y, self.beta.data, out=y)
+        y = self.gamma.data * xhat
+        y += self.beta.data
+        return y, (xhat, inv_std, train)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = cache
@@ -159,9 +152,6 @@ class ReLU:
     def forward(self, x: np.ndarray, train: bool, own: bool = False):
         mask = x > 0
         return np.multiply(x, mask, out=x if own else None), mask
-
-    def _infer(self, x: np.ndarray, own: bool) -> np.ndarray:
-        return np.multiply(x, x > 0, out=x if own else None)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         return dy * cache
@@ -258,8 +248,8 @@ class Network:
         out = None
         for rows in row_blocks(x.shape[-2]):
             y = x[..., rows, :]
-            for i, layer in enumerate(layers):  # forward(x, False)'s expressions, no cache,
-                y = layer._infer(y, i > 0)  # in place on all but the batch
+            for i, layer in enumerate(layers):  # each layer's cache dropped as it returns;
+                y = layer.forward(y, False, i > 0)[0]  # BN, ReLU write over all but the batch
             if out is None:
                 out = np.empty(x.shape[:-1] + y.shape[-1:])
             out[..., rows, :] = y

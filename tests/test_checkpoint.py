@@ -1,10 +1,12 @@
 import json
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from adaptkit import cli
-from adaptkit.checkpoint import (load_backbone, load_checkpoint, save_backbone,
+from adaptkit import cli, store
+from adaptkit.checkpoint import (MAGIC, load_backbone, load_checkpoint, save_backbone,
                                  save_checkpoint)
 from adaptkit.data import GeneratorSpec, generate, save_dataset
 from adaptkit.errors import StorageError
@@ -82,24 +84,56 @@ HEADER_EDITS = {
     "zero_width": lambda h: h["arch"].update(hidden=[8, 0]),
     "one_class": lambda h: h["arch"].update(num_classes=1),
     "str_batchnorm": lambda h: h["arch"].update(batchnorm="yes"),
+    # a width that numpy refuses to allocate at once, with the file's tensors unchanged
+    "huge_width": lambda h: h["arch"].update(hidden=[10**12, 6]),
     # a zero-size array at the end of the blob: valid layout, unused by the arch
     "stray_tensor": lambda h: h["tensors"].append({"name": "stray", "shape": [0], "offset": (
         h["tensors"][-1]["offset"] + 8 * int(np.prod(h["tensors"][-1]["shape"])))}),
 }
 
 
-@pytest.mark.parametrize("case", sorted(HEADER_EDITS))
-def test_malformed_header_keys_rejected(net, tmp_path, case):
-    path = tmp_path / "net.ckpt"
+def _save_edited_header(net, path, edit):
+    """A checkpoint of `net` whose JSON header `edit` has changed in place."""
     save_checkpoint(net, path)
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12 : 12 + hlen])
-    HEADER_EDITS[case](header)
+    edit(header)
     payload = json.dumps(header).encode()
     path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + hlen :])
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+def test_malformed_header_keys_rejected(net, tmp_path, case):
+    path = tmp_path / "net.ckpt"
+    _save_edited_header(net, path, HEADER_EDITS[case])
     with pytest.raises(StorageError):
         load_checkpoint(path)
+
+
+def test_cli_evaluate_huge_width_header_is_io_error(net, tmp_path, capsys):
+    data, model = tmp_path / "d.ds", tmp_path / "m.ckpt"
+    save_dataset(generate(GeneratorSpec(n_per_class=5, num_classes=4, input_dim=5), 0), data)
+    _save_edited_header(net, model, HEADER_EDITS["huge_width"])
+    assert cli.main(["evaluate", "--model", str(model), "--data", str(data)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("i/o error:") == 1 and str(model) in err
+
+
+def test_header_arch_is_checked_before_any_draw(tmp_path):
+    # 133 bytes whose header asks for a 100000-wide layer (~36 MB drawn) and holds no tensor
+    path = tmp_path / "wide.ckpt"
+    store.write(path, MAGIC, {"arch": asdict(ArchSpec(32, (100000,), 10))}, {})
+    assert path.stat().st_size == 133
+    tracemalloc.start()
+    try:
+        with pytest.raises(StorageError, match="wide.ckpt"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_truncated_data_rejected(net, tmp_path):
@@ -149,6 +183,10 @@ BAD_FILES = {
         net, p, **{"block1.bn.gamma": np.ones((1, 6))}), load_backbone),
     "full_as_backbone": (save_checkpoint, load_backbone),
     "backbone_as_full": (_save_edited_backbone, load_checkpoint),
+    # a backbone file's classifier is drawn, not read: one numpy refuses at once
+    "huge_class_count": (lambda net, p: save_backbone(
+        replace(net.arch, num_classes=10**12),
+        {t.name: t.data for t in net.backbone_tensors()}, p), load_backbone),
 }
 
 
@@ -162,7 +200,7 @@ def test_bad_backbone_files_rejected(net, tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["missing_tensor", "misshaped_bias", "misshaped_gamma",
-                                  "stray_tensor"])
+                                  "stray_tensor", "huge_class_count"])
 def test_cli_distill_rejects_bad_backbone(net, tmp_path, capsys, case):
     data, teacher, backbone = tmp_path / "d.ds", tmp_path / "t.ckpt", tmp_path / "b.ckpt"
     save_dataset(generate(GeneratorSpec(n_per_class=40, num_classes=4, input_dim=5), 0), data)
