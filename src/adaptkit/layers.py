@@ -24,8 +24,14 @@ updates its running statistics once per view, in view order, and a parameter
 grad is the sum of the per-view grads in view order. Each view's numbers are
 bit for bit those of a separate B x d pass.
 
+Train-mode BatchNorm is the textbook one (Ioffe and Szegedy 2015) with one-shot
+sums per view: the mean is (1/n) 1^T x and the biased variance one einsum over the
+centred x; the backward takes dbeta = 1^T dy and dgamma = sum(dy xhat) once and
+reuses them in dx = gamma inv_std (dy - dbeta / n - xhat dgamma / n).
+
 A pass allocates what it returns, except that in either mode each BatchNorm and
-ReLU after the first layer writes over its input, which no other layer holds.
+ReLU after the first layer writes over its input, which no other layer holds, and
+a train-mode BatchNorm backward writes dx over its cache, so a cache is read once.
 """
 from __future__ import annotations
 
@@ -113,14 +119,13 @@ class BatchNorm:
             n = x.shape[-2]
             if n < 2:
                 raise ConfigError("batchnorm in train mode needs a batch of at least 2")
-            # mean and biased variance per view, as x.mean and x.var compute them
-            mean = x.sum(axis=-2, keepdims=True) / n
+            mean = (np.full(n, 1 / n) @ x)[..., None, :]
             d = np.subtract(x, mean, out=centred)
-            var = (d * d).sum(axis=-2, keepdims=True) / n
-            rm, rv = self.running_mean, self.running_var
+            var = np.einsum("...ij,...ij->...j", d, d)[..., None, :] / n
             for m, v in zip(mean.reshape(-1, self.dim), var.reshape(-1, self.dim)):
-                rm.data = (1 - BN_MOMENTUM) * rm.data + BN_MOMENTUM * m
-                rv.data = (1 - BN_MOMENTUM) * rv.data + BN_MOMENTUM * v
+                for stat, batch in ((self.running_mean.data, m), (self.running_var.data, v)):
+                    stat *= 1 - BN_MOMENTUM
+                    stat += BN_MOMENTUM * batch
         else:
             d = np.subtract(x, self.running_mean.data, out=centred)
             var = self.running_var.data
@@ -132,15 +137,18 @@ class BatchNorm:
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         xhat, inv_std, train = cache
-        self.gamma.add_grad(_sum_views((dy * xhat).sum(axis=-2), 1))
-        self.beta.add_grad(_sum_views(dy.sum(axis=-2), 1))
-        dxhat = dy * self.gamma.data
-        if train:
-            # Batch statistics participate in the forward pass.
-            n = dy.shape[-2]
-            return (dxhat - dxhat.sum(axis=-2, keepdims=True) / n
-                    - xhat * ((dxhat * xhat).sum(axis=-2, keepdims=True) / n)) * inv_std
-        return dxhat * inv_std
+        dbeta, dgamma = np.ones(dy.shape[-2]) @ dy, np.einsum("...ij,...ij->...j", dy, xhat)
+        self.gamma.add_grad(_sum_views(dgamma, 1))
+        self.beta.add_grad(_sum_views(dbeta, 1))
+        if not train:
+            return dy * self.gamma.data * inv_std
+        # Batch statistics participate in the forward pass: dx = gamma inv_std (dy -
+        # dbeta / n - xhat dgamma / n), written over xhat, which no one reads again.
+        n = dy.shape[-2]
+        dx = np.subtract(dy, np.multiply(xhat, (dgamma / n)[..., None, :], out=xhat), out=xhat)
+        dx -= (dbeta / n)[..., None, :]
+        dx *= self.gamma.data * inv_std
+        return dx
 
 
 class ReLU:

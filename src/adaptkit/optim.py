@@ -84,7 +84,8 @@ def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
     On return no tensor keeps a grad a step wrote. Its steps allocate their arrays, so
     the first call keeps glibc from trimming the freed heap (`keep_freed_memory`)."""
     keep_freed_memory()
-    total = max(1, epochs * max(1, n // batch_size))
+    # the cosine budget: the blocks minibatches yields, a trailing singleton dropped
+    total = max(1, epochs * (-(-n // batch_size) - (n % batch_size == 1)))
     history, step, abort = [], 0, None
     try:
         for epoch in range(epochs):
@@ -93,7 +94,7 @@ def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
                 for t in tensors:
                     t.zero_grad()
                 losses.append(grads(idx))
-                opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (min(step, total) / total)))
+                opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (step / total)))
                          if cosine else opt.lr)
                 step += 1
             for t in tensors:

@@ -8,7 +8,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .layers import Network
-from .losses import cross_entropy, cross_entropy_grad, softmax
+from .losses import cross_entropy_grad, softmax
 from .optim import SGD, check_fit_args, fit
 
 
@@ -29,16 +29,16 @@ class SourceConfig:
 
 def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
                  rng: np.random.Generator) -> tuple[Network, list[dict], dict | None]:
-    """Minimize label-smoothed cross-entropy; returns the net, its history and its abort."""
+    """Minimize label-smoothed cross-entropy; returns the net, its history and its abort.
+    The loss value is not computed, so the history holds epochs only."""
     if dataset.labels is None:
         raise ConfigError("source training needs labels")
 
     def grads(idx):
         logits, caches = net.forward(dataset.features[idx], train=True)
-        probs = softmax(logits)
-        loss = cross_entropy(probs, dataset.labels[idx], cfg.smoothing)
-        net.backward(caches, cross_entropy_grad(probs, dataset.labels[idx], cfg.smoothing))
-        return {"loss": loss.scalar}
+        net.backward(caches, cross_entropy_grad(softmax(logits), dataset.labels[idx],
+                                                cfg.smoothing))
+        return {}
 
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
     history, abort = fit(opt, net.all_tensors(), cfg.epochs, len(dataset), cfg.batch_size,

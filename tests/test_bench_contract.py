@@ -93,7 +93,7 @@ def test_every_counted_argument_keeps_its_position():
 
 
 # the tiny run's source must keep a row of every class at the workload's imbalance ratio
-TINY_SHAPES = {"full-1seed": {},
+TINY_SHAPES = {"full-1seed": {}, "multiseed-par": {},
                "longtail-cal": {"benchmark": GeneratorSpec(n_per_class=200, num_classes=4,
                                                            input_dim=8)}}
 

@@ -136,6 +136,31 @@ def test_header_arch_is_checked_before_any_draw(tmp_path):
     assert peak < 2**20
 
 
+def _save_edited_full(net, path, **edits):
+    """A full checkpoint of `net` with tensors replaced or (None) dropped."""
+    tensors = {**{t.name: t.data for t in net.all_tensors()}, **edits}
+    store.write(path, MAGIC, {"arch": asdict(net.arch)},
+                {k: v for k, v in tensors.items() if v is not None})
+
+
+def test_missing_tensor_behind_a_matching_value_count_is_storage_error(net, tmp_path):
+    # block0.dense.weight's 40 values moved into an oversized classifier.weight: the
+    # file holds as many values as the arch needs, so only the per-tensor check sees it
+    path = tmp_path / "net.ckpt"
+    _save_edited_full(net, path, **{"block0.dense.weight": None,
+                                    "classifier.weight": np.zeros((4, 16))})
+    with pytest.raises(StorageError, match="missing tensor 'block0.dense.weight'"):
+        load_checkpoint(path)
+
+
+def test_value_count_message_names_the_exact_counts(net, tmp_path):
+    # ArchSpec(5, (8, 6), 4) with batchnorm: (5+1+4)*8 + (8+1+4)*6 + (6+1)*4 = 186 values
+    path = tmp_path / "net.ckpt"
+    _save_edited_full(net, path, **{"classifier.bias": np.zeros(3)})
+    with pytest.raises(StorageError, match="needs 186 values, the file holds 185$"):
+        load_checkpoint(path)
+
+
 def test_truncated_data_rejected(net, tmp_path):
     path = tmp_path / "net.ckpt"
     save_checkpoint(net, path)

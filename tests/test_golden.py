@@ -20,25 +20,25 @@ from adaptkit.source import train_source
 from test_harness import ABORT_TRIGGERS, tiny_config
 
 GOLDEN_REPORT_SHA256 = {
-    0: "7325e67a7e9893744ab464f5ce66d82acf7801fdb5a6aae0c95993562f2a7c7c",
-    1: "3590fb475fd6c504bdbe8c3927c3f777b0baa32526f3f756c5805616e53960c0",
+    0: "dcaa5666fbb756432d4276c90b8bff0dbee8e24080a6c584fb242885218bd020",
+    1: "34e586bab0d3245ed50f810506b9c2801bcbb3107b62f7c83fcddae008321cb6",
 }
 
 GOLDEN_CHECKPOINT_SHA256 = {
-    "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-    "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-    "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-    "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-    "seed_1/source.ckpt": "d6bdcfd369e09b06c52cde280aa92ec32bde8bd4f0205f36857acccd5849c194",
-    "seed_1/stage1.ckpt": "4045a23a1847d49501a8a6d85022a437d59aa1eaaa751b90a41b917cf9b05079",
-    "seed_1/backbone.ckpt": "2dbd93575939b80e815cd21e33160407129c1cdd6c3151d28df27760c64052cd",
-    "seed_1/stage3.ckpt": "0c1391adc875fa7c5fc664f7eb7e2919699f78b43770221bb1d0d5c3b0695aa5",
+    "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+    "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+    "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+    "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+    "seed_1/source.ckpt": "d8914cd17339c76f8fc0b284b9ad27a5d3a13358ae1e019ea1aba1ffe448dc60",
+    "seed_1/stage1.ckpt": "81ff02dcac0d8ed42232c61de23897adf28762a1475fbabd9c0755f3a7efda58",
+    "seed_1/backbone.ckpt": "e8861551526b83f338b7b8ef404af90145770e54f789b8ade5e8963f5b8b8fdd",
+    "seed_1/stage3.ckpt": "9c005efc68f07bd959248345c9823c189c62f4ad28272b33c31e3d4551f925ab",
 }
 
 # one seed with calibration on: its report and the calibrated checkpoint
 GOLDEN_CALIBRATED_SHA256 = {
-    "seed_0/report.json": "1e3673c4750984553419fa4fbf843bcd7dfccf3040d241978e30a57f9088e40d",
-    "seed_0/calibrated.ckpt": "d6ed8404b94dfe6dcbea5858e156b25dbf7e61d017096ba6da6fe532c261568b",
+    "seed_0/report.json": "002ee0dd24583ec4d44e88f65dee56e1695a26d5d9d2020cd590b99d20f17d03",
+    "seed_0/calibrated.ckpt": "a90ab9ed9d83ddf6b29d303b60c01c0689373c0349fdb39279a9a5f13aa7dbb7",
 }
 
 
@@ -67,7 +67,7 @@ def test_checkpoint_digests_pinned(tiny_run):
 
 # the tiny run's summary.json with config.outdir (the run's temporary directory)
 # removed, dumped as summary.json is written
-GOLDEN_SUMMARY_SHA256 = "af5982c558af51f03f7f49394c7b54499a62cafa55b8024c515e3ca46b762356"
+GOLDEN_SUMMARY_SHA256 = "15a920e7c8cabe67034bd6588f5be60ea6d3a2037d912154534f06db38623842"
 
 
 def test_summary_digest_pinned(tiny_run):
@@ -106,9 +106,9 @@ def _tensors_digest(tensors, record) -> str:
 # the source: its tensors and loss history. Stage 2: the backbone tensors and
 # loss history. Stage 3 distils that teacher into random students over one hard
 # and one soft phase of two epochs: the last student's tensors and the trace.
-GOLDEN_DEFAULT_SOURCE_SHA256 = "e1f17c2d144a21465187e9ef5a2236ab4e051313345ec5fa57b58c3d3cbb0cbd"
-GOLDEN_DEFAULT_PRETRAIN_SHA256 = "08244b8bdf18539010e81b80de89c4e05a63d9e7d84c17073e5f357176c833c7"
-GOLDEN_DEFAULT_DISTILL_SHA256 = "dc1675912394164f911ae92d6e623ee30dde88fd479633fdabf4d4247d5c21b1"
+GOLDEN_DEFAULT_SOURCE_SHA256 = "bc47f908e51f1611da03315267cd37bba42cd412d19b7e50f8322494ef553f4f"
+GOLDEN_DEFAULT_PRETRAIN_SHA256 = "7421acf52d25cfb079c09b0228eb6625bf6450f1cb8e3e93896e0a2e63d36afd"
+GOLDEN_DEFAULT_DISTILL_SHA256 = "0bc27600c31cbbb820a9dd119161fee157660551c794f9a4428f35f4adbbb026"
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +147,12 @@ def test_default_shape_distill_digest_pinned(default_data, default_teacher):
 # with stage 3 and calibration on short budgets: evaluate, pseudo_label and the
 # calibration passes each predict on the full 5000-row target.
 GOLDEN_DEFAULT_LONGTAIL_SHA256 = {
-    "seed_0/report.json": "f2f7756d74295d7fc38695b8a1bf9a10117e5f1f9d9b5c4ab6bd3619e6d460f6",
-    "seed_0/per_class.csv": "697f792c1302ae2bec8ca65c33c3dc290414ced19a157c089442ed31bd983971",
-    "seed_0/trace.csv": "3ede7ccacf2c512cf3a938d5418abde68ea4a1f98657e9df46485cb9ca56ded5",
-    "seed_0/source.ckpt": "e5d4ab2508da3ff3f263894511e2e867af449f204a44b39cf33f32b005bcb760",
-    "seed_0/stage3.ckpt": "a3cde1f35e33fa67790bbe393dea239a46eda0fd24c73b1613e9e44f8e1b4928",
-    "seed_0/calibrated.ckpt": "e1a7fa3a68a78b25654c0467ffe37c14a72111dda00f1b4ce72a789f47fa2e74",
+    "seed_0/report.json": "829939936fe14c9c72cfa6799cde0ef9f5f3b91c957006053b7cfdd87ebd74b0",
+    "seed_0/per_class.csv": "1cca466fdada411fb4e0a84d9c73ece88f7c69c6fdcaa4dc0c56ed8f182b899a",
+    "seed_0/trace.csv": "21adc461bdcc1ae01a8d7c7e88e37d294e89f9a499189b053d4dc52222b4356d",
+    "seed_0/source.ckpt": "52f1b7da1d881089d463f94384e6923516b0656e121557b0e2e48b9953534533",
+    "seed_0/stage3.ckpt": "070a931b7086b63b13db861918ea9d4c1c4a193989f6382dd4336cc1c3f97a57",
+    "seed_0/calibrated.ckpt": "3660482bd0ccc89acb5f3123e5a4b7097c86e382f9f14914ebdea8bf4ba16062",
 }
 
 
@@ -220,117 +220,117 @@ TINY_VARIANTS = {
 }
 GOLDEN_VARIANT_SHA256 = {
     "stage0_abort": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/calibrated.ckpt": "4a272ae848d99754f587b19c510a038a26c76e534d61fefc4b85793749af4986",
-        "seed_0/per_class.csv": "54546472c375458c9e64e2887bb547c7bb733bc9686bede45a7593b4924e4f1b",
-        "seed_0/report.json": "0b3bbf8ae8df5ba3f05c6cb4bc66cb364d14af1481ddaa2595127a158e003d4c",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/calibrated.ckpt": "1a0fb92a379c91a7b5ed40ecce054ca0ef2e802b1e0764d82f5bf7af5b652f1a",
+        "seed_0/per_class.csv": "fcb775f5d49f45a7308314667d74cc2499232ab55079c114c3e69b782c930041",
+        "seed_0/report.json": "782a5dcb7c4939a98bcb0b7e99d4e99e8887381ca6fc2931b213a054aafae268",
         "seed_0/source.ckpt": "45909b6253f05096477a34dfb80915263bf23d7c5e3a9a26a73869762f859d8a",
-        "seed_0/stage1.ckpt": "f1a853623b30b0d833a930f6d3b0565d69109b9f394e8ed4092db33203bd4635",
-        "seed_0/stage3.ckpt": "434f8ae677550a02742d1573a37f7c8f80ee73d1221d1ced7934a2392f6af3fb",
-        "seed_0/trace.csv": "71632ff30bf8de88dc1a6dffee7ff6b41139b1e30f6ab92ac615e5403b671095",
+        "seed_0/stage1.ckpt": "1ba3b3285a07baafb3776ff6e257b9522997a8abd92791fbd3e5ad57ecdbeaea",
+        "seed_0/stage3.ckpt": "6f7f0b3fd88bd6c96dd572278a5044f25fc7113bc0ebffd16f4241acbee7659f",
+        "seed_0/trace.csv": "3b42c30e5d923bf0e24fd57d8ce938f993a0d888ab8073ba1fbb4a4e1489492f",
     },
     "stage2_abort": {
         "seed_0/backbone.ckpt": "23c7cb97326e35b8272262f390ecb98505616c26bf6221727abd48389ed859e2",
-        "seed_0/calibrated.ckpt": "5379a0ef5ef18ae8916199d9b6af30a07c029066bb1841d8193139a4e091ecf7",
-        "seed_0/per_class.csv": "724caab33af47baf4f18000b2ca4194b35f9a21ab8748e12f625b4724e99d19a",
-        "seed_0/report.json": "bad87a1719ce8e70699c77d531067d32d391f31dccef006a362fe1fcb01e1e36",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/stage3.ckpt": "1fbd7c2a9663999bfdb89dd508121a93cfeaf629f24ef75a1f5def34395a1873",
-        "seed_0/trace.csv": "3feb95a94a782d5146283208ad724cfde2cfeee6581dc0cb96e1788efe2d4522",
+        "seed_0/calibrated.ckpt": "9f63eaa01aaa3accf74280110265a1dffca63b3b4f7d7a38786d450ca86e9682",
+        "seed_0/per_class.csv": "8889c469a239ca06cad530ebd64d4ebc3af2a6f598155746593be9788ccb2666",
+        "seed_0/report.json": "1bf6fb28c1d50715c7ff525c33528d7e56d005aa7160e47f70d06b6ac395dabc",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/stage3.ckpt": "1bad201a0875a3d81751913287ca27c10ffff7dbb176ab1d9e31c22e935f51a8",
+        "seed_0/trace.csv": "8ff8ba0dc1aaa55525f2f596b375b644afbc42bda73724e378fbe519241ed424",
     },
     "stage3_abort": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/calibrated.ckpt": "d7f43191129da9b6c1a766c13970eddcd62bcec2e54b7ddeb9b4c52b2be39631",
-        "seed_0/per_class.csv": "dd16ad7fa443c7b3899758056c3bd5b02dfd1d882341da2cb26083c4521349ec",
-        "seed_0/report.json": "767f88efcbf83e52ff966b96af128043e62134966f2cfdc179d41c777b16e158",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/stage3.ckpt": "8e41c237ce7569adf1538c2ba411094f4b2c70dc6ce65061cbcfd9c48f0773bf",
-        "seed_0/trace.csv": "9d41f43b7873d2bd2867d22027d1f8ec32dd36d5fa7023fdeb7a89b5b11f2253",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/calibrated.ckpt": "c9e6324c1d5355cd2489ce7883481e68967aa37f4ff9b8548d652eeb3351b7ff",
+        "seed_0/per_class.csv": "60e56f8879ccd0c83ec381d34b675359f181e8e14ff15bb10f7a38c426f67b7d",
+        "seed_0/report.json": "7f3ff54cea1340a80acc4f1ca3adf201f9875ef175c4d5b540c5ca65a772c49d",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/stage3.ckpt": "84fae78fff16665a2f6024d925ae0761637271e0f4ce7482e1bae4e2fc0a4243",
+        "seed_0/trace.csv": "49c95a0d88cadd96176a49cd8c7850f6bd9b3cbb5417dd29fa2706185f538c30",
     },
     "calibrate_abort": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/calibrated.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-        "seed_0/per_class.csv": "e710d649234b22a14b610e015a01d32eaba18898952cdfddec723bb3282273c1",
-        "seed_0/report.json": "ac6552366bb1834c8a4faaeb9f836ee98707cfadac573a0cee3a3b0d95855c9c",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-        "seed_0/trace.csv": "1068ec9703ef559e33590868d6d5a7747851865611c9ede6467c0cbb0074a05c",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/calibrated.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/per_class.csv": "f4c4fad98b8ebdcacabceeb91d258a7880cf43c22e54b02fdf982561b7562bb9",
+        "seed_0/report.json": "943e0c4f082ad5d81d4672c287e91a5d9dbcbac1ea587cb1b493b561c29dfa1b",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/trace.csv": "73d4c50d31971998be4f8aadffb4b11638f2090249d81c672b432395a4dd3b7e",
     },
     "calibrate_overflow_abort": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/calibrated.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-        "seed_0/per_class.csv": "e710d649234b22a14b610e015a01d32eaba18898952cdfddec723bb3282273c1",
-        "seed_0/report.json": "3d36d19d0f4a44e9b05fb585190b58d508b48b429dae0b87185ed8a5a2e66f81",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-        "seed_0/trace.csv": "1068ec9703ef559e33590868d6d5a7747851865611c9ede6467c0cbb0074a05c",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/calibrated.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/per_class.csv": "f4c4fad98b8ebdcacabceeb91d258a7880cf43c22e54b02fdf982561b7562bb9",
+        "seed_0/report.json": "cf355e761d6df66474d7cde8a531ee83936232808a76b0c96f11556e725395bf",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/trace.csv": "73d4c50d31971998be4f8aadffb4b11638f2090249d81c672b432395a4dd3b7e",
     },
     "batchnorm_only": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/per_class.csv": "79efa26dd1961f176ce2b68faf1c3eccdba4f8c8c0955060fe79a19c32d7fd3e",
-        "seed_0/report.json": "87ddd79fd390137c9186b8a8ec753a2bc0eb3b5d7a8ce0fb1edec35b37613676",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "36983c26659701f08e9cccae45c797a0213197cbf6035f1813ecca9cb65ffb8f",
-        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-        "seed_0/trace.csv": "c7fdb1fe979f32d317b0b78f9a96133ff9a226c8910eb4878e30ea461136f87e",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/per_class.csv": "68b09ff8aca08ea96556163a1be01242c4e9841f42e78fa5b505bf7f44fff1fb",
+        "seed_0/report.json": "7543b9d504dcabd049068050304414b62014c609b654231c65986ca85c9aa927",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "b40faeecf3cc738261381c5cc189bb8a675ab004235d640193af8d833be87fd6",
+        "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/trace.csv": "556e572b8c50fb573c415fc5f731ad9bb9e3bc96e46adcb276acc246eb4fdf37",
     },
     "soft_phases": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/per_class.csv": "51aaf343a285c724bf6e7324fd69ab6839ee4da3ea4d6897224b256f5ddcc635",
-        "seed_0/report.json": "9b09f43c5e27e7685dfc77548d8360475001390bdced50cbc76c19d9ec3841cd",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/stage3.ckpt": "dfe126a69f64d3ea7867acfa37b6eb8d9c8de2817e8c06bfebb3938f4354daa4",
-        "seed_0/trace.csv": "6c9b67448f3cb53d1d6e65dc726ffb8f11e13608ae64c2dbce0ab5b711baa78e",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/per_class.csv": "944a2a1bb1e9917d63075ade30b47a9d56f39d2a254445e0af558d5a93235425",
+        "seed_0/report.json": "a0ede32383ae33876827afb92271136445c261e5f2497741feadfa0139fc9fe7",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/stage3.ckpt": "62e248d54d248ee5d71f227cad25de97ee9eb1579a33b2b30f0deaa36bf7ea57",
+        "seed_0/trace.csv": "90f8170232882a1ff2214279926e5d77c16530cb5afc18f1bdeca7759503f1aa",
     },
     "source_checkpoint": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/per_class.csv": "03f2a197f797f6d6fc46346c4a8dd44d7b9d694bf00ae6380ea4aa7dafbcbc7a",
-        "seed_0/report.json": "af27e61fb97275615511951da60e27b927e9e753df1337cff75fafae61e42bcf",
-        "seed_0/stage1.ckpt": "8080e8977b1613ce142efe6ad1b340022536daaacd552c074a1ff90c8a41dab5",
-        "seed_0/stage3.ckpt": "0eba93feade4e39797b27bc424f5cceeac56eaa0be515fc16add7078e4dfa47d",
-        "seed_0/trace.csv": "a93d3d4d53e97460d4b9be54e33fc54ef055cfa1300ed9b0a2f5ccea09526581",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/per_class.csv": "d7a6adeae452583f8b9aee13f5fa9a00b9c313c3476476f1945fe463cdc0ae43",
+        "seed_0/report.json": "9118c58aa450207c32790582c3355cd54b5725ff4fdd09414aac6369c6b1efec",
+        "seed_0/stage1.ckpt": "204e5b78a760d3c43bf5a41eff68bfaf5f78d588dbd8f47df6db2f92d61fb5a4",
+        "seed_0/stage3.ckpt": "6c6da1443aba4d16b8c57df3288ba45c0789a3d41fb1c6c90b2b03d2ffca1a08",
+        "seed_0/trace.csv": "3b73c49510a7098b023f9324ccd27dcd778b426076cee5fe103f98dda1b2cfe0",
     },
     "stage1_abort": {
-        "seed_0/backbone.ckpt": "55ba0e7e312b7c4c1c34a5fadfec3e6199332607a551f1e3edeadff41e93bc9b",
-        "seed_0/calibrated.ckpt": "d6ed8404b94dfe6dcbea5858e156b25dbf7e61d017096ba6da6fe532c261568b",
-        "seed_0/per_class.csv": "339f84c9f5e1b4b44b666487bc2ae7d5cac866efb7485e2a4865b17370ffcd7f",
-        "seed_0/report.json": "d57d3d464879d4de2807f577f44c578929d786856855fc15ee10ef635428c071",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage3.ckpt": "2de2889bdbf9f088ccdcce854fa4d01b5468e3b8e05a394631d337d9c629d023",
-        "seed_0/trace.csv": "400d3a9e4fba2132252ae7543b72b7831a69f05f354b4ced93b12484cbe3ea70",
+        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/calibrated.ckpt": "4dcee46eb708bcc15220029f52859e4aea66baedbcebdb3ab5998636b7bae0a3",
+        "seed_0/per_class.csv": "2b837f955650a0e6dab173e7dc208bae2dabefc99213a95297709aba9cec4f9d",
+        "seed_0/report.json": "741d83351fc5eb1822cebbe1f559feb687cfc0e29de90729ed244485a38de99c",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage3.ckpt": "a87221c71f8cc7ad4e407793547b5422e049f90a93825f468442c32597477ec2",
+        "seed_0/trace.csv": "8bf36bbe76a40db013e36d31c2b7531f8604ac7d040fca9ac0cdf7653b09693d",
     },
     "source_only": {
-        "seed_0/per_class.csv": "531297ffafdd08e355d2630990f7a0c7a6b2a1569c9558295e9bc9d4797dd36a",
-        "seed_0/report.json": "985576611a41d7805ae64afc60bbb943311091f32946798691a9c46590076dd5",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/per_class.csv": "bb5a6c50952f165d01c113ce0e69b7e3896c202ae2c0be66f6fbc0f218cd8ec1",
+        "seed_0/report.json": "9a87111de6ef798dd04619390304ac7bb9cef290da5c90e0a959b1fa7ef1608f",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
         "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
     },
     "stage1_only": {
-        "seed_0/per_class.csv": "a80b0cb980eb393ab3dc88424640b04da9215478f487d2439327553290894060",
-        "seed_0/report.json": "cc04a07a93c51be657ee3350e6645889cbb91fa10ef8d9669db83575ba84de37",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/trace.csv": "3162566b3d168e1987650a115e6c3b9415cda8051f6a39000ee769b055d5ea63",
+        "seed_0/per_class.csv": "b9f1dcf34532b9a34981f7139c628041406c1d7e855d576656c56e4a761fd89c",
+        "seed_0/report.json": "65f6d8d62f5a5dd175ee560d39a0a4ab5e1e60df30d4eb1142cdf0e5022a6020",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/trace.csv": "62ced4e461a74a8a7537e2b59b2c39ae50956442e9825fe4a97e2859e04ee682",
     },
     "stage1_3": {
-        "seed_0/per_class.csv": "0503c4f64e07e404bb3acf40aa587c71fc7065784f916a3b55a055e1269cb327",
-        "seed_0/report.json": "89c5baf0867010d388e8f9188bd671597eff7994991d35786f480b6c37347566",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
-        "seed_0/stage1.ckpt": "8f03c68c41e820a3ee6be0d16826458521e9ee948048ba4df941ffcc85158d78",
-        "seed_0/stage3.ckpt": "a45f7dafbc604506d663c5edf656c25291c1fde3a7d0c8dc47df3e549283e6bc",
-        "seed_0/trace.csv": "fc82e212f349336ab7abba22704282593e908c2531aee9ae0037bdc5d50789a7",
+        "seed_0/per_class.csv": "2f6bee2f68f9d238dbc81f884ca3210cf230221c989da31173ec022e6f4e793f",
+        "seed_0/report.json": "2ea98857c0df6a9921398673f56a69e56e13a3335a4ab28d72d86d7063b1ecd8",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/stage3.ckpt": "310b446a7a3f0a8946d15cf97f6bb5cf0ac483c119f56c0eee9a16bad48c89fb",
+        "seed_0/trace.csv": "6ff45f6c720c9c37ca060c8d628d4228cc6621520effd571d563005e27d8f236",
     },
     "calibrate_only": {
-        "seed_0/calibrated.ckpt": "e2ca47894166294a4e49a8cdb534250ab1ba3ae7f9f223402fdfaa2083dd02a4",
-        "seed_0/per_class.csv": "5bcfc4bc80d3cae58bde7fd329a5c44b0b024941e64fdc6a1485de5eaf83af3d",
-        "seed_0/report.json": "bb1a6fc8d6a3d7275c405f7e18fa9f24415bc4f0ff50fa57741e58ae4fcd30dc",
-        "seed_0/source.ckpt": "ca7cd33049bffa5178d924b62762966f8fdc680765e14841ac6589f242bab0fb",
+        "seed_0/calibrated.ckpt": "70ae6eb0eee348cf27252c916889ea7e2f99995365668a99aa5530acd209e0a2",
+        "seed_0/per_class.csv": "cd128da8e0949c78c32a3be2fb262ca6c37a8bab26173dfa44dbca028e622ccc",
+        "seed_0/report.json": "9988137cb13dd684286355af8c8db73d503d895bedb099d2d080f47cc535ac37",
+        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
         "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
     },
 }

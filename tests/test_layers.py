@@ -258,6 +258,45 @@ def test_stacked_views_match_separate_passes_bit_for_bit(case, b):
             assert _bits(ts.data) == _bits(ta.data), ta.name
 
 
+def _reference_batchnorm(bn, x, dy):
+    """Train-mode batchnorm as separate per-view passes in the expressions it used
+    before the one-shot batch sums: (y, running mean, running var, dx, dgamma, dbeta)."""
+    rm, rv, ys, dxs, dgammas, dbetas = bn.running_mean.data, bn.running_var.data, [], [], [], []
+    for v, g in zip(x.reshape(-1, *x.shape[-2:]), dy.reshape(-1, *x.shape[-2:])):
+        n = v.shape[0]
+        mean = v.sum(axis=-2, keepdims=True) / n
+        d = v - mean
+        var = (d * d).sum(axis=-2, keepdims=True) / n
+        rm = (1 - 0.1) * rm + 0.1 * mean[0]
+        rv = (1 - 0.1) * rv + 0.1 * var[0]
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = d * inv_std
+        ys.append(bn.gamma.data * xhat + bn.beta.data)
+        dgammas.append((g * xhat).sum(axis=-2))
+        dbetas.append(g.sum(axis=-2))
+        dxhat = g * bn.gamma.data
+        dxs.append((dxhat - dxhat.sum(axis=-2, keepdims=True) / n
+                    - xhat * ((dxhat * xhat).sum(axis=-2, keepdims=True) / n)) * inv_std)
+    return (np.stack(ys).reshape(x.shape), rm, rv, np.stack(dxs).reshape(x.shape),
+            sum(dgammas[1:], dgammas[0]), sum(dbetas[1:], dbetas[0]))
+
+
+@pytest.mark.parametrize("shape", [(128, 64), (2, 128, 32), (2, 64), (2, 2, 32), (55, 64),
+                                   (2, 55, 32)])
+def test_batchnorm_train_matches_per_view_reference(shape):
+    rng, dim = np.random.default_rng(shape[-2]), shape[-1]
+    bn = BatchNorm(dim)
+    bn.gamma.data, bn.beta.data = rng.uniform(0.5, 1.5, dim), rng.normal(size=dim)
+    bn.running_mean.data, bn.running_var.data = rng.normal(size=dim), rng.uniform(0.5, 2.0, dim)
+    x, dy = rng.normal(2.0, 3.0, size=shape), rng.normal(size=shape)
+    want = _reference_batchnorm(bn, x, dy)
+    y, cache = bn.forward(x.copy(), train=True, own=True)
+    dx = bn.backward(cache, dy)
+    got = (y, bn.running_mean.data, bn.running_var.data, dx, bn.gamma.grad, bn.beta.grad)
+    for name, g, w in zip(("y", "running_mean", "running_var", "dx", "dgamma", "dbeta"), got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14, err_msg=name)
+
+
 def test_stacked_backward_matches_fd():
     # InfoNCE between the two views of one stack, through batchnorm in train mode
     rng = np.random.default_rng(4)

@@ -113,23 +113,26 @@ def test_constant_schedule():
 
 
 def test_cosine_endpoints_and_midpoint():
-    # 2 epochs x 10 // 4 = 4 scheduled steps; 3 blocks per epoch make 6 steps.
+    # blocks of 4, 4 and 2 rows: 3 steps per epoch, 6 scheduled steps over 2 epochs,
+    # so the lr starts at its peak, crosses half of it at step 3 and never reaches 0.
     lrs = fit_lrs(True, 2, 10, 4)
     assert len(lrs) == 6
     assert lrs[0] == 0.1
-    assert lrs[2] == pytest.approx(0.05, abs=1e-15)
-    assert lrs[4] == pytest.approx(0.0, abs=1e-15)
-    assert all(b <= a for a, b in zip(lrs, lrs[1:]))
-    assert min(lrs) >= 0
+    assert lrs[3] == pytest.approx(0.05, abs=1e-15)
+    assert lrs[5] == pytest.approx(0.05 * (1 + np.cos(5 * np.pi / 6)), abs=1e-15)
+    assert all(b < a for a, b in zip(lrs, lrs[1:]))
+    assert min(lrs) > 0
 
 
 def test_schedule_step_out_of_range():
-    # Steps past the scheduled total are clamped to it: the lr stays at its floor
-    # instead of following the cosine back up.
-    lrs = fit_lrs(True, 3, 10, 4)
-    assert len(lrs) == 9  # 6 scheduled steps, 3 past the total
-    assert lrs[6:] == [lrs[6]] * 3
-    assert lrs[6] == pytest.approx(0.0, abs=1e-15) and lrs[6] >= 0
+    # The scheduled total is the count of steps fit runs: no step reaches the total,
+    # where the lr would be 0, also when a trailing one-row block is dropped.
+    for n, steps in ((10, 9), (9, 6)):  # blocks of 4, 4, 2 rows; of 4, 4 (and 1 dropped)
+        lrs = fit_lrs(True, 3, n, 4)
+        assert len(lrs) == steps
+        assert lrs == [0.05 * (1 + np.cos(np.pi * (k / steps))) for k in range(steps)]
+        assert lrs[-1] == pytest.approx(0.05 * (1 + np.cos(np.pi * (steps - 1) / steps)),
+                                        abs=1e-15) and lrs[-1] > 0
 
 
 # ---------------------------------------------------------------------------
