@@ -24,10 +24,9 @@ updates its running statistics once per view, in view order, and a parameter
 grad is the sum of the per-view grads in view order. Each view's numbers are
 bit for bit those of a separate B x d pass.
 
-Train-mode BatchNorm is the textbook one (Ioffe and Szegedy 2015) with one-shot
-sums per view: the mean is (1/n) 1^T x and the biased variance one einsum over the
-centred x; the backward takes dbeta = 1^T dy and dgamma = sum(dy xhat) once and
-reuses them in dx = gamma inv_std (dy - dbeta / n - xhat dgamma / n).
+BatchNorm (Ioffe and Szegedy 2015) is y = d (gamma inv_std) + beta on the centred d,
+its cache. Per view, (1/n) 1^T x, 1^T dy and every other row sum is a gemv against a
+cached vector; the variance and dgamma = inv_std sum(dy d) are einsums over d.
 
 A pass allocates what it returns, except that in either mode each BatchNorm and
 ReLU after the first layer writes over its input, which no other layer holds, and
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -53,6 +52,14 @@ def _sum_views(g: np.ndarray, ndim: int) -> np.ndarray:
     """A parameter grad from a V-stack of per-view grads: their sum, added one view
     after the other as V separate passes would accumulate it."""
     return reduce(np.add, g) if g.ndim > ndim else g
+
+
+@cache
+def _fill(n: int, value: float) -> np.ndarray:
+    """n copies of value, read-only, built once per (n, value): `_fill(n, 1) @ x` row-sums x."""
+    v = np.full(n, float(value))
+    v.flags.writeable = False
+    return v
 
 
 class Dense:
@@ -90,7 +97,7 @@ class Dense:
     def param_grads(self, cache, dy: np.ndarray) -> None:
         """backward's weight and bias grads, without its input grad."""
         self.weight.add_grad(_sum_views(np.swapaxes(dy, -1, -2) @ cache, 2))
-        self.bias.add_grad(_sum_views(dy.sum(axis=-2), 1))
+        self.bias.add_grad(_sum_views(_fill(dy.shape[-2], 1) @ dy, 1))
 
 
 class BatchNorm:
@@ -113,15 +120,15 @@ class BatchNorm:
         return [self.running_mean, self.running_var]
 
     def forward(self, x: np.ndarray, train: bool, own: bool = False):
-        # the centred x becomes xhat in place
+        # the centred x is the cache; y = d (gamma inv_std) + beta
         centred = x if own else None
         if train:
             n = x.shape[-2]
             if n < 2:
                 raise ConfigError("batchnorm in train mode needs a batch of at least 2")
-            mean = (np.full(n, 1 / n) @ x)[..., None, :]
+            mean = (_fill(n, 1 / n) @ x)[..., None, :]
             d = np.subtract(x, mean, out=centred)
-            var = np.einsum("...ij,...ij->...j", d, d)[..., None, :] / n
+            var = np.einsum("...ij,...ij->...j", d, d) / n
             for m, v in zip(mean.reshape(-1, self.dim), var.reshape(-1, self.dim)):
                 for stat, batch in ((self.running_mean.data, m), (self.running_var.data, v)):
                     stat *= 1 - BN_MOMENTUM
@@ -129,23 +136,23 @@ class BatchNorm:
         else:
             d = np.subtract(x, self.running_mean.data, out=centred)
             var = self.running_var.data
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = np.multiply(d, inv_std, out=d)
-        y = self.gamma.data * xhat
+        inv_std = (1.0 / np.sqrt(var + BN_EPS))[..., None, :]
+        y = d * (self.gamma.data * inv_std)
         y += self.beta.data
-        return y, (xhat, inv_std, train)
+        return y, (d, inv_std, train)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std, train = cache
-        dbeta, dgamma = np.ones(dy.shape[-2]) @ dy, np.einsum("...ij,...ij->...j", dy, xhat)
+        d, inv_std, train = cache
+        n = dy.shape[-2]
+        dbeta = _fill(n, 1) @ dy
+        dgamma = np.einsum("...ij,...ij->...j", dy, d) * inv_std[..., 0, :]
         self.gamma.add_grad(_sum_views(dgamma, 1))
         self.beta.add_grad(_sum_views(dbeta, 1))
         if not train:
-            return dy * self.gamma.data * inv_std
+            return dy * (self.gamma.data * inv_std)
         # Batch statistics participate in the forward pass: dx = gamma inv_std (dy -
-        # dbeta / n - xhat dgamma / n), written over xhat, which no one reads again.
-        n = dy.shape[-2]
-        dx = np.subtract(dy, np.multiply(xhat, (dgamma / n)[..., None, :], out=xhat), out=xhat)
+        # dbeta / n - d inv_std dgamma / n), written over d, which no one reads again.
+        dx = np.subtract(dy, np.multiply(d, inv_std * (dgamma / n)[..., None, :], out=d), out=d)
         dx -= (dbeta / n)[..., None, :]
         dx *= self.gamma.data * inv_std
         return dx
@@ -158,20 +165,20 @@ class ReLU:
         return []
 
     def forward(self, x: np.ndarray, train: bool, own: bool = False):
-        mask = x > 0
-        return np.multiply(x, mask, out=x if own else None), mask
+        y = np.maximum(x, 0.0, out=x if own else None)
+        return y, y
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        return dy * cache
+        return dy * (cache > 0)
 
 
 def forward_layers(layers: list, x: np.ndarray, train: bool) -> tuple[np.ndarray, list]:
     """Run x through the layers in order; returns the output and the backprop cache.
-    Every layer after the first owns its input, which no other layer holds (no layer
-    caches its own output), and BatchNorm and ReLU write over it."""
+    Every layer after the first owns its input, which BatchNorm and ReLU write over,
+    unless it follows a ReLU: a ReLU's output is its cache."""
     caches = []
     for i, layer in enumerate(layers):
-        x, cache = layer.forward(x, train, i > 0)
+        x, cache = layer.forward(x, train, i > 0 and layers[i - 1].kind != "relu")
         caches.append(cache)
     return x, caches
 

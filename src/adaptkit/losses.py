@@ -1,14 +1,15 @@
 """Training objectives with analytic gradients.
 
-Value functions operate on probabilities (rows summing to 1); the *_grad
-helpers return gradients with respect to the pre-softmax logits, already
-averaged over the batch, which is what the layer-stack backward expects.
-Probabilities are clamped at 1e-12 before any log; when clamping fires the
-returned LossValue is flagged instead of silently swallowing the issue.
+Value functions operate on probabilities (rows summing to 1) and targets with one
+row per batch row (ShapeError otherwise); the *_grad helpers return gradients with
+respect to the pre-softmax logits, averaged over the batch, as the layer-stack
+backward expects. Probabilities are clamped at 1e-12 before any log; when clamping
+fires the returned LossValue is flagged instead of silently swallowing the issue.
 
 InfoNCE takes embeddings. `infonce_loss_grad` runs `infonce_loss`, input checks
 included, and returns `(value, (dq, dk))` built from the arrays the value keeps
-in `LossValue.saved`, so a step makes one pass over the similarities.
+in `LossValue.saved`, so a step makes one pass over the similarities, which it holds
+as S^T = k (q / tau)^T and scales only through B x e arrays (never forming dS).
 """
 from __future__ import annotations
 
@@ -53,10 +54,18 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _same_shape(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    if np.shape(targets) != probs.shape:  # one target row per row, never broadcast
+        raise ShapeError(f"targets of shape {np.shape(targets)} for probabilities {probs.shape}")
+    return targets
+
+
 def smoothed_targets(targets: np.ndarray, num_classes: int, smoothing: float) -> np.ndarray:
     if not 0 <= smoothing < 1:
         raise ConfigError(f"smoothing must be in [0, 1), got {smoothing}")
     targets = np.asarray(targets)
+    if targets.ndim != 1 or targets.dtype.kind not in "iu":
+        raise ConfigError(f"labels must be 1-d integers, got {targets.dtype} {targets.shape}")
     if targets.min() < 0 or targets.max() >= num_classes:
         raise ConfigError("target label out of range")
     q = np.full((len(targets), num_classes), smoothing / num_classes)
@@ -67,7 +76,7 @@ def smoothed_targets(targets: np.ndarray, num_classes: int, smoothing: float) ->
 def cross_entropy(probs: np.ndarray, targets: np.ndarray, smoothing: float = 0.0) -> LossValue:
     """-sum_c q_c ln p_c with label-smoothed targets q; mean over the batch."""
     probs = _check_probs(probs)
-    q = smoothed_targets(targets, probs.shape[1], smoothing)
+    q = _same_shape(probs, smoothed_targets(targets, probs.shape[1], smoothing))
     logp, clamped = _safe_log(probs)
     per = -(q * logp).sum(axis=1)
     return LossValue(float(per.mean()), per, clamped)
@@ -123,9 +132,7 @@ def infomax_loss_grad(probs: np.ndarray) -> np.ndarray:
 def kl_soft_loss(student: np.ndarray, teacher: np.ndarray) -> LossValue:
     """Mean KL(teacher || student); the teacher is a constant for gradients."""
     student = _check_probs(student)
-    teacher = _check_probs(teacher)
-    if student.shape != teacher.shape:
-        raise ShapeError(f"shape mismatch: student {student.shape}, teacher {teacher.shape}")
+    teacher = _same_shape(student, _check_probs(teacher))
     logs, c1 = _safe_log(student)
     logt, c2 = _safe_log(teacher)
     per = (teacher * (np.where(teacher > 0, logt, 0.0) - logs)).sum(axis=1)
@@ -134,12 +141,12 @@ def kl_soft_loss(student: np.ndarray, teacher: np.ndarray) -> LossValue:
 
 def kl_soft_loss_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
     """d(mean KL)/d(student logits) = (s - t) / B."""
-    return (student - teacher) / student.shape[0]
+    return (student - _same_shape(student, teacher)) / student.shape[0]
 
 
 def _normalize_rows(x: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    if np.any(norms == 0):
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    if not norms.all():
         raise NumericalError(f"zero-norm row in {what}")
     return x / norms, norms
 
@@ -148,19 +155,20 @@ def infonce_loss(queries: np.ndarray, keys: np.ndarray, temperature: float) -> L
     """In-batch InfoNCE: CE over cosine similarities / tau with positive j=i."""
     queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise ConfigError(f"temperature must be finite and positive, got {temperature}")
     if queries.shape != keys.shape:
         raise ShapeError("queries and keys must have identical shape")
     if queries.shape[0] < 2:
         raise ConfigError("InfoNCE needs a batch of at least 2")
     q, qn = _normalize_rows(queries, "queries")
     k, kn = _normalize_rows(keys, "keys")
-    sims = q @ k.T / temperature
-    top = sims.max(axis=1, keepdims=True)
-    e = np.exp(sims - top)
-    total = e.sum(axis=1)
-    per = np.log(total) + top[:, 0] - np.diag(sims)
+    sims_t = k @ (q / temperature).T
+    pos = sims_t.diagonal().copy()
+    top = sims_t.max(axis=0)
+    e = np.exp(np.subtract(sims_t, top, out=sims_t), out=sims_t)
+    total = e.sum(axis=0)
+    per = np.log(total) + top - pos
     return LossValue(float(per.mean()), per, saved=(q, qn, k, kn, e, total))
 
 
@@ -173,11 +181,11 @@ def infonce_loss_grad(queries: np.ndarray, keys: np.ndarray, temperature: float
         raise NumericalError("non-finite contrastive loss")
     q, qn, k, kn, e, total = value.saved
     b = q.shape[0]
-    ds = e / total[:, None]  # the row softmax of the similarities
-    ds[np.diag_indices(b)] -= 1.0
-    ds /= b * temperature
-    dqhat, dkhat = ds @ k, ds.T @ q
+    # dS = (E / total - I) / (B tau), its row scale w and identity taken on the B x e sides
+    w = (1 / (total * (b * temperature)))[:, None]
+    dqhat = w * (e.T @ k) - k / (b * temperature)
+    dkhat = e @ (w * q) - q / (b * temperature)
     # project through the row-normalization jacobian
-    dq = (dqhat - (dqhat * q).sum(axis=1, keepdims=True) * q) / qn
-    dk = (dkhat - (dkhat * k).sum(axis=1, keepdims=True) * k) / kn
+    dq = (dqhat - np.einsum("ij,ij->i", dqhat, q)[:, None] * q) / qn
+    dk = (dkhat - np.einsum("ij,ij->i", dkhat, k)[:, None] * k) / kn
     return value, (dq, dk)

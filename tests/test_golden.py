@@ -20,25 +20,25 @@ from adaptkit.source import train_source
 from test_harness import ABORT_TRIGGERS, tiny_config
 
 GOLDEN_REPORT_SHA256 = {
-    0: "dcaa5666fbb756432d4276c90b8bff0dbee8e24080a6c584fb242885218bd020",
-    1: "34e586bab0d3245ed50f810506b9c2801bcbb3107b62f7c83fcddae008321cb6",
+    0: "329fd03f8267d038101d892412bec72a38e70e7861e163394d929d3729198b08",
+    1: "d2e14a1e9732a7cae933d38ef91fa0c018d24d59119e2e57676bcba41b5a16c6",
 }
 
 GOLDEN_CHECKPOINT_SHA256 = {
-    "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-    "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-    "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
-    "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
-    "seed_1/source.ckpt": "d8914cd17339c76f8fc0b284b9ad27a5d3a13358ae1e019ea1aba1ffe448dc60",
-    "seed_1/stage1.ckpt": "81ff02dcac0d8ed42232c61de23897adf28762a1475fbabd9c0755f3a7efda58",
-    "seed_1/backbone.ckpt": "e8861551526b83f338b7b8ef404af90145770e54f789b8ade5e8963f5b8b8fdd",
-    "seed_1/stage3.ckpt": "9c005efc68f07bd959248345c9823c189c62f4ad28272b33c31e3d4551f925ab",
+    "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+    "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+    "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
+    "seed_0/stage3.ckpt": "62a590af5887e81144aff5591813e421485b62ff2052736be35ecaccf05f8a01",
+    "seed_1/source.ckpt": "9dec683c918a54ec29aec74088aefcc4a25d05d98f6e7455a18c87d5ae895496",
+    "seed_1/stage1.ckpt": "42befe44d5c1d48e5001562520ab4c059b7b56d5c7cc44124e952cc332545ba9",
+    "seed_1/backbone.ckpt": "75908b8ce77accaf986f116bc0e3401fb529802372a77555a02224dc6bd68fd3",
+    "seed_1/stage3.ckpt": "b721910c486e0d5db0ea7cb244ed2cd5fe82eafca44e721ce8c13e527c5c68aa",
 }
 
 # one seed with calibration on: its report and the calibrated checkpoint
 GOLDEN_CALIBRATED_SHA256 = {
-    "seed_0/report.json": "002ee0dd24583ec4d44e88f65dee56e1695a26d5d9d2020cd590b99d20f17d03",
-    "seed_0/calibrated.ckpt": "a90ab9ed9d83ddf6b29d303b60c01c0689373c0349fdb39279a9a5f13aa7dbb7",
+    "seed_0/report.json": "f354a72627d37f0ce2958b44b5da80996ce3c9cb2599c365b439510e4a5bbce3",
+    "seed_0/calibrated.ckpt": "b7754e3b6f4f02586027547d64ff88bfdd5cea2a6cfffdc3520b141f65b5311c",
 }
 
 
@@ -106,9 +106,9 @@ def _tensors_digest(tensors, record) -> str:
 # the source: its tensors and loss history. Stage 2: the backbone tensors and
 # loss history. Stage 3 distils that teacher into random students over one hard
 # and one soft phase of two epochs: the last student's tensors and the trace.
-GOLDEN_DEFAULT_SOURCE_SHA256 = "bc47f908e51f1611da03315267cd37bba42cd412d19b7e50f8322494ef553f4f"
-GOLDEN_DEFAULT_PRETRAIN_SHA256 = "7421acf52d25cfb079c09b0228eb6625bf6450f1cb8e3e93896e0a2e63d36afd"
-GOLDEN_DEFAULT_DISTILL_SHA256 = "0bc27600c31cbbb820a9dd119161fee157660551c794f9a4428f35f4adbbb026"
+GOLDEN_DEFAULT_SOURCE_SHA256 = "0ccc6a741074d80d1a47cdc5c11d484d2e76399159df5cf0577dfa3267ab6400"
+GOLDEN_DEFAULT_PRETRAIN_SHA256 = "9db52c9e423759bf9fbde67583c6cbb1f52031d01ebacc5c66cb161349ba4376"
+GOLDEN_DEFAULT_DISTILL_SHA256 = "44bd19f691d916cb60752143b99e8d4069bd9c4ee60ecf6d0ee020ff891fca88"
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +147,12 @@ def test_default_shape_distill_digest_pinned(default_data, default_teacher):
 # with stage 3 and calibration on short budgets: evaluate, pseudo_label and the
 # calibration passes each predict on the full 5000-row target.
 GOLDEN_DEFAULT_LONGTAIL_SHA256 = {
-    "seed_0/report.json": "829939936fe14c9c72cfa6799cde0ef9f5f3b91c957006053b7cfdd87ebd74b0",
+    "seed_0/report.json": "b2e44f31f4ff518156b1944b1311566310b22cd3d1a3a2a7dd06ec00ed2da173",
     "seed_0/per_class.csv": "1cca466fdada411fb4e0a84d9c73ece88f7c69c6fdcaa4dc0c56ed8f182b899a",
     "seed_0/trace.csv": "21adc461bdcc1ae01a8d7c7e88e37d294e89f9a499189b053d4dc52222b4356d",
-    "seed_0/source.ckpt": "52f1b7da1d881089d463f94384e6923516b0656e121557b0e2e48b9953534533",
-    "seed_0/stage3.ckpt": "070a931b7086b63b13db861918ea9d4c1c4a193989f6382dd4336cc1c3f97a57",
-    "seed_0/calibrated.ckpt": "3660482bd0ccc89acb5f3123e5a4b7097c86e382f9f14914ebdea8bf4ba16062",
+    "seed_0/source.ckpt": "48bbf0253af1de16714494a16878153e8bde8434c77d6dc7ca46e1309f48858b",
+    "seed_0/stage3.ckpt": "ed3f806f9a62d3677ce3b44e207fe7fd482708ffcf6fcdda42ffe79d2201e5f1",
+    "seed_0/calibrated.ckpt": "42dc124ab28f36d11a7557abf69d75ff079da7d32f8fa340704b581c9c8979ee",
 }
 
 
@@ -220,117 +220,117 @@ TINY_VARIANTS = {
 }
 GOLDEN_VARIANT_SHA256 = {
     "stage0_abort": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
-        "seed_0/calibrated.ckpt": "1a0fb92a379c91a7b5ed40ecce054ca0ef2e802b1e0764d82f5bf7af5b652f1a",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
+        "seed_0/calibrated.ckpt": "476bdf9bc187ad31ab92e6aeddd941148a822e866fa496f6df2a330e87b7485d",
         "seed_0/per_class.csv": "fcb775f5d49f45a7308314667d74cc2499232ab55079c114c3e69b782c930041",
-        "seed_0/report.json": "782a5dcb7c4939a98bcb0b7e99d4e99e8887381ca6fc2931b213a054aafae268",
+        "seed_0/report.json": "b50ec1717ca8d339d64c879ad6239105c1caf5f5d850b4aea2a60c0e3b94db03",
         "seed_0/source.ckpt": "45909b6253f05096477a34dfb80915263bf23d7c5e3a9a26a73869762f859d8a",
-        "seed_0/stage1.ckpt": "1ba3b3285a07baafb3776ff6e257b9522997a8abd92791fbd3e5ad57ecdbeaea",
-        "seed_0/stage3.ckpt": "6f7f0b3fd88bd6c96dd572278a5044f25fc7113bc0ebffd16f4241acbee7659f",
+        "seed_0/stage1.ckpt": "f7ec1e0579f3ff5ebb7195b184c4017aed8eca5e9f7f4eb3de22f5f4b1a64012",
+        "seed_0/stage3.ckpt": "c4c68a279174ff73d643dcbc0493a0b1a0eea873c5096246a6a2918e75f04885",
         "seed_0/trace.csv": "3b42c30e5d923bf0e24fd57d8ce938f993a0d888ab8073ba1fbb4a4e1489492f",
     },
     "stage2_abort": {
         "seed_0/backbone.ckpt": "23c7cb97326e35b8272262f390ecb98505616c26bf6221727abd48389ed859e2",
-        "seed_0/calibrated.ckpt": "9f63eaa01aaa3accf74280110265a1dffca63b3b4f7d7a38786d450ca86e9682",
+        "seed_0/calibrated.ckpt": "1b9cd002d1ebed6f18e80235e2d8f2448a9e2262fd7a722b2522d0541e9bfa7f",
         "seed_0/per_class.csv": "8889c469a239ca06cad530ebd64d4ebc3af2a6f598155746593be9788ccb2666",
-        "seed_0/report.json": "1bf6fb28c1d50715c7ff525c33528d7e56d005aa7160e47f70d06b6ac395dabc",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-        "seed_0/stage3.ckpt": "1bad201a0875a3d81751913287ca27c10ffff7dbb176ab1d9e31c22e935f51a8",
+        "seed_0/report.json": "bf88cf3208e67b294b5ae360ad4af6b4a637becb1c1029cd395220a9076c2a27",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+        "seed_0/stage3.ckpt": "d0da2d8e7c0198825d2771cf94778d5a45d9a1e6a59ba8a885a79acee26daf30",
         "seed_0/trace.csv": "8ff8ba0dc1aaa55525f2f596b375b644afbc42bda73724e378fbe519241ed424",
     },
     "stage3_abort": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
-        "seed_0/calibrated.ckpt": "c9e6324c1d5355cd2489ce7883481e68967aa37f4ff9b8548d652eeb3351b7ff",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
+        "seed_0/calibrated.ckpt": "35a7000b29e4e5c2f3e4ce49f8ddd526a3547e7c5add810398c7011478bc62e2",
         "seed_0/per_class.csv": "60e56f8879ccd0c83ec381d34b675359f181e8e14ff15bb10f7a38c426f67b7d",
-        "seed_0/report.json": "7f3ff54cea1340a80acc4f1ca3adf201f9875ef175c4d5b540c5ca65a772c49d",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-        "seed_0/stage3.ckpt": "84fae78fff16665a2f6024d925ae0761637271e0f4ce7482e1bae4e2fc0a4243",
+        "seed_0/report.json": "ab7e95ce6d08b985be437e51ade7f875f24282c37e3a2e7b0cebb1d4f74e3dc7",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+        "seed_0/stage3.ckpt": "3749bc8846e410bfd3010f76ade6a63461a53530b2f3ef8dfe2449b0352f73a3",
         "seed_0/trace.csv": "49c95a0d88cadd96176a49cd8c7850f6bd9b3cbb5417dd29fa2706185f538c30",
     },
     "calibrate_abort": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
-        "seed_0/calibrated.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
+        "seed_0/calibrated.ckpt": "62a590af5887e81144aff5591813e421485b62ff2052736be35ecaccf05f8a01",
         "seed_0/per_class.csv": "f4c4fad98b8ebdcacabceeb91d258a7880cf43c22e54b02fdf982561b7562bb9",
-        "seed_0/report.json": "943e0c4f082ad5d81d4672c287e91a5d9dbcbac1ea587cb1b493b561c29dfa1b",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-        "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/report.json": "0afdc105b2fb6d7e2c29a8a10188e58eb132a97ce8b63187926ed32ab59059ae",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+        "seed_0/stage3.ckpt": "62a590af5887e81144aff5591813e421485b62ff2052736be35ecaccf05f8a01",
         "seed_0/trace.csv": "73d4c50d31971998be4f8aadffb4b11638f2090249d81c672b432395a4dd3b7e",
     },
     "calibrate_overflow_abort": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
-        "seed_0/calibrated.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
+        "seed_0/calibrated.ckpt": "62a590af5887e81144aff5591813e421485b62ff2052736be35ecaccf05f8a01",
         "seed_0/per_class.csv": "f4c4fad98b8ebdcacabceeb91d258a7880cf43c22e54b02fdf982561b7562bb9",
-        "seed_0/report.json": "cf355e761d6df66474d7cde8a531ee83936232808a76b0c96f11556e725395bf",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-        "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/report.json": "b7bb972342ec089a2810ebcc0f8fe6ad80151e6dbf0bc7ac5fafe4ed1c7daba4",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+        "seed_0/stage3.ckpt": "62a590af5887e81144aff5591813e421485b62ff2052736be35ecaccf05f8a01",
         "seed_0/trace.csv": "73d4c50d31971998be4f8aadffb4b11638f2090249d81c672b432395a4dd3b7e",
     },
     "batchnorm_only": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
         "seed_0/per_class.csv": "68b09ff8aca08ea96556163a1be01242c4e9841f42e78fa5b505bf7f44fff1fb",
-        "seed_0/report.json": "7543b9d504dcabd049068050304414b62014c609b654231c65986ca85c9aa927",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "b40faeecf3cc738261381c5cc189bb8a675ab004235d640193af8d833be87fd6",
-        "seed_0/stage3.ckpt": "df05484d47ca87ef361ae40ac8f5c9b6327ef1e9704bc23afcdb7cc8ebe332d7",
+        "seed_0/report.json": "029cc294bf340d1a7d6f85c283ba659da1400b7f087c7824bd7e022e204ab736",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "ed1ed28edb41f9da793af70d6cc5d437f092242984e4b13f4d80ac3fdec6d117",
+        "seed_0/stage3.ckpt": "62a590af5887e81144aff5591813e421485b62ff2052736be35ecaccf05f8a01",
         "seed_0/trace.csv": "556e572b8c50fb573c415fc5f731ad9bb9e3bc96e46adcb276acc246eb4fdf37",
     },
     "soft_phases": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
         "seed_0/per_class.csv": "944a2a1bb1e9917d63075ade30b47a9d56f39d2a254445e0af558d5a93235425",
-        "seed_0/report.json": "a0ede32383ae33876827afb92271136445c261e5f2497741feadfa0139fc9fe7",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-        "seed_0/stage3.ckpt": "62e248d54d248ee5d71f227cad25de97ee9eb1579a33b2b30f0deaa36bf7ea57",
+        "seed_0/report.json": "ed81fe99ee78aa16c8bc77a5eaf444c8b0a882e3555a5103cc05c668a78d6160",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+        "seed_0/stage3.ckpt": "db3f4fb4a529b4c44720b58a68cc4067e76e85fce544300666d1dafd82a1deea",
         "seed_0/trace.csv": "90f8170232882a1ff2214279926e5d77c16530cb5afc18f1bdeca7759503f1aa",
     },
     "source_checkpoint": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
         "seed_0/per_class.csv": "d7a6adeae452583f8b9aee13f5fa9a00b9c313c3476476f1945fe463cdc0ae43",
-        "seed_0/report.json": "9118c58aa450207c32790582c3355cd54b5725ff4fdd09414aac6369c6b1efec",
-        "seed_0/stage1.ckpt": "204e5b78a760d3c43bf5a41eff68bfaf5f78d588dbd8f47df6db2f92d61fb5a4",
-        "seed_0/stage3.ckpt": "6c6da1443aba4d16b8c57df3288ba45c0789a3d41fb1c6c90b2b03d2ffca1a08",
+        "seed_0/report.json": "c61209e4c3ca8b00d32625d49b9fad2d4ef6a04b2b262d38e3d9b771390f50ef",
+        "seed_0/stage1.ckpt": "51932c4758e1b44e02fd1d427b2a82443dbd876612b48aeed66de064c2d8e324",
+        "seed_0/stage3.ckpt": "70b14344745f691b73d17a6976a85957838ac7fd2c248663c2c95f65575d7ecf",
         "seed_0/trace.csv": "3b73c49510a7098b023f9324ccd27dcd778b426076cee5fe103f98dda1b2cfe0",
     },
     "stage1_abort": {
-        "seed_0/backbone.ckpt": "1adcb65a233d1d09bba288a8c960b02da0d39455acfdd4abefb74c5d0d5c7291",
-        "seed_0/calibrated.ckpt": "4dcee46eb708bcc15220029f52859e4aea66baedbcebdb3ab5998636b7bae0a3",
+        "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
+        "seed_0/calibrated.ckpt": "f29c7d4f45fd4e942a37cd9ef982c923aa079077a537f0806e4d45bdf408e6ca",
         "seed_0/per_class.csv": "2b837f955650a0e6dab173e7dc208bae2dabefc99213a95297709aba9cec4f9d",
-        "seed_0/report.json": "741d83351fc5eb1822cebbe1f559feb687cfc0e29de90729ed244485a38de99c",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage3.ckpt": "a87221c71f8cc7ad4e407793547b5422e049f90a93825f468442c32597477ec2",
+        "seed_0/report.json": "9ccd067fc16bd3a808ce29bb972cf1feca3b2e92c098c1ee9d842336beb89c25",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage3.ckpt": "7b9d3f50ecd7f96644be60673897cceafe111808c5f98510dc177e947cf891ac",
         "seed_0/trace.csv": "8bf36bbe76a40db013e36d31c2b7531f8604ac7d040fca9ac0cdf7653b09693d",
     },
     "source_only": {
         "seed_0/per_class.csv": "bb5a6c50952f165d01c113ce0e69b7e3896c202ae2c0be66f6fbc0f218cd8ec1",
         "seed_0/report.json": "9a87111de6ef798dd04619390304ac7bb9cef290da5c90e0a959b1fa7ef1608f",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
         "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
     },
     "stage1_only": {
         "seed_0/per_class.csv": "b9f1dcf34532b9a34981f7139c628041406c1d7e855d576656c56e4a761fd89c",
-        "seed_0/report.json": "65f6d8d62f5a5dd175ee560d39a0a4ab5e1e60df30d4eb1142cdf0e5022a6020",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
+        "seed_0/report.json": "9f52f977c9a72c6a6897f50a0c2712c84f3f852283849cd73fac60ce58206c28",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
         "seed_0/trace.csv": "62ced4e461a74a8a7537e2b59b2c39ae50956442e9825fe4a97e2859e04ee682",
     },
     "stage1_3": {
         "seed_0/per_class.csv": "2f6bee2f68f9d238dbc81f884ca3210cf230221c989da31173ec022e6f4e793f",
-        "seed_0/report.json": "2ea98857c0df6a9921398673f56a69e56e13a3335a4ab28d72d86d7063b1ecd8",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
-        "seed_0/stage1.ckpt": "7bf76c34a28681e833a49a37d96b5f67d8b7bbdc5c589a3c8f533c713c02cbad",
-        "seed_0/stage3.ckpt": "310b446a7a3f0a8946d15cf97f6bb5cf0ac483c119f56c0eee9a16bad48c89fb",
+        "seed_0/report.json": "d2cc2ea0e723c97c4ba5c438553ece5e89eeaf24560d50715ba22d9bb14407b9",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
+        "seed_0/stage1.ckpt": "8dea4a7d6aa0eed164a574b1017dc3a0792882c910bcfb7e04f8c4dd2743e5cc",
+        "seed_0/stage3.ckpt": "09585bd8e9a648c3328c358719f532feeb79403186d654bf7eb1cc6e676b4a71",
         "seed_0/trace.csv": "6ff45f6c720c9c37ca060c8d628d4228cc6621520effd571d563005e27d8f236",
     },
     "calibrate_only": {
-        "seed_0/calibrated.ckpt": "70ae6eb0eee348cf27252c916889ea7e2f99995365668a99aa5530acd209e0a2",
+        "seed_0/calibrated.ckpt": "9b14c3e346b91d068f0a5a0dda9e54dcd68e345a907bf1ceb9284c21bd424c86",
         "seed_0/per_class.csv": "cd128da8e0949c78c32a3be2fb262ca6c37a8bab26173dfa44dbca028e622ccc",
         "seed_0/report.json": "9988137cb13dd684286355af8c8db73d503d895bedb099d2d080f47cc535ac37",
-        "seed_0/source.ckpt": "b349730abe727e29db6353805839306701d122bc4077e98976c58fdb5e845417",
+        "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
         "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
     },
 }

@@ -184,6 +184,25 @@ def test_three_layer_batchnorm_net_matches_fd():
                     lambda p: cross_entropy_grad(p, targets), train=True)
 
 
+def test_eval_mode_batchnorm_grads_match_fd():
+    # through running statistics far from their init, so that inv_std is not ~1
+    rng = np.random.default_rng(13)
+    net = _random_bn_state(small_net(seed=13, hidden=(7,)), rng)
+    x, targets = rng.normal(size=(6, 6)), rng.integers(0, 3, 6)
+    check_net_grads(net, x, lambda p: cross_entropy(p, targets).scalar,
+                    lambda p: cross_entropy_grad(p, targets), train=False)
+
+
+def test_layer_after_a_relu_leaves_the_relu_cache_alone_and_matches_fd():
+    # a ReLU's output is its cache, so a BatchNorm after it must not centre it in place
+    rng = np.random.default_rng(12)
+    layers = [Dense(5, 6, rng), ReLU(), BatchNorm(6), ReLU(), ReLU(), Dense(6, 3, rng)]
+    x, targets = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
+    check_net_grads(Network(layers, ArchSpec(5, (6,), 3)), x,
+                    lambda p: cross_entropy(p, targets).scalar,
+                    lambda p: cross_entropy_grad(p, targets), train=True)
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_randomized_nets_and_losses_match_fd(trial):
     # randomized small configurations across layer kinds, losses, and modes
@@ -329,8 +348,22 @@ def test_network_forward_takes_a_stack_of_views():
 # forward without train: no backprop cache, and no write into the batch or the network
 
 
+def _eval_expressions(layers, x):
+    """Each layer's eval-mode forward as one expression: the walk's bits."""
+    for layer in layers:
+        if layer.kind == "dense":
+            x = x @ layer.weight.data.T + layer.bias.data
+        elif layer.kind == "batchnorm":
+            inv_std = (1.0 / np.sqrt(layer.running_var.data + 1e-5))[None, :]
+            x = (x - layer.running_mean.data) * (layer.gamma.data * inv_std) + layer.beta.data
+        else:
+            x = np.maximum(x, 0.0)
+    return x
+
+
 def _old_eval_expressions(layers, x):
-    """Each layer's eval-mode forward as the expressions read before the walk."""
+    """Each layer's eval-mode forward as the expressions read before BatchNorm folded
+    its affine and ReLU took a maximum: the same numbers to rounding (and signed zeros)."""
     for layer in layers:
         if layer.kind == "dense":
             x = x @ layer.weight.data.T + layer.bias.data
@@ -382,7 +415,8 @@ def test_eval_forward_matches_recorded_forward_bit_for_bit(rows, views, batchnor
     kept = x.copy()
     y, feats = net.forward(x), net.forward_features(x)
     assert _bits(y) == _bits(forward_layers(net.layers, x, False)[0])
-    assert _bits(y) == _bits(_old_eval_expressions(net.layers, x))
+    assert _bits(y) == _bits(_eval_expressions(net.layers, x))
+    np.testing.assert_allclose(y, _old_eval_expressions(net.layers, x), rtol=1e-12, atol=1e-14)
     assert _bits(feats) == _bits(forward_layers(net.layers[:-1], x, False)[0])
     assert _bits(x) == _bits(kept)
 
@@ -398,8 +432,25 @@ def test_eval_forward_never_writes_into_the_batch(first):
         kept = x.copy()
         y, feats = net.forward(x), net.forward_features(x)
         assert _bits(x) == _bits(kept)
-        assert _bits(y) == _bits(_old_eval_expressions(layers, x))
-        assert _bits(feats) == _bits(_old_eval_expressions(layers[:-1], x))
+        assert _bits(y) == _bits(_eval_expressions(layers, x))
+        assert _bits(feats) == _bits(_eval_expressions(layers[:-1], x))
+        for got, old in ((y, _old_eval_expressions(layers, x)),
+                         (feats, _old_eval_expressions(layers[:-1], x))):
+            np.testing.assert_allclose(got, old, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("first", ["dense", "relu", "batchnorm"])
+def test_train_forward_and_backward_never_write_into_the_batch(first):
+    rng = np.random.default_rng(8)
+    head = {"dense": [Dense(6, 6, rng), BatchNorm(6), ReLU()], "relu": [ReLU()],
+            "batchnorm": [BatchNorm(6), ReLU()]}[first]
+    net = _random_bn_state(Network(head + [Dense(6, 3, rng)], ArchSpec(6, (), 3)), rng)
+    for x in (rng.normal(size=(7, 6)), rng.normal(size=(2, 7, 6))):
+        dy = rng.normal(size=x.shape[:-1] + (3,))
+        kept, kept_dy = x.copy(), dy.copy()
+        y, caches = net.forward(x, train=True)
+        net.backward(caches, dy)
+        assert _bits(x) == _bits(kept) and _bits(dy) == _bits(kept_dy)
 
 
 def _tensor_bits(net) -> list:

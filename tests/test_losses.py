@@ -81,6 +81,34 @@ def test_smoothed_targets_rows_sum_to_one():
     assert np.allclose(q.sum(axis=1), 1.0)
 
 
+@pytest.mark.parametrize("targets", [np.array([0.0, 1.0]), np.array([0.5, 1.0]), [1.0, 2.0],
+                                     np.array([True, False]), np.array([[0], [1]])],
+                         ids=["float", "fraction", "float_list", "bool", "column"])
+def test_targets_that_are_not_1d_integer_labels_are_config_errors(targets):
+    with pytest.raises(ConfigError):
+        smoothed_targets(targets, 3, 0.1)
+    probs = np.full((2, 3), 1 / 3)
+    with pytest.raises(ConfigError):
+        cross_entropy(probs, targets)
+    with pytest.raises(ConfigError):
+        cross_entropy_grad(probs, targets)
+
+
+@pytest.mark.parametrize("loss", [cross_entropy, cross_entropy_grad, kl_soft_loss,
+                                  kl_soft_loss_grad])
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_losses_take_one_target_per_row(loss, rows):
+    # a target vector or a teacher of another row count never broadcasts over the batch
+    probs = random_probs(np.random.default_rng(rows), 4, 3)
+    targets = np.zeros(rows, dtype=np.int64)
+    teachers = [random_probs(np.random.default_rng(0), rows, 3)]
+    if rows == 1:
+        teachers.append(teachers[0][0])  # a (C,) teacher
+    for target in ([targets] if loss in (cross_entropy, cross_entropy_grad) else teachers):
+        with pytest.raises(ShapeError):
+            loss(probs, target)
+
+
 # ---------------------------------------------------------------------------
 # entropy
 
@@ -212,8 +240,11 @@ def test_infonce_scale_invariance():
 
 def test_infonce_rejects_bad_inputs():
     q = np.ones((3, 2))
-    with pytest.raises(ConfigError):
-        infonce_loss(q, q, 0.0)
+    for tau in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError):
+            infonce_loss(q, q, tau)
+        with pytest.raises(ConfigError):
+            infonce_loss_grad(q, q, tau)
     q[1] = 0.0
     with pytest.raises(NumericalError):
         infonce_loss(q, np.ones((3, 2)), 0.2)
@@ -233,8 +264,32 @@ def test_infonce_rejects_bad_inputs():
 
 def _two_pass_infonce(queries, keys, temperature):
     """infonce_loss and infonce_loss_grad as two separate passes, each normalizing
-    the rows and exponentiating the similarities itself: the reference that the
-    one-pass gradient must match bit for bit."""
+    the rows and exponentiating the transposed similarities itself: the reference
+    that the one-pass gradient must match bit for bit."""
+    q = queries / np.sqrt(np.einsum("ij,ij->i", queries, queries))[:, None]
+    k = keys / np.sqrt(np.einsum("ij,ij->i", keys, keys))[:, None]
+    sims_t = k @ (q / temperature).T
+    top = sims_t.max(axis=0)
+    per = np.log(np.exp(sims_t - top).sum(axis=0)) + top - np.diag(sims_t)
+
+    b = queries.shape[0]
+    qn = np.sqrt(np.einsum("ij,ij->i", queries, queries))[:, None]
+    kn = np.sqrt(np.einsum("ij,ij->i", keys, keys))[:, None]
+    q, k = queries / qn, keys / kn
+    sims_t = k @ (q / temperature).T
+    e_t = np.exp(sims_t - sims_t.max(axis=0))
+    w = (1 / (e_t.sum(axis=0) * (b * temperature)))[:, None]
+    dqhat = w * (e_t.T @ k) - k / (b * temperature)
+    dkhat = e_t @ (w * q) - q / (b * temperature)
+    dq = (dqhat - np.einsum("ij,ij->i", dqhat, q)[:, None] * q) / qn
+    dk = (dkhat - np.einsum("ij,ij->i", dkhat, k)[:, None] * k) / kn
+    return float(per.mean()), per, dq, dk
+
+
+def _old_two_pass_infonce(queries, keys, temperature):
+    """The two passes in the expressions read before the similarities were scaled
+    through the queries and held transposed, and dS was formed: the same numbers to
+    rounding."""
     q = queries / np.sqrt((queries * queries).sum(axis=1, keepdims=True))
     k = keys / np.sqrt((keys * keys).sum(axis=1, keepdims=True))
     sims = q @ k.T / temperature
@@ -266,6 +321,8 @@ def test_infonce_grad_is_the_two_pass_result_bit_for_bit():
         assert value.per_sample.tobytes() == per.tobytes()
         assert infonce_loss(q, k, tau).per_sample.tobytes() == per.tobytes()
         assert dq.tobytes() == ref_dq.tobytes() and dk.tobytes() == ref_dk.tobytes()
+        for got, old in zip((value.scalar, per, dq, dk), _old_two_pass_infonce(q, k, tau)):
+            np.testing.assert_allclose(got, old, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
