@@ -24,10 +24,9 @@ def _read(path, backbone_only: bool) -> Network:
     is a StorageError. A backbone file leaves the classifier at its draw."""
     header, tensors = store.read(path, MAGIC)
     try:
-        d = header["arch"]
-        arch = ArchSpec(d["input_dim"], tuple(d["hidden"]), d["num_classes"], d["batchnorm"])
-    except (KeyError, TypeError, ConfigError) as e:
-        raise StorageError(f"{path}: malformed checkpoint arch: {e!r}") from e
+        arch = store.from_dict(ArchSpec, header.get("arch"), "arch")
+    except ConfigError as e:
+        raise StorageError(f"{path}: malformed checkpoint arch: {e}") from e
     if bool(header.get("backbone_only")) != backbone_only:
         raise StorageError(f"{path}: expected a backbone-only checkpoint" if backbone_only
                            else f"{path}: backbone-only checkpoint, expected a full network")

@@ -161,6 +161,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
                          rng: np.random.Generator) -> tuple[np.ndarray, Network, dict | None]:
     """Learn per-class classifier scales from pseudo-labels; everything else frozen.
     Returns the scales, the model with its classifier rows scaled, and the abort.
+    The raw scores x w^T that every step reuses are one eval forward of a zero-bias copy.
 
     Each pseudo-label class contributes equally to the fit regardless of how
     often it is predicted. Without that reweighting the head classes dominate
@@ -174,7 +175,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     bias = model.classifier.bias.data
     s = Tensor(np.ones(len(bias)), "scale")
     opt = SGD([s], cfg.lr, cfg.momentum)
-    raw_scores = _raw_scores(model, target.features)  # reused every step
+    raw_scores = _scaled(model, np.ones(len(bias)), np.zeros(len(bias))).forward(target.features)
     hard = np.empty(len(target), np.int64)
     abort = None
 
@@ -207,17 +208,10 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     return s.data, _scaled(model, s.data), abort
 
 
-def _raw_scores(model: Network, x: np.ndarray) -> np.ndarray:
-    """`forward_features(x) @ w.T` for the classifier's weights w, by row blocks."""
-    w = model.classifier.weight.data
-    out = np.empty((len(x), len(w)))
-    for rows in row_blocks(len(x)):
-        out[rows] = model.forward_features(x[rows]) @ w.T
-    return out
-
-
-def _scaled(model: Network, scales: np.ndarray) -> Network:
-    """A copy of `model` whose classifier rows are scaled by `scales`."""
+def _scaled(model: Network, scales: np.ndarray, bias: np.ndarray | None = None) -> Network:
+    """A copy of `model` with its classifier rows scaled by `scales`, and bias `bias` if given."""
     net = model.copy()
     net.classifier.weight.data = scales[:, None] * net.classifier.weight.data
+    if bias is not None:
+        net.classifier.bias.data = bias
     return net

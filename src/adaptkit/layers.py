@@ -10,10 +10,10 @@ backprop cache and changes neither the network nor the batch; `forward(x,
 train=True)` runs on batch statistics, updates the running statistics and also
 returns the per-layer caches that `backward` reads.
 
-`forward(x)` walks the batch in `tensor.row_blocks`, the one block rule that
-every whole-dataset inference pass follows (`pseudo_label` and calibration walk
-it too). On each block it runs every layer's own `forward(y, train=False)` and
-drops that layer's cache as soon as it returns, so its extra memory is a few
+`forward(x)` walks the batch in `tensor.row_blocks`, the one block rule that every
+whole-dataset inference pass follows (`pseudo_label` and each calibration round
+walk it too). On each block it runs every layer's own `forward(y, train=False)`
+and drops that layer's cache as soon as it returns, so its extra memory is a few
 blocks' activations beside the output, however long the batch, and each row's
 bits are those of one pass over the whole batch.
 
@@ -251,33 +251,26 @@ class Network:
         return self.representation_parameters() + self.state_tensors()
 
     # -- forward / backward ----------------------------------------------
-    def _forward(self, layers: list, batch: np.ndarray, train: bool, what: str):
+    def forward(self, batch: np.ndarray, train: bool = False):
+        """Run the stack on the running statistics; with train=True, on batch statistics
+        that update the running ones, and also return the backprop cache."""
         x = np.asarray(batch, dtype=np.float64)
         if x.ndim not in (2, 3):
             raise ShapeError(f"expected a 2-d batch or a 3-d stack of views, got shape {x.shape}")
         if 0 in x.shape[:-1]:
             raise ShapeError("empty batch")
         if train:
-            x, caches = forward_layers(layers, x, True)
-            return check_finite(x, what), caches
+            x, caches = forward_layers(self.layers, x, True)
+            return check_finite(x, "network output"), caches
         out = None
         for rows in row_blocks(x.shape[-2]):
             y = x[..., rows, :]
-            for i, layer in enumerate(layers):  # each layer's cache dropped as it returns;
+            for i, layer in enumerate(self.layers):  # each layer's cache dropped as it returns;
                 y = layer.forward(y, False, i > 0)[0]  # BN, ReLU write over all but the batch
-            if out is None:
+            if out is None:  # after the first block, so not on top of its layers' peak
                 out = np.empty(x.shape[:-1] + y.shape[-1:])
             out[..., rows, :] = y
-        return check_finite(out, what)
-
-    def forward(self, batch: np.ndarray, train: bool = False):
-        """Run the stack on the running statistics; with train=True, on batch statistics
-        that update the running ones, and also return the backprop cache."""
-        return self._forward(self.layers, batch, train, "network output")
-
-    def forward_features(self, batch: np.ndarray) -> np.ndarray:
-        """Like forward(batch), through the representation layers only (no classifier)."""
-        return self._forward(self.layers[:-1], batch, False, "feature output")
+        return check_finite(out, "network output")
 
     def backward(self, caches: list, dout: np.ndarray) -> None:
         """Accumulate parameter grads from an upstream gradient. The input grad is not

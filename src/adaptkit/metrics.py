@@ -52,6 +52,8 @@ def evaluate(model: Network, dataset: Dataset, train_counts: np.ndarray | None =
     if logits.shape[1] != c:
         raise ConfigError(f"the model predicts {logits.shape[1]} classes, "
                           f"the dataset has {c}")
+    if train_counts is not None and len(train_counts) != c:
+        raise ConfigError(f"train counts cover {len(train_counts)} classes, the dataset has {c}")
     preds = np.argmax(logits, axis=1)
     labels = dataset.labels
     counts = np.bincount(labels, minlength=c)

@@ -19,9 +19,7 @@ class SGD:
     """v <- momentum*v + grad + wd*param;  param <- param - lr*v.
 
     Both updates are in place: a caller that keeps a parameter's values across a
-    step must hold a copy of `p.data`, not the array itself. The decay term and the
-    update term are computed in one scratch array per parameter, kept with the
-    optimizer, so a step allocates no parameter-sized array."""
+    step must hold a copy of `p.data`, not the array itself."""
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
@@ -33,19 +31,15 @@ class SGD:
         self.weight_decay = weight_decay
         self.velocity = [np.zeros_like(p.data) for p in self.params]
         self.decay = [bool(weight_decay) and decays(p) for p in self.params]
-        self.scratch = [np.empty_like(p.data) for p in self.params]
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        for p, v, decay, tmp in zip(self.params, self.velocity, self.decay, self.scratch):
+        for p, v, decay in zip(self.params, self.velocity, self.decay):
             if p.grad is None:
                 raise ConfigError(f"step() before backward: {p.name or 'parameter'} has no grad")
-            g = p.grad
-            if decay:
-                g = np.add(g, np.multiply(self.weight_decay, p.data, out=tmp), out=tmp)
             v *= self.momentum
-            v += g
-            p.data -= np.multiply(lr, v, out=tmp)
+            v += (p.grad + self.weight_decay * p.data) if decay else p.grad
+            p.data -= lr * v
 
 
 def minibatches(n: int, batch_size: int, rng: np.random.Generator):

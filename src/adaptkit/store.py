@@ -17,7 +17,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -51,9 +51,9 @@ def _fits(v, hint) -> bool:
 
 
 def from_dict(cls, d, what: str = ""):
-    """Build dataclass `cls` from a parsed mapping, nested sections included; an
-    unknown key, a value of the wrong type (a null in place of a section too) or a
-    value that `cls` rejects is a ConfigError. A key left out takes its default."""
+    """Build dataclass `cls` from a parsed mapping, nested sections included; an unknown
+    key, a required key left out, a value of the wrong type (a null in place of a section
+    too) or a value that `cls` rejects is a ConfigError. An optional key takes its default."""
     what = what or cls.__name__
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
@@ -61,6 +61,10 @@ def from_dict(cls, d, what: str = ""):
     unknown = set(d) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{what} needs the keys {missing}")
     kw = {}
     for key, v in d.items():
         if is_dataclass(hints[key]) and not isinstance(v, hints[key]):

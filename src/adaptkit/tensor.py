@@ -6,8 +6,8 @@ checkpointing, and fingerprinting have a single carrier type.
 
 Every inference pass over a whole dataset writes `row_blocks(n)` one at a time
 into its output, so it needs a few blocks beside the output however many rows
-there are: the eval-mode `Network.forward`, `pseudo_label`, each calibration
-round and the raw scores of `calibrate_classifier`.
+there are: the eval-mode `Network.forward`, which also gives `calibrate_classifier`
+its raw scores, `pseudo_label` and each calibration round.
 """
 from __future__ import annotations
 

@@ -187,7 +187,7 @@ def test_criterion_06_contrastive_initialization(pipeline):
 
 
 def _probe(student, dataset):
-    feats = student.forward_features(dataset.features)
+    feats = forward_layers(student.layers[:-1], dataset.features, False)[0]
     x = np.hstack([feats, np.ones((len(feats), 1))])
     y = np.eye(dataset.num_classes)[dataset.labels]
     rng = np.random.default_rng(0)

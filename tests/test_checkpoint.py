@@ -84,6 +84,10 @@ HEADER_EDITS = {
     "zero_width": lambda h: h["arch"].update(hidden=[8, 0]),
     "one_class": lambda h: h["arch"].update(num_classes=1),
     "str_batchnorm": lambda h: h["arch"].update(batchnorm="yes"),
+    "no_hidden": lambda h: h["arch"].pop("hidden"),
+    "str_hidden": lambda h: h["arch"].update(hidden="8,6"),
+    "null_arch": lambda h: h.update(arch=None),
+    "extra_arch_key": lambda h: h["arch"].update(dropout=0.5),
     # a width that numpy refuses to allocate at once, with the file's tensors unchanged
     "huge_width": lambda h: h["arch"].update(hidden=[10**12, 6]),
     # a zero-size array at the end of the blob: valid layout, unused by the arch

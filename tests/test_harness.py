@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from adaptkit import checkpoint, cli, harness, store, tensor
 from adaptkit.adapt import UPDATE_SETS, AdaptConfig
 from adaptkit.data import (SHIFT_KINDS, Dataset, GeneratorSpec, ShiftSpec, generate,
-                           load_dataset, save_dataset)
+                           load_dataset, save_dataset, subsample_longtail)
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.errors import AdaptkitError, ConfigError, StorageError
 from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _percentile,
@@ -586,6 +586,27 @@ def test_cli_evaluate_class_count_mismatch_is_config_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "config error:" in err and "7 classes" in err
+
+
+@pytest.mark.parametrize("source_classes", [6, 2])
+def test_cli_evaluate_train_data_class_count_mismatch_is_config_error(tmp_path, capsys,
+                                                                       source_classes):
+    # a 4-class long-tailed target (bucket thresholds set) with a source of more or
+    # fewer classes: more crashed in the bucket split, fewer left classes out silently
+    data, model, train = tmp_path / "t.ds", tmp_path / "m.ckpt", tmp_path / "s.ds"
+    spec = GeneratorSpec(n_per_class=40, num_classes=4, input_dim=8)
+    target = subsample_longtail(generate(spec, 0), 10.0, 1)
+    assert target.bucket_thresholds is not None
+    save_dataset(target, data)
+    save_dataset(generate(replace(spec, num_classes=source_classes), 2), train)
+    checkpoint.save_checkpoint(build_network(ArchSpec(8, (6,), 4), np.random.default_rng(0)),
+                               model)
+    assert cli.main(["evaluate", "--model", str(model), "--data", str(data),
+                     "--train-data", str(train)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error:" in err and f"{source_classes} classes" in err
+    assert "Traceback" not in err
 
 
 def test_cli_missing_file_is_io_error(tmp_path):

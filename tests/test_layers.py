@@ -413,11 +413,10 @@ def test_eval_forward_matches_recorded_forward_bit_for_bit(rows, views, batchnor
     net = _random_bn_state(build_network(ArchSpec(32, (64, 64), 10, batchnorm), rng), rng)
     x = rng.normal(size=(*views, rows, 32))
     kept = x.copy()
-    y, feats = net.forward(x), net.forward_features(x)
+    y = net.forward(x)
     assert _bits(y) == _bits(forward_layers(net.layers, x, False)[0])
     assert _bits(y) == _bits(_eval_expressions(net.layers, x))
     np.testing.assert_allclose(y, _old_eval_expressions(net.layers, x), rtol=1e-12, atol=1e-14)
-    assert _bits(feats) == _bits(forward_layers(net.layers[:-1], x, False)[0])
     assert _bits(x) == _bits(kept)
 
 
@@ -430,13 +429,10 @@ def test_eval_forward_never_writes_into_the_batch(first):
     net = _random_bn_state(Network(layers, ArchSpec(6, (), 3)), rng)
     for x in (rng.normal(size=(7, 6)), rng.normal(size=(2, 7, 6))):
         kept = x.copy()
-        y, feats = net.forward(x), net.forward_features(x)
+        y = net.forward(x)
         assert _bits(x) == _bits(kept)
         assert _bits(y) == _bits(_eval_expressions(layers, x))
-        assert _bits(feats) == _bits(_eval_expressions(layers[:-1], x))
-        for got, old in ((y, _old_eval_expressions(layers, x)),
-                         (feats, _old_eval_expressions(layers[:-1], x))):
-            np.testing.assert_allclose(got, old, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(y, _old_eval_expressions(layers, x), rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("first", ["dense", "relu", "batchnorm"])
@@ -466,7 +462,6 @@ def test_forward_leaves_every_tensor_bit_identical():
     kept = _tensor_bits(net)
     for x in (rng.normal(size=(16, 6)), rng.normal(size=(2, 16, 6))):
         net.forward(x)
-        net.forward_features(x)
         assert _tensor_bits(net) == kept
     # only train=True moves the running statistics, by one momentum step
     x = rng.normal(size=(16, 6))

@@ -4,7 +4,7 @@ import pytest
 from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec,
                            apply_shift, generate)
 from adaptkit.errors import ConfigError
-from adaptkit.layers import ArchSpec, build_network
+from adaptkit.layers import ArchSpec, build_network, forward_layers
 from adaptkit.selfsup import ContrastiveConfig, make_student, pretrain
 
 ARCH = ArchSpec(32, (32, 32), 10)
@@ -16,7 +16,7 @@ def default_target(seed=100, shift_seed=200):
 
 def linear_probe(student, dataset):
     """Least-squares probe on frozen features, half train / half test."""
-    feats = student.forward_features(dataset.features)
+    feats = forward_layers(student.layers[:-1], dataset.features, False)[0]
     x = np.hstack([feats, np.ones((len(feats), 1))])
     y = np.eye(dataset.num_classes)[dataset.labels]
     rng = np.random.default_rng(0)

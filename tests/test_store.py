@@ -10,7 +10,7 @@ from adaptkit import store
 from adaptkit.checkpoint import load_backbone, load_checkpoint, save_backbone, save_checkpoint
 from adaptkit.data import (GeneratorSpec, ShiftSpec, apply_shift, generate, load_dataset,
                            save_dataset)
-from adaptkit.errors import NumericalError, StorageError
+from adaptkit.errors import ConfigError, NumericalError, StorageError
 from adaptkit.layers import ArchSpec, build_network
 
 
@@ -110,3 +110,12 @@ def test_mutated_file_loads_or_raises_storage_error(valid_files, kind, data):
         # a mutated feature can decode as NaN/Inf: non-finite input data is exit 2
         _, arrays = store.read(path, b"OTAD")
         assert kind == "ds" and not np.all(np.isfinite(arrays["features"]))
+
+
+def test_from_dict_names_a_missing_required_field():
+    # ArchSpec's widths have no default: leaving one out is a ConfigError that names
+    # it, not the TypeError a bare constructor call raises
+    with pytest.raises(ConfigError, match=r"arch needs the keys \['hidden'\]"):
+        store.from_dict(ArchSpec, {"input_dim": 4, "num_classes": 3}, "arch")
+    assert store.from_dict(ArchSpec, {"input_dim": 4, "hidden": [5], "num_classes": 3},
+                           "arch") == ArchSpec(4, (5,), 3)
