@@ -161,7 +161,8 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
                          rng: np.random.Generator) -> tuple[np.ndarray, Network, dict | None]:
     """Learn per-class classifier scales from pseudo-labels; everything else frozen.
     Returns the scales, the model with its classifier rows scaled, and the abort.
-    The raw scores x w^T that every step reuses are one eval forward of a zero-bias copy.
+    The raw scores x w^T that every step reuses are one eval forward of a zero-bias copy;
+    a step's scale gradient is one product, weights @ ((p - onehot(hard)) * scores) / B.
 
     Each pseudo-label class contributes equally to the fit regardless of how
     often it is predicted. Without that reweighting the head classes dominate
@@ -183,8 +184,8 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         s.data = np.maximum(s.data, 1e-3)
         scores = raw_scores[idx]
         p = softmax(scores * s.data + bias)
-        dlogits = cross_entropy_grad(p, hard[idx]) * weights[idx][:, None]
-        s.add_grad((dlogits * scores).sum(axis=0))
+        p[np.arange(len(idx)), hard[idx]] -= 1.0  # each row's CE logit gradient
+        s.add_grad(weights[idx] @ np.multiply(p, scores, out=p) / len(idx))
         return {}
 
     starts = []  # the scales at the start of each round

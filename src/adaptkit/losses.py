@@ -31,13 +31,14 @@ class LossValue:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis."""
+    """Max-shifted softmax over the last axis; the logits are not written."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits in softmax")
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _safe_log(p: np.ndarray) -> tuple[np.ndarray, bool]:

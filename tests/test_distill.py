@@ -16,6 +16,7 @@ from adaptkit.metrics import evaluate
 from adaptkit.optim import SGD, fit
 from adaptkit.selfsup import ContrastiveConfig, pretrain
 from adaptkit.tensor import Tensor, fingerprint_all
+from fdcheck import fd_grad, max_rel_error
 
 IDENTITY = AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0))  # no jitter, dropout or scaling
 
@@ -340,7 +341,19 @@ def test_pseudo_label_matches_the_whole_target_pass_bit_for_bit(rows):
     assert rng.bit_generator.state == whole_rng.bit_generator.state
 
 
-def _whole_target_scales(model, target, cfg, rng):
+def _scale_grad(p, scores, hard, weights):
+    """A step's scale gradient as one weighted product, weights @ ((p - onehot) * scores) / B."""
+    p[np.arange(len(hard)), hard] -= 1.0
+    return weights @ (p * scores) / len(hard)
+
+
+def _old_scale_grad(p, scores, hard, weights):
+    """The expression read before the step was one product: the weighted cross-entropy
+    logit gradient times the scores, summed over rows; the same numbers to rounding."""
+    return (cross_entropy_grad(p, hard) * weights[:, None] * scores).sum(axis=0)
+
+
+def _whole_target_scales(model, target, cfg, rng, scale_grad=_scale_grad):
     """calibrate_classifier's scales from one pass over all rows per whole-target
     pass (no abort)."""
     w, bias = model.classifier.weight.data, model.classifier.bias.data
@@ -351,9 +364,7 @@ def _whole_target_scales(model, target, cfg, rng):
     def grads(idx):
         s.data = np.maximum(s.data, 1e-3)
         scores = raw_scores[idx]
-        p = softmax(scores * s.data + bias)
-        dlogits = cross_entropy_grad(p, hard[idx]) * weights[idx][:, None]
-        s.add_grad((dlogits * scores).sum(axis=0))
+        s.add_grad(scale_grad(softmax(scores * s.data + bias), scores, hard[idx], weights[idx]))
         return {}
 
     for _ in range(cfg.rounds):
@@ -369,6 +380,10 @@ def _whole_target_scales(model, target, cfg, rng):
     return s.data
 
 
+def _old_whole_target_scales(model, target, cfg, rng):
+    return _whole_target_scales(model, target, cfg, rng, _old_scale_grad)
+
+
 @pytest.mark.parametrize("rows", STREAM_ROWS)
 def test_calibration_matches_the_whole_target_passes_bit_for_bit(rows):
     net, view = _teacher_and_target(rows)
@@ -378,6 +393,31 @@ def test_calibration_matches_the_whole_target_passes_bit_for_bit(rows):
     assert abort is None
     assert scales.tobytes() == _whole_target_scales(net, view, cfg, whole_rng).tobytes()
     assert rng.bit_generator.state == whole_rng.bit_generator.state
+    old = _old_whole_target_scales(net, view, cfg, np.random.default_rng(3))
+    np.testing.assert_allclose(scales, old, rtol=1e-12)
+
+
+def test_calibration_scale_gradient_matches_finite_differences():
+    # one full-batch step without momentum from unit scales: s1 = 1 - lr * g, where g
+    # is the gradient of the class-weighted mean cross-entropy over the scales
+    net, view = _teacher_and_target(513)
+    cfg = CalibrateConfig(rounds=1, epochs=1, momentum=0.0, batch_size=len(view), policy=IDENTITY)
+    scales, _, abort = calibrate_classifier(net, view, cfg, np.random.default_rng(0))
+    assert abort is None
+    g = (1.0 - scales) / cfg.lr
+
+    w, bias = net.classifier.weight.data, net.classifier.bias.data
+    raw = forward_layers(net.layers[:-1], view.features, False)[0] @ w.T
+    hard = np.argmax(raw + bias, axis=1)
+    counts = np.bincount(hard, minlength=len(bias))
+    weights = len(hard) / counts[hard] / (1.0 / counts[hard]).sum()
+    assert len(set(counts[hard])) > 1  # unequal classes: the weights matter
+
+    def loss(s):
+        logp = np.log(softmax(raw * s + bias))
+        return -(weights * logp[np.arange(len(hard)), hard]).mean()
+
+    assert max_rel_error([g], [fd_grad(loss, np.ones(len(bias)))]) < 1e-6
 
 
 def test_pseudo_label_memory_is_its_labels_and_a_few_blocks():

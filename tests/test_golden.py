@@ -37,8 +37,8 @@ GOLDEN_CHECKPOINT_SHA256 = {
 
 # one seed with calibration on: its report and the calibrated checkpoint
 GOLDEN_CALIBRATED_SHA256 = {
-    "seed_0/report.json": "f354a72627d37f0ce2958b44b5da80996ce3c9cb2599c365b439510e4a5bbce3",
-    "seed_0/calibrated.ckpt": "b7754e3b6f4f02586027547d64ff88bfdd5cea2a6cfffdc3520b141f65b5311c",
+    "seed_0/report.json": "5a822d73f1d36bbd045d08ccb272e68dfbc42451f39844e6c049aeb9174622d7",
+    "seed_0/calibrated.ckpt": "c25af44b8cac8cb037e3ae61cb84b8c9f253a40eba81613c80801b50d829a7f7",
 }
 
 
@@ -221,9 +221,9 @@ TINY_VARIANTS = {
 GOLDEN_VARIANT_SHA256 = {
     "stage0_abort": {
         "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
-        "seed_0/calibrated.ckpt": "476bdf9bc187ad31ab92e6aeddd941148a822e866fa496f6df2a330e87b7485d",
+        "seed_0/calibrated.ckpt": "66b0a2156a0f893e74e21d80bf7089242df9616b429967de05bf554cb4a4d9c5",
         "seed_0/per_class.csv": "fcb775f5d49f45a7308314667d74cc2499232ab55079c114c3e69b782c930041",
-        "seed_0/report.json": "b50ec1717ca8d339d64c879ad6239105c1caf5f5d850b4aea2a60c0e3b94db03",
+        "seed_0/report.json": "26beee7995bffeb361316d44e8db411f3950538d6c91f38a25f25121755ca144",
         "seed_0/source.ckpt": "45909b6253f05096477a34dfb80915263bf23d7c5e3a9a26a73869762f859d8a",
         "seed_0/stage1.ckpt": "f7ec1e0579f3ff5ebb7195b184c4017aed8eca5e9f7f4eb3de22f5f4b1a64012",
         "seed_0/stage3.ckpt": "c4c68a279174ff73d643dcbc0493a0b1a0eea873c5096246a6a2918e75f04885",
@@ -297,9 +297,9 @@ GOLDEN_VARIANT_SHA256 = {
     },
     "stage1_abort": {
         "seed_0/backbone.ckpt": "db8f846b0339dcb9692ceb45b009250d4471751cf995da709eeaf0b83bb99636",
-        "seed_0/calibrated.ckpt": "f29c7d4f45fd4e942a37cd9ef982c923aa079077a537f0806e4d45bdf408e6ca",
+        "seed_0/calibrated.ckpt": "bdae3677cafc8f7c964c32aa3ef155c1f5567939641d8bf4fc33b01d34d164ac",
         "seed_0/per_class.csv": "2b837f955650a0e6dab173e7dc208bae2dabefc99213a95297709aba9cec4f9d",
-        "seed_0/report.json": "9ccd067fc16bd3a808ce29bb972cf1feca3b2e92c098c1ee9d842336beb89c25",
+        "seed_0/report.json": "ffc2cd093ae7d080e73bbcfe37d0b5d10d2a20627e8a66f3626bade1d7abfb0b",
         "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
         "seed_0/stage1.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
         "seed_0/stage3.ckpt": "7b9d3f50ecd7f96644be60673897cceafe111808c5f98510dc177e947cf891ac",
@@ -327,9 +327,9 @@ GOLDEN_VARIANT_SHA256 = {
         "seed_0/trace.csv": "6ff45f6c720c9c37ca060c8d628d4228cc6621520effd571d563005e27d8f236",
     },
     "calibrate_only": {
-        "seed_0/calibrated.ckpt": "9b14c3e346b91d068f0a5a0dda9e54dcd68e345a907bf1ceb9284c21bd424c86",
+        "seed_0/calibrated.ckpt": "52126737625c1f84ee2eb397a652db2504087fd9b889f10bb76c704e08f13d0a",
         "seed_0/per_class.csv": "cd128da8e0949c78c32a3be2fb262ca6c37a8bab26173dfa44dbca028e622ccc",
-        "seed_0/report.json": "9988137cb13dd684286355af8c8db73d503d895bedb099d2d080f47cc535ac37",
+        "seed_0/report.json": "508213d744f2b219b27a7783896fc3d1c9ff58163766c33cb1802495912b2421",
         "seed_0/source.ckpt": "78fcade2bba9468125e2b6ead6879d7e58e828d77e4ae3c964f5e53000cb1576",
         "seed_0/trace.csv": "41f652148d4e94464d106b3d89a6b09b533e1269c28eb24b6c674570a497256b",
     },
