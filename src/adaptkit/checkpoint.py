@@ -2,8 +2,9 @@
 
 Magic b"OTAC". Besides the store's tensor table the header records the
 architecture and, for a stage-2 backbone, backbone_only. An architecture
-that ArchSpec rejects is a malformed file, and so is a tensor table that does
-not match the architecture's tensors.
+that ArchSpec rejects is a malformed file, and so are a backbone_only that is
+not a JSON bool and a tensor table that does not match the architecture's
+tensors.
 """
 from __future__ import annotations
 
@@ -27,7 +28,10 @@ def _read(path, backbone_only: bool) -> Network:
         arch = store.from_dict(ArchSpec, header.get("arch"), "arch")
     except ConfigError as e:
         raise StorageError(f"{path}: malformed checkpoint arch: {e}") from e
-    if bool(header.get("backbone_only")) != backbone_only:
+    flag = header.get("backbone_only", False)
+    if not isinstance(flag, bool):
+        raise StorageError(f"{path}: header backbone_only must be a JSON bool, got {flag!r}")
+    if flag != backbone_only:
         raise StorageError(f"{path}: expected a backbone-only checkpoint" if backbone_only
                            else f"{path}: backbone-only checkpoint, expected a full network")
     widths = (arch.input_dim, *arch.hidden)  # count the values arch reads before any draw

@@ -19,7 +19,13 @@ from . import store
 from .errors import ConfigError, ShapeError, StorageError
 from .tensor import check_finite, row_blocks
 
-SHIFT_KINDS = ("rotation", "scale", "translate", "composite")
+# kind -> magnitude m -> the plane's (rotation in degrees, scale, x offset), applied in that order
+SHIFT_KINDS = {
+    "rotation": lambda m: (m, 1.0, 0.0),
+    "scale": lambda m: (0.0, 1.0 + m, 0.0),
+    "translate": lambda m: (0.0, 1.0, m),
+    "composite": lambda m: (m, 1.0 + m / 100.0, m / 10.0),
+}
 
 
 def _rng(seed, name: str = "seed") -> np.random.Generator:
@@ -167,25 +173,13 @@ def _geometry(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plane_transform(latent: np.ndarray, shift: ShiftSpec) -> None:
-    """Apply the shift to the first two latent coordinates, in place."""
-    xy = latent[:, :2]
-
-    def rotate(points, degrees):
-        a = degrees * pi / 180.0
-        rot = np.array([[cos(a), -sin(a)], [sin(a), cos(a)]])
-        return points @ rot.T
-
-    if shift.kind == "rotation":
-        xy = rotate(xy, shift.magnitude)
-    elif shift.kind == "scale":
-        xy = xy * (1.0 + shift.magnitude)
-    elif shift.kind == "translate":
-        xy = xy + np.array([shift.magnitude, 0.0])
-    elif shift.kind == "composite":
-        xy = rotate(xy, shift.magnitude)
-        xy = xy * (1.0 + shift.magnitude / 100.0)
-        xy = xy + np.array([shift.magnitude / 10.0, 0.0])
-    latent[:, :2] = xy
+    """Rotate, scale and translate the first two latent coordinates, in place."""
+    degrees, scale, dx = SHIFT_KINDS[shift.kind](shift.magnitude)
+    a = degrees * pi / 180.0
+    rot = np.array([[cos(a), -sin(a)], [sin(a), cos(a)]])
+    latent[:, :2] = latent[:, :2] @ rot.T  # the one N x 2 temporary: a second costs RSS
+    latent[:, :2] *= scale
+    latent[:, :2] += (dx, 0.0)
 
 
 def _draw(spec: GeneratorSpec, seed: int, shift: ShiftSpec | None = None,

@@ -172,27 +172,6 @@ class ReLU:
         return dy * (cache > 0)
 
 
-def forward_layers(layers: list, x: np.ndarray, train: bool) -> tuple[np.ndarray, list]:
-    """Run x through the layers in order; returns the output and the backprop cache.
-    Every layer after the first owns its input, which BatchNorm and ReLU write over,
-    unless it follows a ReLU: a ReLU's output is its cache."""
-    caches = []
-    for i, layer in enumerate(layers):
-        x, cache = layer.forward(x, train, i > 0 and layers[i - 1].kind != "relu")
-        caches.append(cache)
-    return x, caches
-
-
-def backward_layers(layers: list, caches: list, dy: np.ndarray) -> np.ndarray:
-    """Accumulate parameter grads in reverse layer order; returns the input gradient."""
-    if len(caches) != len(layers):
-        raise ConfigError("backward called with a cache that does not match the forward pass")
-    dy = np.asarray(dy, dtype=np.float64)
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        dy = layer.backward(cache, dy)
-    return dy
-
-
 @dataclass(frozen=True)
 class ArchSpec:
     """Dense net blueprint: dense(+batchnorm+relu) blocks then a dense classifier."""
@@ -259,8 +238,11 @@ class Network:
             raise ShapeError(f"expected a 2-d batch or a 3-d stack of views, got shape {x.shape}")
         if 0 in x.shape[:-1]:
             raise ShapeError("empty batch")
-        if train:
-            x, caches = forward_layers(self.layers, x, True)
+        if train:  # every layer but the first owns its input, unless it is a ReLU's cache
+            caches = []
+            for i, layer in enumerate(self.layers):
+                x, cache = layer.forward(x, True, i > 0 and self.layers[i - 1].kind != "relu")
+                caches.append(cache)
             return check_finite(x, "network output"), caches
         out = None
         for rows in row_blocks(x.shape[-2]):
@@ -278,9 +260,11 @@ class Network:
         grads."""
         if len(caches) != len(self.layers):
             raise ConfigError("backward called with a cache that does not match the forward pass")
+        dy = np.asarray(dout, dtype=np.float64)
+        for layer, cache in zip(self.layers[:0:-1], caches[:0:-1]):
+            dy = layer.backward(cache, dy)
         first = self.layers[0]
-        grads = first.param_grads if first.kind == "dense" else first.backward
-        grads(caches[0], backward_layers(self.layers[1:], caches[1:], dout))
+        (first.param_grads if first.kind == "dense" else first.backward)(caches[0], dy)
 
     def copy(self) -> "Network":
         return copy.deepcopy(self)

@@ -2,12 +2,13 @@
 behind every output file, and the typed reader of configs and dataset headers.
 
 Layout: 4-byte magic, u32 version, u32 header length, a sorted-key UTF-8
-JSON header, then one little-endian float64 blob. The header's ``tensors``
-table gives each array's name, shape and byte offset into the blob. Arrays
-sit back to back in table order, so each offset is the running sum of the
-sizes before it and the blob ends where the last array does. Raw f64 bytes
-make the round trip bit-exact. Callers own the magic and the other header
-keys; this module owns the layout and checks every file it reads against it.
+JSON header, then one little-endian float64 blob. The header repeats the
+version as ``format_version``, and its ``tensors`` table gives each array's
+name, shape and byte offset into the blob. Arrays sit back to back in table
+order, so each offset is the running sum of the sizes before it and the blob
+ends where the last array does. Raw f64 bytes make the round trip bit-exact.
+Callers own the magic and the other header keys; this module owns the layout
+and checks every file it reads against it.
 """
 from __future__ import annotations
 
@@ -151,6 +152,9 @@ def read(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(entries, list) or not all(_is_entry(e) for e in entries):
         raise StorageError(f"{path}: header needs a tensors table whose entries have a "
                            "name, an offset and a shape of non-negative integers")
+    stated = header.get("format_version")
+    if not is_count(stated) or stated != version:  # true and 1.0 equal 1 but are no version
+        raise StorageError(f"{path}: header format_version {stated!r}, expected {version}")
     blob = memoryview(raw)[start:]
     arrays, offset = {}, 0
     for e in entries:

@@ -1,5 +1,25 @@
-"""Central finite-difference oracles shared by the gradient tests."""
+"""Central finite-difference oracles shared by the gradient tests, and the reference
+walk over a list of layers that tests read one-pass caches, features and input grads
+from (`Network.forward` and `Network.backward` walk their own layers)."""
 import numpy as np
+
+
+def forward_layers(layers: list, x: np.ndarray, train: bool) -> tuple[np.ndarray, list]:
+    """Run x through the layers in order; returns the output and the backprop caches.
+    Every layer after the first owns its input, which BatchNorm and ReLU write over,
+    unless it follows a ReLU: a ReLU's output is its cache."""
+    caches = []
+    for i, layer in enumerate(layers):
+        x, cache = layer.forward(x, train, i > 0 and layers[i - 1].kind != "relu")
+        caches.append(cache)
+    return x, caches
+
+
+def backward_layers(layers: list, caches: list, dy: np.ndarray) -> np.ndarray:
+    """Accumulate parameter grads in reverse layer order; returns the input gradient."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.backward(cache, dy)
+    return dy
 
 
 def fd_grad(f, x, h=1e-5):

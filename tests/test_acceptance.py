@@ -13,14 +13,14 @@ import pytest
 
 import conftest
 
-from fdcheck import fd_grad, fd_param_grads, max_rel_error
+from fdcheck import fd_grad, fd_param_grads, forward_layers, max_rel_error
 
 import adaptkit.checkpoint as checkpoint
 from adaptkit.adapt import AdaptConfig, adapt
 from adaptkit.data import GeneratorSpec, ShiftSpec, apply_shift, generate
 from adaptkit.distill import DistillConfig, PhaseSchedule
 from adaptkit.harness import ExperimentConfig, make_datasets, run_experiment, stream
-from adaptkit.layers import ArchSpec, build_network, forward_layers
+from adaptkit.layers import ArchSpec, build_network
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, diversity_loss,
                              entropy_loss, infomax_loss, infomax_loss_grad,
                              infonce_loss, infonce_loss_grad, kl_soft_loss,

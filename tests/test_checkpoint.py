@@ -96,9 +96,10 @@ HEADER_EDITS = {
 }
 
 
-def _save_edited_header(net, path, edit):
-    """A checkpoint of `net` whose JSON header `edit` has changed in place."""
-    save_checkpoint(net, path)
+def _save_edited_header(net, path, edit, save=save_checkpoint):
+    """A checkpoint (or what `save` writes) of `net` whose JSON header `edit` has changed
+    in place."""
+    save(net, path)
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12 : 12 + hlen])
@@ -226,6 +227,21 @@ def test_bad_backbone_files_rejected(net, tmp_path, case):
     write(net, path)
     with pytest.raises(StorageError):
         read(path)
+
+
+@pytest.mark.parametrize("load, save", [(load_checkpoint, save_checkpoint),
+                                        (load_backbone, _save_edited_backbone)],
+                         ids=["full", "backbone"])
+@pytest.mark.parametrize("key, value", [
+    *[("backbone_only", v) for v in ("false", "no", 1, 0, [], {"x": 1}, None)],
+    *[("format_version", v) for v in (99, 0, True, 1.0, "1", None)]])
+def test_header_flag_and_version_of_the_wrong_type_or_value_rejected(net, tmp_path, load, save,
+                                                                     key, value):
+    # bool("false") is True and bool(0) is False: neither may choose how the file is read
+    path = tmp_path / "net.ckpt"
+    _save_edited_header(net, path, lambda h: h.update({key: value}), save)
+    with pytest.raises(StorageError, match=key):
+        load(path)
 
 
 @pytest.mark.parametrize("case", ["missing_tensor", "misshaped_bias", "misshaped_gamma",

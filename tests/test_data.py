@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -95,6 +96,20 @@ def test_shift_preserves_labels_and_order():
     for kind in ("rotation", "scale", "translate", "composite"):
         tgt = apply_shift(src, ShiftSpec(kind, 30.0), 0)
         assert np.array_equal(src.labels, tgt.labels)
+
+
+# sha256 of the target features of small_spec() at magnitude 30, source seed 0, target seed 4
+SHIFTED_FEATURES_SHA256 = {
+    "scale": "9c9cb3a11bfdcead2cdb9f4ae149d8515e6699958ddfec314933d1e519717eaf",
+    "translate": "fea46c21e18a03a2ec126e2e406c75d85bf1ee0f38002f2ba78dc365d3f1c110",
+    "composite": "c5dd43abd4495aaef663e5a2e23863169ad88b3957e3318f81d77b7d51fc94f6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHIFTED_FEATURES_SHA256))
+def test_non_rotation_shift_features_are_pinned(kind):
+    tgt = apply_shift(generate(small_spec(), 0), ShiftSpec(kind, 30.0), 4)
+    assert hashlib.sha256(tgt.features.tobytes()).hexdigest() == SHIFTED_FEATURES_SHA256[kind]
 
 
 def test_unknown_shift_kind_rejected():
@@ -367,6 +382,8 @@ DATASET_EDITS = {
     "float_d": _edit_header(lambda h, t: t["features"].update(shape=[80, 2.5])),
     "no_features": _edit_header(lambda h, t: t["features"].update(name="feature")),
     "wrong_offset": _edit_header(lambda h, t: t["labels"].update(offset=0)),
+    "format_version_99": _edit_header(lambda h, t: h.update(format_version=99)),
+    "no_format_version": _edit_header(lambda h, t: h.pop("format_version")),
     "trailing_bytes": lambda path: path.write_bytes(path.read_bytes() + bytes(8)),
     "old_layout": lambda path: path.write_bytes(path.read_bytes()[8:]),
     "no_d": _edit_arrays(lambda a: a.update(features=a["features"][:, 0])),

@@ -10,13 +10,13 @@ from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule, Pse
                               run_phase)
 from adaptkit.errors import ConfigError
 from adaptkit.harness import ExperimentConfig, make_datasets
-from adaptkit.layers import ArchSpec, Dense, Network, build_network, forward_layers
+from adaptkit.layers import ArchSpec, Dense, Network, build_network
 from adaptkit.losses import cross_entropy_grad, softmax
 from adaptkit.metrics import evaluate
 from adaptkit.optim import SGD, fit
 from adaptkit.selfsup import ContrastiveConfig, pretrain
 from adaptkit.tensor import Tensor, fingerprint_all
-from fdcheck import fd_grad, max_rel_error
+from fdcheck import fd_grad, forward_layers, max_rel_error
 
 IDENTITY = AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0))  # no jitter, dropout or scaling
 

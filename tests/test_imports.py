@@ -5,7 +5,8 @@ dependencies on them show at the top.
 __init__.py is exempt from the first check: its imports are the package's
 public re-exports.
 
-Only layers.py calls the layer-list walkers: every stage trains a `Network`.
+No module walks a bare list of layers through `forward_layers` or `backward_layers`:
+every stage trains a `Network`, whose `forward` and `backward` walk its own layers.
 Only tensor.py loads a library through ctypes: `one_blas_thread` owns numpy's OpenBLAS,
 and `keep_freed_memory` the C library's mallopt.
 """
@@ -62,10 +63,14 @@ def calls_to(path: Path, names: set[str]) -> list[str]:
 
 
 def test_only_layers_walks_a_layer_list():
-    # a stage's step is one Network forward, one loss and one Network backward
+    # a stage's step is one Network forward, one loss and one Network backward; the
+    # layer-list walkers live in the tests' fdcheck as a reference, not in the package
     walkers = {"forward_layers", "backward_layers"}
+    defined = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in walkers]
     calls = [c for path in sorted(SRC.glob("*.py")) for c in calls_to(path, walkers)]
-    assert {c.split(":")[0] for c in calls} == {"layers.py"}, calls
+    assert defined == calls == []
 
 
 def test_only_tensor_loads_openblas_and_only_when_first_used():

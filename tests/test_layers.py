@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from adaptkit.errors import ConfigError, ShapeError
-from adaptkit.layers import (ArchSpec, BatchNorm, Dense, Network, ReLU, backward_layers,
-                             build_network, forward_layers)
+from adaptkit.layers import ArchSpec, BatchNorm, Dense, Network, ReLU, build_network
 from adaptkit.losses import (cross_entropy, cross_entropy_grad, infomax_loss,
                              infomax_loss_grad, infonce_loss, infonce_loss_grad,
                              kl_soft_loss, kl_soft_loss_grad, softmax)
 from adaptkit.tensor import BLOCK_ROWS
-from fdcheck import fd_grad, fd_param_grads, max_rel_error
+from fdcheck import backward_layers, fd_grad, fd_param_grads, forward_layers, max_rel_error
 
 
 def small_net(seed=0, input_dim=6, hidden=(8,), classes=3, batchnorm=True):
@@ -270,11 +269,34 @@ def test_stacked_views_match_separate_passes_bit_for_bit(case, b):
     assert _bits(x) == batch  # layers write over intermediates, never the batch
     assert _bits(y) == _bits(np.stack([out for out, _ in outs]))
     assert _bits(dx) == _bits(np.stack(dxs))
-    for a, s in zip(separate, stacked):
+    _assert_same_grads_and_stats(separate, stacked)
+
+
+def _assert_same_grads_and_stats(want: list, got: list):
+    for a, s in zip(want, got, strict=True):
         for ta, ts in zip(a.parameters(), s.parameters()):
             assert _bits(ts.grad) == _bits(ta.grad), ta.name
         for ta, ts in zip(getattr(a, "state_tensors", list)(), getattr(s, "state_tensors", list)()):
             assert _bits(ts.data) == _bits(ta.data), ta.name
+
+
+@pytest.mark.parametrize("b", [2, 55])
+def test_network_train_walk_matches_the_reference_walk_bit_for_bit(b):
+    # a BatchNorm after a ReLU must not write over the ReLU's output, its cache: no built
+    # network has one, since build_network puts a Dense after every ReLU
+    rng = np.random.default_rng(b)
+    layers = [Dense(32, 32, rng, "a"), ReLU(), *_batchnorm_with_stats(rng), ReLU(),
+              Dense(32, 10, rng, "b")]
+    net = Network(copy.deepcopy(layers), ArchSpec(32, (32,), 10))
+    x, dy = rng.normal(size=(2, b, 32)), rng.normal(size=(2, b, 10))
+    batch = _bits(x)
+    y, caches = net.forward(x, train=True)
+    net.backward(caches, dy)
+    want, caches = forward_layers(layers, x, True)
+    backward_layers(layers, caches, dy)
+    assert _bits(x) == batch
+    assert _bits(y) == _bits(want)
+    _assert_same_grads_and_stats(layers, net.layers)
 
 
 def _reference_batchnorm(bn, x, dy):

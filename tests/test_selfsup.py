@@ -4,8 +4,9 @@ import pytest
 from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec,
                            apply_shift, generate)
 from adaptkit.errors import ConfigError
-from adaptkit.layers import ArchSpec, build_network, forward_layers
+from adaptkit.layers import ArchSpec, build_network
 from adaptkit.selfsup import ContrastiveConfig, make_student, pretrain
+from fdcheck import forward_layers
 
 ARCH = ArchSpec(32, (32, 32), 10)
 
