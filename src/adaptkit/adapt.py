@@ -67,16 +67,15 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
     report = AdaptReport(classifier_fingerprint_before=fingerprint_all(net.classifier.parameters()))
     trainable, _ = partition_parameters(net, cfg.update_set)
 
-    def grads(idx):
-        logits, caches = net.forward(target.features[idx], train=True)
+    def loss(logits, idx):
         probs = softmax(logits)
-        net.backward(caches, infomax_loss_grad(probs))
-        return {"entropy": entropy_loss(probs).scalar, "diversity": diversity_loss(probs).scalar}
+        return ({"entropy": entropy_loss(probs).scalar, "diversity": diversity_loss(probs).scalar},
+                infomax_loss_grad(probs))
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)
     before = [p.data.copy() for p in net.parameters()]
-    report.epochs, abort = fit(opt, net.all_tensors(), cfg.epochs, len(target),
-                               cfg.batch_size, rng, grads)
+    report.epochs, abort = fit(opt, net, cfg.epochs, len(target), cfg.batch_size, rng,
+                               lambda idx: target.features[idx], loss)
     for e in report.epochs:
         e["infomax"] = e["entropy"] + e["diversity"]
     report.aborted = abort is not None

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 I/O error, 4 a `run`
-seed that raised any other exception, whose traceback `run` prints. `run` exits with
-the code of the first failed seed's error. Other commands let an unexpected exception
-raise.
+Exit codes: 0 success (and `--help`), 1 config error, a usage error included, 2 numerical
+failure, 3 I/O error, 4 a `run` seed that raised any other exception, whose traceback
+`run` prints. `run` exits with the code of the first failed seed's error. Other commands
+let an unexpected exception raise.
 """
 from __future__ import annotations
 
@@ -110,9 +110,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 1), not argparse's 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="adaptkit",
-                                description="Test-time adaptation pipeline on synthetic shift benchmarks")
+    p = _Parser(prog="adaptkit",
+                description="Test-time adaptation pipeline on synthetic shift benchmarks")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="write run's source and target datasets for a seed")
@@ -180,8 +185,8 @@ def exit_status(err: Exception) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with one_blas_thread():  # a second BLAS thread mostly spins on the pipeline's gemms
             return args.fn(args)
     except tuple(EXIT_STATUS) as e:

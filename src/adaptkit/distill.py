@@ -11,6 +11,7 @@ teacher's full distribution and run a shorter epoch budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -86,20 +87,15 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
     if len(labels.hard) != len(target):
         raise ConfigError("pseudo-labels and target data are not aligned")
 
-    def grads(idx):
-        x = augment(target.features[idx], cfg.policy, "strong", rng)
-        logits, caches = student.forward(x, train=True)
+    def loss(logits, idx):
         probs = softmax(logits)
-        if mode == "hard":
-            dlogits = cross_entropy_grad(probs, labels.hard[idx])
-        else:
-            dlogits = kl_soft_loss_grad(probs, labels.soft[idx])
-        student.backward(caches, dlogits)
-        return {}
+        return {}, (cross_entropy_grad(probs, labels.hard[idx]) if mode == "hard"
+                    else kl_soft_loss_grad(probs, labels.soft[idx]))
 
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    _, abort = fit(opt, student.all_tensors(), epochs, len(target), cfg.batch_size, rng,
-                   grads, cosine=True)
+    _, abort = fit(opt, student, epochs, len(target), cfg.batch_size, rng,
+                   lambda idx: augment(target.features[idx], cfg.policy, "strong", rng), loss,
+                   cosine=True)
     return student, abort
 
 
@@ -180,14 +176,18 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     hard = np.empty(len(target), np.int64)
     abort = None
 
-    def grads(idx):
+    def forward(idx, train):  # the logits at the floored scales; the rows' scores and weights
         s.data = np.maximum(s.data, 1e-3)
-        scores = raw_scores[idx]
-        p = softmax(scores * s.data + bias)
-        p[np.arange(len(idx)), hard[idx]] -= 1.0  # each row's CE logit gradient
-        s.add_grad(weights[idx] @ np.multiply(p, scores, out=p) / len(idx))
-        return {}
+        return (scores := raw_scores[idx]) * s.data + bias, (scores, weights[idx])
 
+    def loss(logits, idx):
+        p = softmax(logits)
+        p[np.arange(len(idx)), hard[idx]] -= 1.0  # each row's CE logit gradient
+        return {}, p
+
+    # what fit trains, from closures: a class made per call would be a reference cycle
+    scaler = SimpleNamespace(all_tensors=lambda: [s], forward=forward, backward=lambda cache, p: (
+        s.add_grad(cache[1] @ np.multiply(p, cache[0], out=p) / len(p))))
     starts = []  # the scales at the start of each round
     for _ in range(cfg.rounds):
         starts.append(s.data.copy())
@@ -198,7 +198,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = 1.0 / counts[hard]  # every predicted class has a count of at least 1
         weights *= len(hard) / weights.sum()
-        _, abort = fit(opt, [s], cfg.epochs, len(target), cfg.batch_size, rng, grads)
+        _, abort = fit(opt, scaler, cfg.epochs, len(target), cfg.batch_size, rng, lambda i: i, loss)
         s.data = np.maximum(s.data, 1e-3)
         if abort:
             break

@@ -203,8 +203,7 @@ def _stage3(c: DistillConfig, seed: int, s: StageInputs):
 
 
 def _calibrate(c: CalibrateConfig, seed: int, s: StageInputs):
-    scale, s.model, abort = calibrate_classifier(s.model, s.target, c,
-                                                 stream(seed, "calibrate"))
+    scale, s.model, abort = calibrate_classifier(s.model, s.target, c, stream(seed, "calibrate"))
     return s.model, {"calibration": {"scales": [float(v) for v in scale]}}, abort
 
 

@@ -25,7 +25,6 @@ P_CLAMP = 1e-12
 @dataclass
 class LossValue:
     scalar: float
-    per_sample: np.ndarray | None = None
     clamped: bool = False
     saved: tuple = field(default=(), repr=False, compare=False)
 
@@ -80,7 +79,7 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray, smoothing: float = 0.0
     q = _same_shape(probs, smoothed_targets(targets, probs.shape[1], smoothing))
     logp, clamped = _safe_log(probs)
     per = -(q * logp).sum(axis=1)
-    return LossValue(float(per.mean()), per, clamped)
+    return LossValue(float(per.mean()), clamped)
 
 
 def cross_entropy_grad(probs: np.ndarray, targets: np.ndarray, smoothing: float = 0.0) -> np.ndarray:
@@ -93,7 +92,7 @@ def entropy_loss(probs: np.ndarray) -> LossValue:
     probs = _check_probs(probs)
     logp, clamped = _safe_log(probs)
     per = -(probs * logp).sum(axis=1)
-    return LossValue(float(per.mean()), per, clamped)
+    return LossValue(float(per.mean()), clamped)
 
 
 def entropy_loss_grad(probs: np.ndarray) -> np.ndarray:
@@ -107,7 +106,7 @@ def diversity_loss(probs: np.ndarray) -> LossValue:
     probs = _check_probs(probs)
     pbar = probs.mean(axis=0)
     logp, clamped = _safe_log(pbar)
-    return LossValue(float((pbar * logp).sum()), None, clamped)
+    return LossValue(float((pbar * logp).sum()), clamped)
 
 
 def diversity_loss_grad(probs: np.ndarray) -> np.ndarray:
@@ -123,7 +122,7 @@ def infomax_loss(probs: np.ndarray) -> LossValue:
     """Per-sample entropy plus batch diversity, unit weights."""
     ent = entropy_loss(probs)
     div = diversity_loss(probs)
-    return LossValue(ent.scalar + div.scalar, None, ent.clamped or div.clamped)
+    return LossValue(ent.scalar + div.scalar, ent.clamped or div.clamped)
 
 
 def infomax_loss_grad(probs: np.ndarray) -> np.ndarray:
@@ -137,7 +136,7 @@ def kl_soft_loss(student: np.ndarray, teacher: np.ndarray) -> LossValue:
     logs, c1 = _safe_log(student)
     logt, c2 = _safe_log(teacher)
     per = (teacher * (np.where(teacher > 0, logt, 0.0) - logs)).sum(axis=1)
-    return LossValue(float(per.mean()), per, c1 or c2)
+    return LossValue(float(per.mean()), c1 or c2)
 
 
 def kl_soft_loss_grad(student: np.ndarray, teacher: np.ndarray) -> np.ndarray:
@@ -170,7 +169,7 @@ def infonce_loss(queries: np.ndarray, keys: np.ndarray, temperature: float) -> L
     e = np.exp(np.subtract(sims_t, top, out=sims_t), out=sims_t)
     total = e.sum(axis=0)
     per = np.log(total) + top - pos
-    return LossValue(float(per.mean()), per, saved=(q, qn, k, kn, e, total))
+    return LossValue(float(per.mean()), saved=(q, qn, k, kn, e, total))
 
 
 def infonce_loss_grad(queries: np.ndarray, keys: np.ndarray, temperature: float

@@ -69,15 +69,16 @@ def check_fit_args(batch_size: int, lr: float, epochs: int = 0, momentum: float 
         raise ConfigError(f"weight_decay must be finite and non-negative, got {weight_decay}")
 
 
-def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
-        rng: np.random.Generator, grads, cosine: bool = False) -> tuple[list[dict], dict | None]:
-    """The one epoch x minibatch loop: grads(idx) runs forward and backward and returns
-    {loss name: value}, then `opt` steps at a constant or cosine lr. Returns per-epoch
-    mean losses and None, or, if a NumericalError put `tensors` back as at the start of
-    its epoch and ended the run, the losses so far and the abort {"epoch", "reason"}.
-    On return no tensor keeps a grad a step wrote. Its steps allocate their arrays, so
-    the first call keeps glibc from trimming the freed heap (`keep_freed_memory`)."""
+def fit(opt: SGD, net, epochs: int, n: int, batch_size: int, rng: np.random.Generator,
+        batch, loss, cosine: bool = False) -> tuple[list[dict], dict | None]:
+    """The one epoch x minibatch loop: a step runs net.forward(batch(idx), train=True),
+    loss(output, idx) -> ({loss name: value}, output grad) and net.backward, then `opt` steps
+    at a constant or cosine lr. Returns per-epoch mean losses and None, or, if a NumericalError
+    put `net.all_tensors()` back as at the start of its epoch and ended the run, the losses so
+    far and the abort {"epoch", "reason"}. On return no tensor keeps a grad a step wrote. Its
+    steps allocate their arrays, so the first call keeps glibc from trimming the freed heap."""
     keep_freed_memory()
+    tensors = net.all_tensors()
     # the cosine budget: the blocks minibatches yields, a trailing singleton dropped
     total = max(1, epochs * (-(-n // batch_size) - (n % batch_size == 1)))
     history, step, abort = [], 0, None
@@ -87,7 +88,11 @@ def fit(opt: SGD, tensors: list[Tensor], epochs: int, n: int, batch_size: int,
             for idx in minibatches(n, batch_size, rng):
                 for t in tensors:
                     t.zero_grad()
-                losses.append(grads(idx))
+                out, caches = net.forward(batch(idx), train=True)
+                values, dout = loss(out, idx)
+                net.backward(caches, dout)
+                del out, caches, dout  # the step's arrays are freed before the update
+                losses.append(values)
                 opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (step / total)))
                          if cosine else opt.lr)
                 step += 1

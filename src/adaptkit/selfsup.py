@@ -55,19 +55,16 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
         Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")], arch)
 
-    def grads(idx):
+    def views(idx):  # both go through the trainer as one 2 x B x d stack
         x = target.features[idx]
-        # both views go through the trainer as one 2 x B x d stack
-        views = np.stack([augment(x, cfg.policy, "strong", rng),
-                          augment(x, cfg.policy, "strong", rng)])
-        (q, k), caches = trainer.forward(views, train=True)
-        loss, (dq, dk) = infonce_loss_grad(q, k, cfg.temperature)
-        trainer.backward(caches, np.stack([dq, dk]))
-        return {"infonce": loss.scalar}
+        return np.stack([augment(x, cfg.policy, "strong", rng) for _ in range(2)])
+
+    def loss(out, idx):
+        value, (dq, dk) = infonce_loss_grad(out[0], out[1], cfg.temperature)
+        return {"infonce": value.scalar}, np.stack([dq, dk])
 
     opt = SGD(trainer.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    history, abort = fit(opt, trainer.all_tensors(), cfg.epochs, len(target), cfg.batch_size,
-                         rng, grads)
+    history, abort = fit(opt, trainer, cfg.epochs, len(target), cfg.batch_size, rng, views, loss)
     return net, history, abort
 
 

@@ -34,13 +34,10 @@ def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
     if dataset.labels is None:
         raise ConfigError("source training needs labels")
 
-    def grads(idx):
-        logits, caches = net.forward(dataset.features[idx], train=True)
-        net.backward(caches, cross_entropy_grad(softmax(logits), dataset.labels[idx],
-                                                cfg.smoothing))
-        return {}
+    def loss(logits, idx):
+        return {}, cross_entropy_grad(softmax(logits), dataset.labels[idx], cfg.smoothing)
 
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    history, abort = fit(opt, net.all_tensors(), cfg.epochs, len(dataset), cfg.batch_size,
-                         rng, grads, cosine=True)
+    history, abort = fit(opt, net, cfg.epochs, len(dataset), cfg.batch_size, rng,
+                         lambda idx: dataset.features[idx], loss, cosine=True)
     return net, history, abort

@@ -109,9 +109,8 @@ class Tensor:
         nothing else holds."""
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.data.shape:
-            raise ShapeError(
-                f"grad shape {g.shape} does not match parameter shape {self.data.shape}"
-            )
+            raise ShapeError(f"grad shape {g.shape} does not match parameter shape "
+                             f"{self.data.shape}")
         if self.grad is None:
             self.grad = g
         else:

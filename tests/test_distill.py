@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -361,11 +362,14 @@ def _whole_target_scales(model, target, cfg, rng, scale_grad=_scale_grad):
     opt = SGD([s], cfg.lr, cfg.momentum)
     raw_scores = forward_layers(model.layers[:-1], target.features, False)[0] @ w.T
 
-    def grads(idx):
+    def forward(idx, train):
         s.data = np.maximum(s.data, 1e-3)
-        scores = raw_scores[idx]
-        s.add_grad(scale_grad(softmax(scores * s.data + bias), scores, hard[idx], weights[idx]))
-        return {}
+        return raw_scores[idx] * s.data + bias, idx
+
+    def backward(idx, p):
+        s.add_grad(scale_grad(p, raw_scores[idx], hard[idx], weights[idx]))
+
+    scales = SimpleNamespace(all_tensors=lambda: [s], forward=forward, backward=backward)
 
     for _ in range(cfg.rounds):
         x = augment(target.features, cfg.policy, "weak", rng)
@@ -374,7 +378,8 @@ def _whole_target_scales(model, target, cfg, rng, scale_grad=_scale_grad):
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = np.where(counts[hard] > 0, 1.0 / counts[hard], 0.0)
         weights *= len(hard) / weights.sum()
-        _, abort = fit(opt, [s], cfg.epochs, len(target), cfg.batch_size, rng, grads)
+        _, abort = fit(opt, scales, cfg.epochs, len(target), cfg.batch_size, rng,
+                       lambda idx: idx, lambda logits, idx: ({}, softmax(logits)))
         assert abort is None
         s.data = np.maximum(s.data, 1e-3)
     return s.data

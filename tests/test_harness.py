@@ -101,6 +101,24 @@ def test_cli_run_with_stage2_and_no_student_hidden_is_config_error(tmp_path, cap
     assert not list(tmp_path.glob("exp/seed_*"))
 
 
+@pytest.mark.parametrize("argv", [["run"], ["nosuchcmd"], [], ["train-source", "--data", "x"],
+                                  ["evaluate", "--model", "m", "--data", "d", "--bogus"],
+                                  ["gen-data", "--seed", "one", "--source", "s", "--target", "t"]],
+                         ids=["no_config", "unknown_command", "no_command", "no_out",
+                              "unknown_flag", "bad_int"])
+def test_cli_usage_error_is_config_error_exit_1(argv, capsys):
+    # exit 2 is a numerical failure; argparse's own usage errors would exit 2
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: adaptkit")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "command"])
+def test_cli_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 0 and "usage: adaptkit" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("config", [{}, {"stage2": False}], ids=["stage2_on", "stage2_off"])
 def test_cli_pretrain_without_student_hidden_is_config_error(tmp_path, capsys, config):
     argv = stage_argv(tmp_path, "pretrain", "--target", {

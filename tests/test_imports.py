@@ -7,6 +7,8 @@ public re-exports.
 
 No module walks a bare list of layers through `forward_layers` or `backward_layers`:
 every stage trains a `Network`, whose `forward` and `backward` walk its own layers.
+Only `optim.fit` runs a train step: no other module runs a train-mode forward, calls a
+backward or defines a `grads` step of its own (layers.py defines the walk, so it is exempt).
 Only tensor.py loads a library through ctypes: `one_blas_thread` owns numpy's OpenBLAS,
 and `keep_freed_memory` the C library's mallopt.
 """
@@ -71,6 +73,23 @@ def test_only_layers_walks_a_layer_list():
                if isinstance(node, ast.FunctionDef) and node.name in walkers]
     calls = [c for path in sorted(SRC.glob("*.py")) for c in calls_to(path, walkers)]
     assert defined == calls == []
+
+
+def test_only_fit_runs_a_train_step():
+    # each stage hands fit its batch and its loss; fit runs the train forward and backward
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name not in ("optim.py", "layers.py")]
+    backward_calls = [c for path in paths for c in calls_to(path, {"backward"})]
+    train_forwards = [
+        f"{path.name}:{node.lineno}" for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "forward"
+        and (any(kw.arg == "train" and getattr(kw.value, "value", None) is True
+                 for kw in node.keywords)
+             or (len(node.args) > 1 and getattr(node.args[1], "value", None) is True))]
+    grads = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "grads"]
+    assert backward_calls == train_forwards == grads == []
 
 
 def test_only_tensor_loads_openblas_and_only_when_first_used():

@@ -523,3 +523,19 @@ def test_eval_forward_memory_is_the_output_and_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 50_000 * 10 * 8 + 4 * (2 * B) * 64 * 8
+
+
+def test_eval_forward_writes_over_the_first_dense_output():
+    # 2048 rows through the default teacher: the output and two B x 64 activations per
+    # block (~739 KB). A walk whose first BatchNorm allocates instead of writing over
+    # the first Dense's output holds a third (~995 KB), with the same values.
+    net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(4 * B, 32))
+    net.forward(x[:8])
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * B * 10 * 8 + 5 * B * 64 * 8 // 2

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from adaptkit import source
-from adaptkit.errors import ConfigError
+from adaptkit.adapt import partition_parameters
+from adaptkit.errors import ConfigError, NumericalError
 from adaptkit.data import GeneratorSpec, generate
 from adaptkit.layers import ArchSpec, build_network
 from adaptkit.optim import SGD, decays, fit
@@ -98,12 +100,10 @@ def fit_lrs(cosine, epochs, n, batch_size, lr=0.1):
     """Every lr `fit` passes to SGD.step over `epochs` passes of `n` rows."""
     p = scalar_param(1.0)
     opt = RecordingSGD([p], lr=lr, momentum=0.9)
-
-    def grads(idx):
-        p.add_grad(np.array([0.5]))
-        return {}
-
-    fit(opt, [p], epochs, n, batch_size, np.random.default_rng(0), grads, cosine=cosine)
+    net = SimpleNamespace(all_tensors=lambda: [p], forward=lambda idx, train: (idx, None),
+                          backward=lambda caches, dout: p.add_grad(np.array([0.5])))
+    fit(opt, net, epochs, n, batch_size, np.random.default_rng(0), lambda idx: idx,
+        lambda out, idx: ({}, None), cosine=cosine)
     return opt.lrs
 
 
@@ -133,6 +133,90 @@ def test_schedule_step_out_of_range():
         assert lrs == [0.05 * (1 + np.cos(np.pi * (k / steps))) for k in range(steps)]
         assert lrs[-1] == pytest.approx(0.05 * (1 + np.cos(np.pi * (steps - 1) / steps)),
                                         abs=1e-15) and lrs[-1] > 0
+
+
+# ---------------------------------------------------------------------------
+# fit's step: batch, train forward, loss, backward, then the update
+
+
+def test_fit_step_is_batch_forward_loss_backward_then_the_update():
+    net = build_network(ArchSpec(4, (6,), 3), np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(10, 4))
+    events, values = [], []
+    real_forward, real_backward = net.forward, net.backward
+
+    def batch(idx):
+        events.append(("batch", idx.copy()))
+        return x[idx]
+
+    def forward(b, train=False):
+        out, caches = real_forward(b, train=train)
+        events.append(("forward", b.copy(), train, out))
+        return out, caches
+
+    def loss(out, idx):
+        k = len(values)
+        values.append({"a": float(k), "b": float(k * k)})
+        dout = np.full_like(out, 0.01 * (k + 1))
+        events.append(("loss", out, idx.copy(), dout))
+        return values[-1], dout
+
+    def backward(caches, dout):
+        events.append(("backward", dout))
+        real_backward(caches, dout)
+
+    opt = SGD(net.parameters(), lr=0.01, momentum=0.9)
+    sgd_step = opt.step
+
+    def step(lr=None):
+        events.append(("update",))
+        sgd_step(lr)
+
+    net.forward, net.backward, opt.step = forward, backward, step
+    history, abort = fit(opt, net, 2, len(x), 4, np.random.default_rng(2), batch, loss)
+    assert abort is None
+    steps = [events[i:i + 5] for i in range(0, len(events), 5)]
+    assert len(steps) == 6  # blocks of 4, 4 and 2 rows in each of 2 epochs
+    for step_events in steps:
+        assert [e[0] for e in step_events] == ["batch", "forward", "loss", "backward", "update"]
+        bt, fw, ls, bw, _ = step_events
+        assert fw[1].tobytes() == x[bt[1]].tobytes() and fw[2] is True
+        assert ls[1] is fw[3] and np.array_equal(ls[2], bt[1])
+        assert bw[1] is ls[3]
+    # the per-epoch means of a = k and b = k * k over steps k = 0..2 and 3..5
+    assert history == [{"epoch": 0, "a": 1.0, "b": 5 / 3}, {"epoch": 1, "a": 4.0, "b": 50 / 3}]
+
+
+def test_fit_abort_restores_every_tensor_of_the_net_not_only_the_trained_ones():
+    # adapt's batchnorm_only: opt updates the BatchNorm affine alone, but the running
+    # statistics move in every train forward, and an abort puts all of net.all_tensors()
+    # back as at the start of its epoch
+    net = build_network(ArchSpec(4, (6,), 3), np.random.default_rng(0))
+    trainable, _ = partition_parameters(net, "batchnorm_only")
+    x = np.random.default_rng(1).normal(size=(10, 4))
+    calls, start, moved = [], [], []
+
+    def batch(idx):
+        if len(calls) == 3:  # the first step of epoch 1
+            start.extend(t.data.copy() for t in net.all_tensors())
+        calls.append(idx)
+        return x[idx]
+
+    def loss(out, idx):
+        if len(calls) == 5:  # epoch 1's second step, after its first one updated
+            moved.extend(t.name for t, d in zip(net.all_tensors(), start)
+                         if not np.array_equal(t.data, d))
+            raise NumericalError("injected")
+        return {"mean": float(out.mean())}, out / out.size
+
+    opt = SGD(trainable, lr=0.1, momentum=0.9)
+    history, abort = fit(opt, net, 3, len(x), 4, np.random.default_rng(2), batch, loss)
+    assert abort == {"epoch": 1, "reason": "injected"} and len(history) == 1
+    assert moved == ["block0.bn.gamma", "block0.bn.beta", "block0.bn.running_mean",
+                     "block0.bn.running_var"]
+    assert len(start) == len(net.all_tensors())
+    for t, d in zip(net.all_tensors(), start):
+        assert t.data.tobytes() == d.tobytes() and t.grad is None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import adaptkit
 from adaptkit import cli
+from adaptkit.errors import ConfigError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,7 +30,7 @@ def test_readme_cli_lines_parse():
     for line in lines:
         try:
             parser.parse_args(shlex.split(line, comments=True)[1:])
-        except SystemExit:
+        except (SystemExit, ConfigError):
             raise AssertionError(f"README line does not parse: {line}") from None
 
 
