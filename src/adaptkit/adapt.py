@@ -15,7 +15,7 @@ import numpy as np
 from .data import UnlabeledView
 from .errors import ConfigError
 from .layers import Network
-from .losses import diversity_loss, entropy_loss, infomax_loss_grad, softmax
+from .losses import diversity_loss_grad, entropy_loss_grad, softmax
 from .optim import SGD, check_fit_args, fit
 from .tensor import fingerprint_all
 
@@ -69,8 +69,8 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
 
     def loss(logits, idx):
         probs = softmax(logits)
-        return ({"entropy": entropy_loss(probs).scalar, "diversity": diversity_loss(probs).scalar},
-                infomax_loss_grad(probs))
+        (ent, g_ent), (div, g_div) = entropy_loss_grad(probs), diversity_loss_grad(probs)
+        return {"entropy": ent.scalar, "diversity": div.scalar}, g_ent + g_div
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)
     before = [p.data.copy() for p in net.parameters()]

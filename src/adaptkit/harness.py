@@ -111,9 +111,11 @@ class ExperimentConfig:
 def _read_mapping(path) -> dict:
     """Parse a JSON or (by suffix) YAML file whose top level is a mapping."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise StorageError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     if str(path).endswith((".yaml", ".yml")):
         import yaml
         parse, parse_error = yaml.safe_load, yaml.YAMLError
@@ -121,7 +123,7 @@ def _read_mapping(path) -> dict:
         parse, parse_error = json.loads, json.JSONDecodeError
     try:
         d = parse(text)
-    except parse_error as e:
+    except (parse_error, RecursionError) as e:  # nested deeper than the parser recurses
         raise ConfigError(f"{path}: cannot parse: {e}") from e
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: top level must be a mapping, got {type(d).__name__}")

@@ -6,6 +6,10 @@ respect to the pre-softmax logits, averaged over the batch, as the layer-stack
 backward expects. Probabilities are clamped at 1e-12 before any log; when clamping
 fires the returned LossValue is flagged instead of silently swallowing the issue.
 
+`entropy_loss_grad` and `diversity_loss_grad` return `(value, grad)`, the value
+built from the grad's own log and sums; `entropy_loss` and `diversity_loss` are
+the probability check plus that value, so each formula is written once.
+
 InfoNCE takes embeddings. `infonce_loss_grad` runs `infonce_loss`, input checks
 included, and returns `(value, (dq, dk))` built from the arrays the value keeps
 in `LossValue.saved`, so a step makes one pass over the similarities, which it holds
@@ -89,33 +93,26 @@ def cross_entropy_grad(probs: np.ndarray, targets: np.ndarray, smoothing: float 
 
 def entropy_loss(probs: np.ndarray) -> LossValue:
     """Mean per-sample Shannon entropy, natural log."""
-    probs = _check_probs(probs)
+    return entropy_loss_grad(_check_probs(probs))[0]
+
+
+def entropy_loss_grad(probs: np.ndarray) -> tuple[LossValue, np.ndarray]:
     logp, clamped = _safe_log(probs)
-    per = -(probs * logp).sum(axis=1)
-    return LossValue(float(per.mean()), clamped)
-
-
-def entropy_loss_grad(probs: np.ndarray) -> np.ndarray:
-    logp, _ = _safe_log(probs)
     h = -(probs * logp).sum(axis=1, keepdims=True)
-    return -probs * (logp + h) / probs.shape[0]
+    return LossValue(float(h.mean()), clamped), -probs * (logp + h) / probs.shape[0]
 
 
 def diversity_loss(probs: np.ndarray) -> LossValue:
     """KL(batch-mean prediction || uniform) - ln C, i.e. -H(p_bar); in [-ln C, 0]."""
-    probs = _check_probs(probs)
+    return diversity_loss_grad(_check_probs(probs))[0]
+
+
+def diversity_loss_grad(probs: np.ndarray) -> tuple[LossValue, np.ndarray]:
     pbar = probs.mean(axis=0)
     logp, clamped = _safe_log(pbar)
-    return LossValue(float((pbar * logp).sum()), clamped)
-
-
-def diversity_loss_grad(probs: np.ndarray) -> np.ndarray:
-    b = probs.shape[0]
-    pbar = probs.mean(axis=0)
-    logp, _ = _safe_log(pbar)
-    g = logp + 1.0  # dL/d(pbar)
-    # chain through the per-row softmax jacobian
-    return probs * (g - (probs * g).sum(axis=1, keepdims=True)) / b
+    g = logp + 1.0  # dL/d(pbar), chained below through the per-row softmax jacobian
+    return (LossValue(float((pbar * logp).sum()), clamped),
+            probs * (g - (probs * g).sum(axis=1, keepdims=True)) / probs.shape[0])
 
 
 def infomax_loss(probs: np.ndarray) -> LossValue:
@@ -126,7 +123,7 @@ def infomax_loss(probs: np.ndarray) -> LossValue:
 
 
 def infomax_loss_grad(probs: np.ndarray) -> np.ndarray:
-    return entropy_loss_grad(probs) + diversity_loss_grad(probs)
+    return entropy_loss_grad(probs)[1] + diversity_loss_grad(probs)[1]
 
 
 def kl_soft_loss(student: np.ndarray, teacher: np.ndarray) -> LossValue:

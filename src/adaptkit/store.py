@@ -61,7 +61,7 @@ def from_dict(cls, d, what: str = ""):
     hints, written = get_type_hints(cls), {f.name: f.type for f in fields(cls)}
     unknown = set(d) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
     missing = [f.name for f in fields(cls) if f.name not in d
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -146,7 +146,7 @@ def read(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         raise StorageError(f"{path}: truncated header")
     try:
         header = json.loads(raw[_PREFIX.size : start].decode("utf-8"))
-    except ValueError as e:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as e:  # bad UTF-8, bad JSON or JSON nested too deep
         raise StorageError(f"{path}: corrupt header: {e}") from e
     entries = header.get("tensors") if isinstance(header, dict) else None
     if not isinstance(entries, list) or not all(_is_entry(e) for e in entries):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adaptkit import losses
 from adaptkit.adapt import AdaptConfig, adapt, partition_parameters
 from adaptkit.data import GeneratorSpec, ShiftSpec, apply_shift, generate
 from adaptkit.errors import ConfigError
@@ -70,6 +71,23 @@ def test_infomax_descends(small_target):
     assert report.epochs[-1]["infomax"] < report.epochs[0]["infomax"]
     for e in report.epochs:
         assert e["infomax"] == pytest.approx(e["entropy"] + e["diversity"])
+
+
+def test_stage1_step_takes_one_log_per_loss_and_no_probability_check(small_target,
+                                                                     monkeypatch):
+    # entropy and diversity come from the pass that takes their grads: one _safe_log
+    # each per step, and no _check_probs on the stage's own softmax output
+    calls = {"_safe_log": 0, "_check_probs": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(losses, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(losses, name, counted)
+    assert len(small_target) % 32 == 0
+    _, report, _ = adapt(small_net(), small_target, AdaptConfig(epochs=1, batch_size=32),
+                         np.random.default_rng(0))
+    assert calls == {"_safe_log": 2 * len(small_target) // 32, "_check_probs": 0}
+    assert set(report.epochs[0]) == {"epoch", "entropy", "diversity", "infomax"}
 
 
 def test_deterministic_given_seed(small_target):

@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -8,6 +9,7 @@ import pytest
 from adaptkit import cli, store
 from adaptkit.checkpoint import (MAGIC, load_backbone, load_checkpoint, save_backbone,
                                  save_checkpoint)
+from adaptkit.data import MAGIC as DATA_MAGIC
 from adaptkit.data import GeneratorSpec, generate, save_dataset
 from adaptkit.errors import StorageError
 from adaptkit.layers import ArchSpec, build_network
@@ -74,6 +76,7 @@ def test_corrupt_header_rejected(net, tmp_path):
         load_checkpoint(path)
 
 
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
 HEADER_EDITS = {
     "no_tensors": lambda h: h.pop("tensors"),
     "no_arch": lambda h: h.pop("arch"),
@@ -93,6 +96,9 @@ HEADER_EDITS = {
     # a zero-size array at the end of the blob: valid layout, unused by the arch
     "stray_tensor": lambda h: h["tensors"].append({"name": "stray", "shape": [0], "offset": (
         h["tensors"][-1]["offset"] + 8 * int(np.prod(h["tensors"][-1]["shape"])))}),
+    # raw header bytes in place of the edited header: JSON nested deeper than the
+    # parser recurses
+    "nested_too_deep": lambda h: DEEP_JSON,
 }
 
 
@@ -103,8 +109,9 @@ def _save_edited_header(net, path, edit, save=save_checkpoint):
     raw = path.read_bytes()
     hlen = int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12 : 12 + hlen])
-    edit(header)
-    payload = json.dumps(header).encode()
+    payload = edit(header)
+    if not isinstance(payload, bytes):
+        payload = json.dumps(header).encode()
     path.write_bytes(raw[:8] + len(payload).to_bytes(4, "little") + payload + raw[12 + hlen :])
 
 
@@ -124,6 +131,21 @@ def test_cli_evaluate_huge_width_header_is_io_error(net, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("i/o error:") == 1 and str(model) in err
+
+
+@pytest.mark.parametrize("bad", ["model", "data"])
+def test_cli_evaluate_header_nested_too_deep_is_io_error(net, tmp_path, capsys, bad):
+    paths = {"model": tmp_path / "m.ckpt", "data": tmp_path / "d.ds"}
+    save_dataset(generate(GeneratorSpec(n_per_class=5, num_classes=4, input_dim=5), 0),
+                 paths["data"])
+    save_checkpoint(net, paths["model"])
+    magic = {"model": MAGIC, "data": DATA_MAGIC}[bad]
+    paths[bad].write_bytes(struct.pack("<4sII", magic, 1, len(DEEP_JSON)) + DEEP_JSON)
+    assert cli.main(["evaluate", "--model", str(paths["model"]),
+                     "--data", str(paths["data"])]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("i/o error:") == 1 and str(paths[bad]) in err
 
 
 def test_header_arch_is_checked_before_any_draw(tmp_path):

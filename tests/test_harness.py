@@ -640,6 +640,12 @@ def test_cli_config_error(tmp_path):
     assert cli.main(["run", "--config", str(bad)]) == 1
     bad.write_text('{"schema_version": 1,')
     assert cli.main(["compare", str(bad)]) == 1
+    # not UTF-8, and nested deeper than the parser recurses
+    for raw in [b'\xff\xfe{"schema_version": 1}', b"[" * 200_000 + b"]" * 200_000]:
+        bad.write_bytes(raw)
+        assert cli.main(["compare", str(bad)]) == 1
+        assert cli.main(["gen-data", "--config", str(bad), "--source", str(tmp_path / "s.ds"),
+                         "--target", str(tmp_path / "t.ds")]) == 1
 
 
 def test_cli_run_failed_seed_exit_code(tmp_path):
@@ -703,6 +709,12 @@ TINY_RUN = {"benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
     ("c.json", json.dumps({"adapt_cfg": None})),
     ("c.json", json.dumps({"distill_cfg": {"schedule": None}})),
     ("c.yaml", "benchmark:\nstage2: false\n"),
+    ("bad.json", b'\xff\xfe{"seeds": [0]}'),
+    ("bad.yaml", b"\xff\xfeseeds: [0]\n"),
+    ("deep.json", "[" * 200_000 + "]" * 200_000),
+    ("deep.yaml", "[" * 200_000 + "]" * 200_000),
+    ("c.yaml", "1: 2\nb: 3\n"),
+    ("c.yaml", "seeds: [0]\n1.5: 3\nx: 2\n"),
     # values that raised a raw exception in a seed, or ran on, before each config
     # object checked them; on a tiny one-seed run, so that a missed check fails fast
     *(("c.json", json.dumps({**TINY_RUN, **edit})) for edit in [
@@ -726,12 +738,14 @@ TINY_RUN = {"benchmark": {"n_per_class": 10, "num_classes": 3, "input_dim": 4},
      "unknown_update_set", "contrastive_batch_above_half_target", "negative_benchmark_seed",
      "nonzero_benchmark_seed", "nonzero_shift_seed", "imbalance_empties_a_class",
      "imbalance_with_source_data", "null_section", "null_nested_section",
-     "yaml_empty_section", "inf_shift_magnitude", "negative_cluster_sigma", "nan_scale_range",
+     "yaml_empty_section", "non_utf8_json", "non_utf8_yaml", "json_nested_too_deep",
+     "yaml_nested_too_deep", "int_and_str_unknown_keys", "float_and_str_unknown_keys",
+     "inf_shift_magnitude", "negative_cluster_sigma", "nan_scale_range",
      "nan_momentum", "negative_momentum", "inf_weight_decay", "negative_weak_sigma",
      "inf_temperature", "smoothing_above_one", "overflowing_scale_range"])
 def test_cli_malformed_config_is_config_error(tmp_path, capsys, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "exp")]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("exp/seed_*"))

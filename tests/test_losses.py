@@ -343,6 +343,24 @@ def test_loss_value_scalar_is_mean_of_per_sample():
         assert lv.scalar == pytest.approx(np.mean(per), abs=1e-12)
 
 
+@pytest.mark.parametrize("zeros", [False, True], ids=["random", "clamping"])
+def test_infomax_kernels_give_the_value_functions_loss_values_bit_for_bit(zeros):
+    # each _grad kernel's value is its value function's, clamp flag included, and both
+    # are the textbook per-row entropy mean and sum pbar ln pbar, bit for bit
+    probs = random_probs(np.random.default_rng(4), 16, 6)
+    if zeros:  # rows holding 0, and a class no row predicts: both logs clamp
+        probs[:, 0], probs[::3, 1] = 0.0, 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+    logp = np.log(np.maximum(probs, 1e-12))
+    pbar = probs.mean(axis=0)
+    for kernel, value, scalar in [
+            (entropy_loss_grad, entropy_loss, (-(probs * logp).sum(axis=1)).mean()),
+            (diversity_loss_grad, diversity_loss, (pbar * np.log(np.maximum(pbar, 1e-12))).sum())]:
+        got = kernel(probs)[0]
+        assert got == value(probs) and got.clamped is zeros
+        assert got.scalar.hex() == float(scalar).hex()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 12), st.integers(2, 8), st.integers(0, 10_000))
 def test_entropy_and_diversity_ranges(b, c, seed):
@@ -381,9 +399,9 @@ def test_logit_space_grads_match_fd(seed):
         (lambda z: cross_entropy(softmax(z), targets, 0.1).scalar,
          lambda z: cross_entropy_grad(softmax(z), targets, 0.1)),
         (lambda z: entropy_loss(softmax(z)).scalar,
-         lambda z: entropy_loss_grad(softmax(z))),
+         lambda z: entropy_loss_grad(softmax(z))[1]),
         (lambda z: diversity_loss(softmax(z)).scalar,
-         lambda z: diversity_loss_grad(softmax(z))),
+         lambda z: diversity_loss_grad(softmax(z))[1]),
         (lambda z: infomax_loss(softmax(z)).scalar,
          lambda z: infomax_loss_grad(softmax(z))),
         (lambda z: kl_soft_loss(softmax(z), teacher).scalar,
