@@ -74,8 +74,7 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)
     before = [p.data.copy() for p in net.parameters()]
-    report.epochs, abort = fit(opt, net, cfg.epochs, len(target), cfg.batch_size, rng,
-                               lambda idx: target.features[idx], loss)
+    report.epochs, abort = fit(opt, net, cfg.epochs, target.features, cfg.batch_size, rng, loss)
     for e in report.epochs:
         e["infomax"] = e["entropy"] + e["diversity"]
     report.aborted = abort is not None

@@ -2,9 +2,9 @@
 
 Magic b"OTAC". Besides the store's tensor table the header records the
 architecture and, for a stage-2 backbone, backbone_only. An architecture
-that ArchSpec rejects is a malformed file, and so are a backbone_only that is
-not a JSON bool and a tensor table that does not match the architecture's
-tensors.
+that ArchSpec rejects is a malformed file, and so are any other header key, a
+backbone_only that is not a JSON bool and a tensor table that does not match the
+architecture's tensors.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ def _read(path, backbone_only: bool) -> Network:
     """Rebuild a network from a full or (backbone_only) a backbone file. A stray,
     missing or misshaped tensor, or a header arch larger than the file's tensors,
     is a StorageError. A backbone file leaves the classifier at its draw."""
-    header, tensors = store.read(path, MAGIC)
+    header, tensors = store.read(path, MAGIC, ("arch", "backbone_only"))
     try:
         arch = store.from_dict(ArchSpec, header.get("arch"), "arch")
     except ConfigError as e:

@@ -284,7 +284,7 @@ def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
 # dataset files: magic b"OTAD" in the store container, holding `features`
 # (N x D) and, for labeled sets, `labels` as integral f64 (exact below 2**53).
 # The header's `generator`, `shift` and `bucket_thresholds` are the Dataset's;
-# the older keys `c` and `domain_tag` are ignored.
+# the older keys `c` and `domain_tag` are ignored, and any other key is a bad file.
 
 MAGIC = b"OTAD"
 
@@ -302,7 +302,8 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    header, arrays = store.read(path, MAGIC)
+    header, arrays = store.read(path, MAGIC, ("generator", "shift", "bucket_thresholds",
+                                              "c", "domain_tag"))
     try:
         shift, bt = header.get("shift"), header.get("bucket_thresholds")
         shift = store.from_dict(ShiftSpec, shift, "shift") if shift is not None else None

@@ -93,9 +93,8 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
                     else kl_soft_loss_grad(probs, labels.soft[idx]))
 
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    _, abort = fit(opt, student, epochs, len(target), cfg.batch_size, rng,
-                   lambda idx: augment(target.features[idx], cfg.policy, "strong", rng), loss,
-                   cosine=True)
+    _, abort = fit(opt, student, epochs, target.features, cfg.batch_size, rng, loss,
+                   lambda x: augment(x, cfg.policy, "strong", rng), cosine=True)
     return student, abort
 
 
@@ -165,12 +164,13 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     the objective and the scales drift further toward them; with it the
     rarely-predicted classes get the larger scales, which is what rebalances
     the class prior at test time. Scales are floored at 1e-3 before each use.
-    An abort (see optim.fit) ends the rounds and keeps the last good scales, or if
-    their calibrated logits overflow, the latest round-start scales whose logits do
-    not, else unit scales.
+    An abort (see optim.fit) ends the rounds, and so do scales whose calibrated logits
+    overflow at a round's end, which count as an abort. The scales kept are those of
+    the latest round end whose calibrated logits are finite, else unit scales.
     """
     bias = model.classifier.bias.data
     s = Tensor(np.ones(len(bias)), "scale")
+    good = s.data.copy()  # the latest scales whose calibrated logits are finite
     opt = SGD([s], cfg.lr, cfg.momentum)
     raw_scores = _scaled(model, np.ones(len(bias)), np.zeros(len(bias))).forward(target.features)
     hard = np.empty(len(target), np.int64)
@@ -188,9 +188,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     # what fit trains, from closures: a class made per call would be a reference cycle
     scaler = SimpleNamespace(all_tensors=lambda: [s], forward=forward, backward=lambda cache, p: (
         s.add_grad(cache[1] @ np.multiply(p, cache[0], out=p) / len(p))))
-    starts = []  # the scales at the start of each round
     for _ in range(cfg.rounds):
-        starts.append(s.data.copy())
         scaled = _scaled(model, s.data)  # refresh pseudo-labels with the current scales
         for rows in row_blocks(len(hard)):
             hard[rows] = np.argmax(softmax(scaled.forward(
@@ -198,14 +196,16 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = 1.0 / counts[hard]  # every predicted class has a count of at least 1
         weights *= len(hard) / weights.sum()
-        _, abort = fit(opt, scaler, cfg.epochs, len(target), cfg.batch_size, rng, lambda i: i, loss)
+        _, abort = fit(opt, scaler, cfg.epochs, np.arange(len(hard)), cfg.batch_size, rng, loss)
         s.data = np.maximum(s.data, 1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):  # by row blocks, as memory allows
+            if all(np.isfinite(raw_scores[r] * s.data + bias).all() for r in row_blocks(len(hard))):
+                good = s.data.copy()
+            else:
+                abort = abort or {"epoch": cfg.epochs - 1, "reason": "non-finite calibrated logits"}
         if abort:
             break
-    if abort:  # keep the latest scales whose calibrated logits are finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            s.data = next((v for v in (s.data, *reversed(starts))
-                           if np.all(np.isfinite(raw_scores * v + bias))), np.ones_like(s.data))
+    s.data = good
     return s.data, _scaled(model, s.data), abort
 
 

@@ -23,8 +23,8 @@ class SGD:
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.0,
                  weight_decay: float = 0.0):
-        if lr < 0:
-            raise ConfigError("learning rate must be non-negative")
+        if not lr >= 0:  # NaN too, as check_fit_args
+            raise ConfigError(f"learning rate must be non-negative, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -40,15 +40,6 @@ class SGD:
             v *= self.momentum
             v += (p.grad + self.weight_decay * p.data) if decay else p.grad
             p.data -= lr * v
-
-
-def minibatches(n: int, batch_size: int, rng: np.random.Generator):
-    """Shuffled minibatch index blocks; drops a trailing singleton (batchnorm)."""
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        block = perm[start : start + batch_size]
-        if len(block) >= 2:
-            yield block
 
 
 def check_fit_args(batch_size: int, lr: float, epochs: int = 0, momentum: float = 0.0,
@@ -69,29 +60,33 @@ def check_fit_args(batch_size: int, lr: float, epochs: int = 0, momentum: float 
         raise ConfigError(f"weight_decay must be finite and non-negative, got {weight_decay}")
 
 
-def fit(opt: SGD, net, epochs: int, n: int, batch_size: int, rng: np.random.Generator,
-        batch, loss, cosine: bool = False) -> tuple[list[dict], dict | None]:
-    """The one epoch x minibatch loop: a step runs net.forward(batch(idx), train=True),
-    loss(output, idx) -> ({loss name: value}, output grad) and net.backward, then `opt` steps
-    at a constant or cosine lr. Returns per-epoch mean losses and None, or, if a NumericalError
-    put `net.all_tensors()` back as at the start of its epoch and ended the run, the losses so
+def fit(opt: SGD, net, epochs: int, rows, batch_size: int, rng: np.random.Generator,
+        loss, transform=None, cosine: bool = False) -> tuple[list[dict], dict | None]:
+    """The one epoch x minibatch loop over `rows`: each epoch cuts one rng.permutation into
+    blocks of `batch_size` row indices `idx`, a one-row block dropped. A step runs
+    net.forward(rows[idx], or transform(rows[idx]), train=True), loss(output, idx) ->
+    ({loss name: value}, output grad) and net.backward, then `opt` steps at a constant or
+    cosine lr. Returns per-epoch mean losses and None, or, if a NumericalError put
+    `net.all_tensors()` back as at the start of its epoch and ended the run, the losses so
     far and the abort {"epoch", "reason"}. On return no tensor keeps a grad a step wrote. Its
     steps allocate their arrays, so the first call keeps glibc from trimming the freed heap."""
     keep_freed_memory()
-    tensors = net.all_tensors()
-    # the cosine budget: the blocks minibatches yields, a trailing singleton dropped
-    total = max(1, epochs * (-(-n // batch_size) - (n % batch_size == 1)))
+    tensors, n = net.all_tensors(), len(rows)
+    cuts = [a for a in range(0, n, batch_size) if min(batch_size, n - a) >= 2]
+    total = max(1, epochs * len(cuts))  # the cosine budget: every step fit runs
     history, step, abort = [], 0, None
     try:
         for epoch in range(epochs):
-            start, losses = [t.data.copy() for t in tensors], []
-            for idx in minibatches(n, batch_size, rng):
+            start, losses, perm = [t.data.copy() for t in tensors], [], rng.permutation(n)
+            for a in cuts:
+                idx = perm[a : a + batch_size]
                 for t in tensors:
                     t.zero_grad()
-                out, caches = net.forward(batch(idx), train=True)
+                x = rows[idx]
+                out, caches = net.forward(x if transform is None else transform(x), train=True)
                 values, dout = loss(out, idx)
                 net.backward(caches, dout)
-                del out, caches, dout  # the step's arrays are freed before the update
+                del x, out, caches, dout  # the step's arrays are freed before the update
                 losses.append(values)
                 opt.step(lr=0.5 * opt.lr * (1 + np.cos(np.pi * (step / total)))
                          if cosine else opt.lr)

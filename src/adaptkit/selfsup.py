@@ -55,8 +55,7 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         Dense(arch.hidden[-1], cfg.embedding_dim, rng, prefix="head.0"), ReLU(),
         Dense(cfg.embedding_dim, max(2, cfg.embedding_dim // 2), rng, prefix="head.1")], arch)
 
-    def views(idx):  # both go through the trainer as one 2 x B x d stack
-        x = target.features[idx]
+    def views(x):  # both go through the trainer as one 2 x B x d stack
         return np.stack([augment(x, cfg.policy, "strong", rng) for _ in range(2)])
 
     def loss(out, idx):
@@ -64,7 +63,8 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         return {"infonce": value.scalar}, np.stack([dq, dk])
 
     opt = SGD(trainer.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    history, abort = fit(opt, trainer, cfg.epochs, len(target), cfg.batch_size, rng, views, loss)
+    history, abort = fit(opt, trainer, cfg.epochs, target.features, cfg.batch_size, rng, loss,
+                         views)
     return net, history, abort
 
 

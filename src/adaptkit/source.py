@@ -38,6 +38,6 @@ def train_source(net: Network, dataset: Dataset, cfg: SourceConfig,
         return {}, cross_entropy_grad(softmax(logits), dataset.labels[idx], cfg.smoothing)
 
     opt = SGD(net.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    history, abort = fit(opt, net, cfg.epochs, len(dataset), cfg.batch_size, rng,
-                         lambda idx: dataset.features[idx], loss, cosine=True)
+    history, abort = fit(opt, net, cfg.epochs, dataset.features, cfg.batch_size, rng, loss,
+                         cosine=True)
     return net, history, abort

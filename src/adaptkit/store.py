@@ -7,8 +7,8 @@ version as ``format_version``, and its ``tensors`` table gives each array's
 name, shape and byte offset into the blob. Arrays sit back to back in table
 order, so each offset is the running sum of the sizes before it and the blob
 ends where the last array does. Raw f64 bytes make the round trip bit-exact.
-Callers own the magic and the other header keys; this module owns the layout
-and checks every file it reads against it.
+Callers own the magic and name the other header keys they read; this module owns
+the layout and checks every file it reads against it.
 """
 from __future__ import annotations
 
@@ -130,8 +130,9 @@ def _is_entry(e) -> bool:
             and all(is_count(v) for v in e["shape"]))
 
 
-def read(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read and check a container file; returns (header, name -> array)."""
+def read(path, magic: bytes, keys: tuple[str, ...] | None = None) -> tuple[dict, dict]:
+    """Read and check a container file; returns (header, name -> array). Given the header
+    keys its caller reads, `keys`, any other key but the container's own is a bad file."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -155,6 +156,9 @@ def read(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     stated = header.get("format_version")
     if not is_count(stated) or stated != version:  # true and 1.0 equal 1 but are no version
         raise StorageError(f"{path}: header format_version {stated!r}, expected {version}")
+    unknown = set(header) - {"format_version", "tensors", *keys} if keys is not None else ()
+    if unknown:
+        raise StorageError(f"{path}: unknown header keys {sorted(unknown)}")
     blob = memoryview(raw)[start:]
     arrays, offset = {}, 0
     for e in entries:

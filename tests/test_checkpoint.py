@@ -91,6 +91,8 @@ HEADER_EDITS = {
     "str_hidden": lambda h: h["arch"].update(hidden="8,6"),
     "null_arch": lambda h: h.update(arch=None),
     "extra_arch_key": lambda h: h["arch"].update(dropout=0.5),
+    # a header key that no reader reads: a misspelled one would be ignored
+    "stray_key": lambda h: h.update(archh=h["arch"]),
     # a width that numpy refuses to allocate at once, with the file's tensors unchanged
     "huge_width": lambda h: h["arch"].update(hidden=[10**12, 6]),
     # a zero-size array at the end of the blob: valid layout, unused by the arch
@@ -146,6 +148,22 @@ def test_cli_evaluate_header_nested_too_deep_is_io_error(net, tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("i/o error:") == 1 and str(paths[bad]) in err
+
+
+@pytest.mark.parametrize("bad", ["model", "data"])
+def test_cli_evaluate_unknown_header_key_is_io_error_that_names_it(net, tmp_path, capsys, bad):
+    paths = {"model": tmp_path / "m.ckpt", "data": tmp_path / "d.ds"}
+    save_dataset(generate(GeneratorSpec(n_per_class=5, num_classes=4, input_dim=5), 0),
+                 paths["data"])
+    save_checkpoint(net, paths["model"])
+    magic = {"model": MAGIC, "data": DATA_MAGIC}[bad]
+    header, arrays = store.read(paths[bad], magic)
+    store.write(paths[bad], magic, {**header, "stray": 1}, arrays)
+    assert cli.main(["evaluate", "--model", str(paths["model"]),
+                     "--data", str(paths["data"])]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"i/o error: {paths[bad]}: unknown header keys ['stray']\n"
 
 
 def test_header_arch_is_checked_before_any_draw(tmp_path):

@@ -375,6 +375,12 @@ DATASET_EDITS = {
     "generator_seed": _edit_header(lambda h, t: h["generator"].update(seed=0)),
     "str_ring_radius": _edit_header(lambda h, t: h["generator"].update(ring_radius="x")),
     "three_bucket_thresholds": _edit_header(lambda h, t: h.update(bucket_thresholds=[1, 2, 3])),
+    # a misspelled key would load without the value it names: a target as a source, a
+    # long-tailed source without its buckets
+    "misspelled_shift": _edit_header(lambda h, t: h.update(
+        shfit={"kind": "rotation", "magnitude": 45.0})),
+    "misspelled_bucket_thresholds": _edit_header(lambda h, t: h.update(
+        bucket_threshold=[10, 3])),
     "negative_bucket_threshold": _edit_header(lambda h, t: h.update(bucket_thresholds=[-1, 2])),
     "float_geometry_seed": _edit_header(lambda h, t: h["generator"].update(geometry_seed=7.5)),
     "one_class_generator": _edit_header(lambda h, t: h["generator"].update(num_classes=1)),

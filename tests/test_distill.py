@@ -378,8 +378,8 @@ def _whole_target_scales(model, target, cfg, rng, scale_grad=_scale_grad):
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = np.where(counts[hard] > 0, 1.0 / counts[hard], 0.0)
         weights *= len(hard) / weights.sum()
-        _, abort = fit(opt, scales, cfg.epochs, len(target), cfg.batch_size, rng,
-                       lambda idx: idx, lambda logits, idx: ({}, softmax(logits)))
+        _, abort = fit(opt, scales, cfg.epochs, np.arange(len(target)), cfg.batch_size, rng,
+                       lambda logits, idx: ({}, softmax(logits)))
         assert abort is None
         s.data = np.maximum(s.data, 1e-3)
     return s.data

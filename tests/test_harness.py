@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -20,7 +22,7 @@ from adaptkit import checkpoint, cli, harness, store, tensor
 from adaptkit.adapt import UPDATE_SETS, AdaptConfig
 from adaptkit.data import (SHIFT_KINDS, Dataset, GeneratorSpec, ShiftSpec, generate,
                            load_dataset, save_dataset, subsample_longtail)
-from adaptkit.distill import DistillConfig, PhaseSchedule
+from adaptkit.distill import CalibrateConfig, DistillConfig, PhaseSchedule
 from adaptkit.errors import AdaptkitError, ConfigError, StorageError
 from adaptkit.harness import (_STREAMS, SCHEMA_VERSION, STAGES, ExperimentConfig, _percentile,
                               compare, load_config, make_datasets, run_experiment, run_seed,
@@ -265,6 +267,22 @@ def test_stage_abort_restores_and_records(tmp_path, case):
         assert all(np.all(np.isfinite(a)) for a in arrays.values()), name
         if name != "backbone.ckpt":
             evaluate(checkpoint.load_checkpoint(tmp_path / name), tgt)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_calibration_scales_whose_logits_overflow_end_the_rounds(tmp_path):
+    # seed 2's first round ends without an abort, on finite scales whose calibrated logits
+    # overflow: that is an abort, the rounds end on the latest good (unit) scales, and
+    # neither a next round's pseudo-labels nor the evaluation sees the overflow
+    cfg = tiny_config(seeds=(2,), stage1=False, stage2=False, stage3=False, calibrate=True,
+                      imbalance_ratio=10.0, calibrate_cfg=CalibrateConfig(
+                          lr=1e308, momentum=0.9, rounds=3, epochs=2))
+    report = run_seed(cfg, 2, tmp_path)
+    assert report["aborts"] == {"calibrate": {"epoch": 1,
+                                              "reason": "non-finite calibrated logits"}}
+    assert report["calibration"]["scales"] == [1.0] * 4
+    assert set(report["metrics"]) == {"source_only", "calibrated"}
+    assert report["metrics"]["calibrated"] == report["metrics"]["source_only"]
 
 
 def _no_constant(name):
@@ -512,7 +530,7 @@ def test_a_run_never_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-def test_compare_renders_missing_cells(tmp_path):
+def test_compare_renders_missing_cells(tmp_path, capsys):
     a = {"schema_version": SCHEMA_VERSION, "seed": 0, "label": "stage1",
          "metrics": {"stage1": {"overall_acc": 0.5, "class_mean_acc": 0.4}}}
     b = {"schema_version": SCHEMA_VERSION, "seed": 0, "label": "stage1+3",
@@ -526,6 +544,10 @@ def test_compare_renders_missing_cells(tmp_path):
     assert "-" in text  # stage1 run has no phase columns
     assert table[0][:3] == ["config", "acc", "avg"]
     assert any("50.0" in " ".join(row) for row in table)
+    # the command prints the text and writes the table
+    assert cli.main(["compare", str(pa), str(pb), "--csv", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().out == text + "\n"
+    assert list(csv.reader(io.StringIO((tmp_path / "t.csv").read_text()))) == table
 
 
 @pytest.mark.parametrize("d, key", [
@@ -832,6 +854,41 @@ def test_cli_train_source_matches_run(tmp_path):
 
 def test_cli_longtail_chain_matches_run(tmp_path):
     check_cli_chain_matches_run(tmp_path, "longtail")
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CONFIGS))
+def test_run_on_gen_data_files_matches_the_generated_run(tmp_path, case):
+    # make_datasets' file branch: run on gen-data's files for seed 1 writes the seed
+    # directory that run on the generator writes, byte for byte; the long-tailed source
+    # file is already subsampled, so that run sets no imbalance_ratio
+    cfg = tiny_config(seeds=(1,), calibrate=True, outdir=str(tmp_path / "gen"),
+                      **CHAIN_CONFIGS[case])
+    src, tgt = tmp_path / "src.ds", tmp_path / "tgt.ds"
+    files = replace(cfg, imbalance_ratio=None, source_data=str(src), target_data=str(tgt),
+                    outdir=str(tmp_path / "files"))
+    for name, c in (("gen.json", cfg), ("files.json", files)):
+        (tmp_path / name).write_text(json.dumps(asdict(c)))
+    assert cli.main(["gen-data", "--config", str(tmp_path / "gen.json"), "--seed", "1",
+                     "--source", str(src), "--target", str(tgt)]) == 0
+    for name in ("gen.json", "files.json"):
+        assert cli.main(["run", "--config", str(tmp_path / name)]) == 0
+    ran = {d: {p.name: p.read_bytes() for p in (tmp_path / d / "seed_1").iterdir()}
+           for d in ("gen", "files")}
+    assert "report.json" in ran["gen"] and ran["files"] == ran["gen"]
+
+
+def test_run_on_an_unlabeled_source_file_ends_the_seed(tmp_path, capsys):
+    src, tgt = tmp_path / "src.ds", tmp_path / "tgt.ds"
+    labeled, target = make_datasets(tiny_config(), 0)
+    save_dataset(replace(labeled, labels=None), src)
+    save_dataset(target, tgt)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(asdict(tiny_config(
+        seeds=(0,), source_data=str(src), target_data=str(tgt), outdir=str(tmp_path / "out")))))
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    report = json.loads((tmp_path / "out" / "seed_0" / "report.json").read_text())
+    assert report["error"] == "source training needs labels"
+    assert "1 seed(s) failed" in capsys.readouterr().out
 
 
 # (command, its config section, its data flag); MODEL_FLAGS names the model flag of

@@ -102,7 +102,7 @@ def fit_lrs(cosine, epochs, n, batch_size, lr=0.1):
     opt = RecordingSGD([p], lr=lr, momentum=0.9)
     net = SimpleNamespace(all_tensors=lambda: [p], forward=lambda idx, train: (idx, None),
                           backward=lambda caches, dout: p.add_grad(np.array([0.5])))
-    fit(opt, net, epochs, n, batch_size, np.random.default_rng(0), lambda idx: idx,
+    fit(opt, net, epochs, np.arange(n), batch_size, np.random.default_rng(0),
         lambda out, idx: ({}, None), cosine=cosine)
     return opt.lrs
 
@@ -136,18 +136,18 @@ def test_schedule_step_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# fit's step: batch, train forward, loss, backward, then the update
+# fit's step: the rows' transform, train forward, loss, backward, then the update
 
 
-def test_fit_step_is_batch_forward_loss_backward_then_the_update():
+def test_fit_step_is_transform_forward_loss_backward_then_the_update():
     net = build_network(ArchSpec(4, (6,), 3), np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(10, 4))
     events, values = [], []
     real_forward, real_backward = net.forward, net.backward
 
-    def batch(idx):
-        events.append(("batch", idx.copy()))
-        return x[idx]
+    def transform(rows):
+        events.append(("transform", rows.copy()))
+        return 2.0 * rows
 
     def forward(b, train=False):
         out, caches = real_forward(b, train=train)
@@ -173,16 +173,21 @@ def test_fit_step_is_batch_forward_loss_backward_then_the_update():
         sgd_step(lr)
 
     net.forward, net.backward, opt.step = forward, backward, step
-    history, abort = fit(opt, net, 2, len(x), 4, np.random.default_rng(2), batch, loss)
+    history, abort = fit(opt, net, 2, x, 4, np.random.default_rng(2), loss, transform)
     assert abort is None
     steps = [events[i:i + 5] for i in range(0, len(events), 5)]
     assert len(steps) == 6  # blocks of 4, 4 and 2 rows in each of 2 epochs
+    seen = []
     for step_events in steps:
-        assert [e[0] for e in step_events] == ["batch", "forward", "loss", "backward", "update"]
-        bt, fw, ls, bw, _ = step_events
-        assert fw[1].tobytes() == x[bt[1]].tobytes() and fw[2] is True
-        assert ls[1] is fw[3] and np.array_equal(ls[2], bt[1])
+        assert [e[0] for e in step_events] == ["transform", "forward", "loss", "backward",
+                                               "update"]
+        tr, fw, ls, bw, _ = step_events
+        assert tr[1].tobytes() == x[ls[2]].tobytes()
+        assert fw[1].tobytes() == (2.0 * tr[1]).tobytes() and fw[2] is True
+        assert ls[1] is fw[3]
         assert bw[1] is ls[3]
+        seen.extend(ls[2])
+    assert sorted(seen) == sorted([*range(10)] * 2)  # each epoch's blocks cover every row
     # the per-epoch means of a = k and b = k * k over steps k = 0..2 and 3..5
     assert history == [{"epoch": 0, "a": 1.0, "b": 5 / 3}, {"epoch": 1, "a": 4.0, "b": 50 / 3}]
 
@@ -196,11 +201,11 @@ def test_fit_abort_restores_every_tensor_of_the_net_not_only_the_trained_ones():
     x = np.random.default_rng(1).normal(size=(10, 4))
     calls, start, moved = [], [], []
 
-    def batch(idx):
+    def transform(rows):
         if len(calls) == 3:  # the first step of epoch 1
             start.extend(t.data.copy() for t in net.all_tensors())
-        calls.append(idx)
-        return x[idx]
+        calls.append(rows)
+        return rows
 
     def loss(out, idx):
         if len(calls) == 5:  # epoch 1's second step, after its first one updated
@@ -210,7 +215,7 @@ def test_fit_abort_restores_every_tensor_of_the_net_not_only_the_trained_ones():
         return {"mean": float(out.mean())}, out / out.size
 
     opt = SGD(trainable, lr=0.1, momentum=0.9)
-    history, abort = fit(opt, net, 3, len(x), 4, np.random.default_rng(2), batch, loss)
+    history, abort = fit(opt, net, 3, x, 4, np.random.default_rng(2), loss, transform)
     assert abort == {"epoch": 1, "reason": "injected"} and len(history) == 1
     assert moved == ["block0.bn.gamma", "block0.bn.beta", "block0.bn.running_mean",
                      "block0.bn.running_var"]
