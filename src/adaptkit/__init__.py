@@ -1,9 +1,8 @@
 """Desk-scale test-time adaptation pipeline on synthetic shift benchmarks."""
 
 from .adapt import AdaptConfig, AdaptReport, adapt, partition_parameters
-from .data import (AugmentationPolicy, Dataset, GeneratorSpec, ShiftSpec, UnlabeledView,
-                   apply_shift, augment, generate, load_dataset, save_dataset,
-                   subsample_longtail)
+from .data import (AugmentationPolicy, Dataset, GeneratorSpec, ShiftSpec, apply_shift,
+                   augment, generate, load_dataset, save_dataset, subsample_longtail)
 from .distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabels,
                       calibrate_classifier, distill, pseudo_label, run_phase)
 from .harness import ExperimentConfig, compare, run_experiment, run_seed

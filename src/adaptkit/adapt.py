@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import UnlabeledView
 from .errors import ConfigError
 from .layers import Network
 from .losses import diversity_loss_grad, entropy_loss_grad, softmax
@@ -60,7 +59,7 @@ def partition_parameters(net: Network, update_set: str):
     return trainable, frozen
 
 
-def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
+def adapt(source: Network, target: np.ndarray, cfg: AdaptConfig,
           rng: np.random.Generator) -> tuple[Network, AdaptReport, dict | None]:
     """Return an adapted copy of the source model, its report and its abort record."""
     net = source.copy()
@@ -74,7 +73,7 @@ def adapt(source: Network, target: UnlabeledView, cfg: AdaptConfig,
 
     opt = SGD(trainable, cfg.lr, cfg.momentum, cfg.weight_decay)
     before = [p.data.copy() for p in net.parameters()]
-    report.epochs, abort = fit(opt, net, cfg.epochs, target.features, cfg.batch_size, rng, loss)
+    report.epochs, abort = fit(opt, net, cfg.epochs, target, cfg.batch_size, rng, loss)
     for e in report.epochs:
         e["infomax"] = e["entropy"] + e["diversity"]
     report.aborted = abort is not None

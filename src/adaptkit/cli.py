@@ -56,7 +56,7 @@ def cmd_stage(args) -> int:
     """train-source, adapt, pretrain, distill and calibrate: one step of `run`'s stage
     table on files, so the same --seed and --config give the same checkpoint bytes."""
     stage, data, cfg = args.stage, load_dataset(args.data), harness.load_config(args.config)
-    inputs = harness.StageInputs(data, data.unlabeled_view(), cfg.teacher_hidden,
+    inputs = harness.StageInputs(data, data.features, cfg.teacher_hidden,
                                  cfg.student_hidden)
     if getattr(args, "model", None):
         inputs.model = _for_data(checkpoint.load_checkpoint(args.model), inputs, args.model)

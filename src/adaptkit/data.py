@@ -90,22 +90,6 @@ class AugmentationPolicy:
                               f"{self.scale_range}")
 
 
-class UnlabeledView:
-    """Label-stripped window onto a dataset; exposes no label accessor."""
-
-    __slots__ = ("features",)
-
-    def __init__(self, features: np.ndarray):
-        self.features = features
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-
 @dataclass
 class Dataset:
     features: np.ndarray  # N x D float64
@@ -146,9 +130,6 @@ class Dataset:
         if self.labels is None:
             raise ConfigError("dataset has no labels")
         return np.bincount(self.labels, minlength=self.num_classes)
-
-    def unlabeled_view(self) -> UnlabeledView:
-        return UnlabeledView(self.features)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +193,8 @@ def apply_shift(src: Dataset, shift: ShiftSpec, seed: int) -> Dataset:
     """Draw a target dataset: fresh latent samples, shifted in the plane.
 
     With magnitude 0 and the source's seed the result equals the source draw
-    exactly. Labels ride along for evaluation only; adaptation consumers go
-    through unlabeled_view().
+    exactly. Labels ride along for evaluation only; the adaptation stages take
+    only its features.
     """
     return _draw(src.spec, seed, shift, src.bucket_thresholds)
 
@@ -270,7 +251,7 @@ def augment(x: np.ndarray, policy: AugmentationPolicy, mode: str,
         raise ConfigError(f"unknown augmentation mode {mode!r}")
     if x.ndim != 2:
         raise ShapeError(f"augment expects a 2-d batch, got shape {x.shape}")
-    out = rng.normal(0.0, 1.0, size=x.shape)  # x + noise * sigma, built in this one buffer
+    out = rng.standard_normal(x.shape)  # x + noise * sigma, built in this one buffer
     out *= policy.weak_sigma if mode == "weak" else policy.strong_sigma
     out += x
     if mode == "strong":

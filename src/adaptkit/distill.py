@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .data import AugmentationPolicy, UnlabeledView, augment
+from .data import AugmentationPolicy, augment
 from .errors import ConfigError
 from .layers import ArchSpec, Network
 from .losses import cross_entropy_grad, kl_soft_loss_grad, softmax
@@ -68,17 +68,17 @@ class PseudoLabels:
     agreement_with_previous: float | None = None
 
 
-def pseudo_label(teacher: Network, target: UnlabeledView, policy: AugmentationPolicy,
+def pseudo_label(teacher: Network, target: np.ndarray, policy: AugmentationPolicy,
                  rng: np.random.Generator) -> PseudoLabels:
     """Predict on one weakly augmented view of the whole target set, by row blocks."""
     soft = np.empty((len(target), teacher.classifier.out_dim))
     for rows in row_blocks(len(soft)):
-        soft[rows] = softmax(teacher.forward(augment(target.features[rows], policy, "weak", rng)))
+        soft[rows] = softmax(teacher.forward(augment(target[rows], policy, "weak", rng)))
     return PseudoLabels(hard=np.argmax(soft, axis=1).astype(np.int64), soft=soft,
                         teacher_fingerprint=fingerprint_all(teacher.parameters()))
 
 
-def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
+def run_phase(student: Network, labels: PseudoLabels, target: np.ndarray,
               epochs: int, mode: str, cfg: DistillConfig,
               rng: np.random.Generator) -> tuple[Network, dict | None]:
     """Fit the student to pseudo-labels on strong augmentations; returns it and its abort."""
@@ -93,13 +93,13 @@ def run_phase(student: Network, labels: PseudoLabels, target: UnlabeledView,
                     else kl_soft_loss_grad(probs, labels.soft[idx]))
 
     opt = SGD(student.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    _, abort = fit(opt, student, epochs, target.features, cfg.batch_size, rng, loss,
+    _, abort = fit(opt, student, epochs, target, cfg.batch_size, rng, loss,
                    lambda x: augment(x, cfg.policy, "strong", rng), cosine=True)
     return student, abort
 
 
 def distill(teacher: Network, arch: ArchSpec, backbone: Network | None,
-            target: UnlabeledView, cfg: DistillConfig, rng: np.random.Generator,
+            target: np.ndarray, cfg: DistillConfig, rng: np.random.Generator,
             eval_fn=None) -> tuple[Network, list[dict]]:
     """Run the full phase loop; returns the final student and the trace. Each phase
     starts a new `arch` student from `backbone`, or without one from a random draw.
@@ -152,7 +152,7 @@ class CalibrateConfig:
             raise ConfigError(f"rounds must be non-negative, got {self.rounds}")
 
 
-def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateConfig,
+def calibrate_classifier(model: Network, target: np.ndarray, cfg: CalibrateConfig,
                          rng: np.random.Generator) -> tuple[np.ndarray, Network, dict | None]:
     """Learn per-class classifier scales from pseudo-labels; everything else frozen.
     Returns the scales, the model with its classifier rows scaled, and the abort.
@@ -172,7 +172,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
     s = Tensor(np.ones(len(bias)), "scale")
     good = s.data.copy()  # the latest scales whose calibrated logits are finite
     opt = SGD([s], cfg.lr, cfg.momentum)
-    raw_scores = _scaled(model, np.ones(len(bias)), np.zeros(len(bias))).forward(target.features)
+    raw_scores = _scaled(model, np.ones(len(bias)), np.zeros(len(bias))).forward(target)
     hard = np.empty(len(target), np.int64)
     abort = None
 
@@ -192,7 +192,7 @@ def calibrate_classifier(model: Network, target: UnlabeledView, cfg: CalibrateCo
         scaled = _scaled(model, s.data)  # refresh pseudo-labels with the current scales
         for rows in row_blocks(len(hard)):
             hard[rows] = np.argmax(softmax(scaled.forward(
-                augment(target.features[rows], cfg.policy, "weak", rng))), axis=1)
+                augment(target[rows], cfg.policy, "weak", rng))), axis=1)
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
         weights = 1.0 / counts[hard]  # every predicted class has a count of at least 1
         weights *= len(hard) / weights.sum()

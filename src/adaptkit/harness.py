@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint, store
 from .adapt import AdaptConfig, adapt
-from .data import (Dataset, GeneratorSpec, ShiftSpec, UnlabeledView, apply_shift, generate,
+from .data import (Dataset, GeneratorSpec, ShiftSpec, apply_shift, generate,
                    load_dataset, longtail_counts, subsample_longtail)
 from .distill import CalibrateConfig, DistillConfig, calibrate_classifier, distill
 from .errors import AdaptkitError, ConfigError, StorageError
@@ -151,11 +151,11 @@ def make_datasets(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
 @dataclass
 class StageInputs:
     """What the stage steps read and hand on: the labeled data that stage 0 trains on,
-    the unlabeled target, the hidden widths, and what the last steps made. Every new
+    the target's feature rows, the hidden widths, and what the last steps made. Every new
     network takes its input width and class count from the labeled data, read once
     here, so stage 0 can let go of the rows."""
     data: Dataset | None  # stage 0 takes it and leaves None
-    target: UnlabeledView
+    target: np.ndarray  # N x D
     teacher_hidden: tuple[int, ...]
     student_hidden: tuple[int, ...]
     model: Network | None = None  # the latest classifier; a given one stands in for stage 0
@@ -245,7 +245,7 @@ def run_seed(cfg: ExperimentConfig, seed: int, outdir: Path) -> dict:
     src, tgt = make_datasets(cfg, seed)
     # evaluate's source class counts and bucket thresholds; the source rows go with stage 0
     buckets = (src.class_counts if src.bucket_thresholds else None), src.bucket_thresholds
-    s = StageInputs(src, tgt.unlabeled_view(), cfg.teacher_hidden, cfg.student_hidden,
+    s = StageInputs(src, tgt.features, cfg.teacher_hidden, cfg.student_hidden,
                     phase_acc=lambda net: evaluate(net, tgt, *buckets).overall_acc)
     del src
     if cfg.source_checkpoint:

@@ -66,10 +66,12 @@ def fit(opt: SGD, net, epochs: int, rows, batch_size: int, rng: np.random.Genera
     blocks of `batch_size` row indices `idx`, a one-row block dropped. A step runs
     net.forward(rows[idx], or transform(rows[idx]), train=True), loss(output, idx) ->
     ({loss name: value}, output grad) and net.backward, then `opt` steps at a constant or
-    cosine lr. Returns per-epoch mean losses and None, or, if a NumericalError put
-    `net.all_tensors()` back as at the start of its epoch and ended the run, the losses so
-    far and the abort {"epoch", "reason"}. On return no tensor keeps a grad a step wrote. Its
-    steps allocate their arrays, so the first call keeps glibc from trimming the freed heap."""
+    cosine lr. Each epoch ends with every tensor checked finite and an eval-mode forward of
+    its first block, untransformed, which draws nothing. Returns per-epoch mean losses and
+    None, or, if a NumericalError put `net.all_tensors()` back as at the start of its epoch
+    and ended the run, the losses so far and the abort {"epoch", "reason"}. On return no
+    tensor keeps a grad a step wrote. Its steps allocate their arrays, so the first call
+    keeps glibc from trimming the freed heap."""
     keep_freed_memory()
     tensors, n = net.all_tensors(), len(rows)
     cuts = [a for a in range(0, n, batch_size) if min(batch_size, n - a) >= 2]
@@ -93,6 +95,8 @@ def fit(opt: SGD, net, epochs: int, rows, batch_size: int, rng: np.random.Genera
                 step += 1
             for t in tensors:
                 check_finite(t.data, t.name)
+            if cuts:  # finite weights can still overflow a forward: the first block, eval mode
+                net.forward(rows[perm[:batch_size]], train=False)
             history.append({"epoch": epoch, **{k: float(np.mean([b[k] for b in losses]))
                                                for k in (losses[0] if losses else ())}})
     except NumericalError as e:

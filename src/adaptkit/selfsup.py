@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentationPolicy, UnlabeledView, augment
+from .data import AugmentationPolicy, augment
 from .errors import ConfigError
 from .layers import ArchSpec, Dense, Network, ReLU, build_network
 from .losses import infonce_loss_grad
@@ -39,7 +39,7 @@ class ContrastiveConfig:
             raise ConfigError("embedding dim must be at least 2")
 
 
-def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
+def pretrain(arch: ArchSpec, target: np.ndarray, cfg: ContrastiveConfig,
              rng: np.random.Generator) -> tuple[Network, list[dict], dict | None]:
     """Train the backbone of an `arch` network on unlabeled target data with InfoNCE;
     returns the network, its per-epoch losses and its abort (see optim.fit)."""
@@ -63,7 +63,7 @@ def pretrain(arch: ArchSpec, target: UnlabeledView, cfg: ContrastiveConfig,
         return {"infonce": value.scalar}, np.stack([dq, dk])
 
     opt = SGD(trainer.parameters(), cfg.lr, cfg.momentum, cfg.weight_decay)
-    history, abort = fit(opt, trainer, cfg.epochs, target.features, cfg.batch_size, rng, loss,
+    history, abort = fit(opt, trainer, cfg.epochs, target, cfg.batch_size, rng, loss,
                          views)
     return net, history, abort
 

@@ -116,10 +116,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def __repr__(self) -> str:
-        nm = f" {self.name!r}" if self.name else ""
-        return f"Tensor{nm}(shape={self.shape})"
-
 
 def fingerprint_all(tensors) -> str:
     """Joint fingerprint over an iterable of Tensors, order-sensitive."""

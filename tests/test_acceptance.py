@@ -143,9 +143,9 @@ def test_criterion_03_frozen_classifier():
         rng = np.random.default_rng(trial)
         c = int(rng.integers(3, 6))
         src = generate(GeneratorSpec(n_per_class=60, num_classes=c, input_dim=8), trial)
-        view = apply_shift(src, ShiftSpec("rotation", 30.0), trial + 100).unlabeled_view()
+        target = apply_shift(src, ShiftSpec("rotation", 30.0), trial + 100).features
         net = build_network(ArchSpec(8, (10, 10), c), rng)
-        _, report, _ = adapt(net, view, AdaptConfig(epochs=1, lr=0.01, batch_size=32),
+        _, report, _ = adapt(net, target, AdaptConfig(epochs=1, lr=0.01, batch_size=32),
                              np.random.default_rng(trial))
         if report.classifier_fingerprint_before == report.classifier_fingerprint_after:
             frozen += 1

@@ -16,7 +16,7 @@ def small_net(seed=0):
 @pytest.fixture(scope="module")
 def small_target():
     src = generate(GeneratorSpec(n_per_class=80, num_classes=4, input_dim=8), 1)
-    return apply_shift(src, ShiftSpec("rotation", 45.0), 2).unlabeled_view()
+    return apply_shift(src, ShiftSpec("rotation", 45.0), 2).features
 
 
 def test_zero_epochs_forward_identical(small_target):

@@ -118,12 +118,6 @@ def test_unknown_shift_kind_rejected():
         apply_shift(src, ShiftSpec("shear", 10.0), 0)
 
 
-def test_unlabeled_view_hides_labels():
-    view = generate(small_spec(), 0).unlabeled_view()
-    assert not hasattr(view, "labels")
-    assert len(view) == 80 and view.dim == 8
-
-
 # ---------------------------------------------------------------------------
 # long tail
 

@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec, UnlabeledView,
-                           apply_shift, augment, generate, subsample_longtail)
+from adaptkit.data import (AugmentationPolicy, GeneratorSpec, ShiftSpec, apply_shift,
+                           augment, generate, subsample_longtail)
 from adaptkit.distill import (CalibrateConfig, DistillConfig, PhaseSchedule, PseudoLabels,
                               _scaled, calibrate_classifier, distill, pseudo_label,
                               run_phase)
@@ -45,23 +45,21 @@ def small_benchmark():
 def test_argmax_label():
     net = constant_logit_net([0.2, 1.5, -0.3])
     x = np.zeros((5, 4))
-    labels = pseudo_label(net, type("V", (), {"features": x, "__len__": lambda s: 5})(),
-                          IDENTITY, np.random.default_rng(0))
+    labels = pseudo_label(net, x, IDENTITY, np.random.default_rng(0))
     assert np.all(labels.hard == 1)
 
 
 def test_tie_breaks_to_lowest_index():
     net = constant_logit_net([1.0, 1.0])
     x = np.zeros((3, 4))
-    labels = pseudo_label(net, type("V", (), {"features": x, "__len__": lambda s: 3})(),
-                          IDENTITY, np.random.default_rng(0))
+    labels = pseudo_label(net, x, IDENTITY, np.random.default_rng(0))
     assert np.all(labels.hard == 0)
 
 
 def test_identity_weak_policy_matches_raw_eval():
     _, tgt = small_benchmark()
     net = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(3))
-    labels = pseudo_label(net, tgt.unlabeled_view(), IDENTITY,
+    labels = pseudo_label(net, tgt.features, IDENTITY,
                           np.random.default_rng(0))
     raw = np.argmax(net.forward(tgt.features), axis=1)
     assert np.array_equal(labels.hard, raw)
@@ -75,27 +73,27 @@ def test_identity_weak_policy_matches_raw_eval():
 
 def test_run_phase_zero_epochs_is_identity():
     _, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     student = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(0))
     before = fingerprint_all(student.parameters())
-    labels = pseudo_label(student, view, AugmentationPolicy(), np.random.default_rng(0))
-    out, _ = run_phase(student, labels, view, 0, "hard", DistillConfig(batch_size=32),
+    labels = pseudo_label(student, target, AugmentationPolicy(), np.random.default_rng(0))
+    out, _ = run_phase(student, labels, target, 0, "hard", DistillConfig(batch_size=32),
                        np.random.default_rng(0))
     assert fingerprint_all(out.parameters()) == before
 
 
 def test_run_phase_rejects_bad_inputs():
     _, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     student = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(0))
-    labels = pseudo_label(student, view, AugmentationPolicy(), np.random.default_rng(0))
+    labels = pseudo_label(student, target, AugmentationPolicy(), np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        run_phase(student, labels, view, 1, "medium", DistillConfig(),
+        run_phase(student, labels, target, 1, "medium", DistillConfig(),
                   np.random.default_rng(0))
     short = PseudoLabels(hard=labels.hard[:5], soft=labels.soft[:5],
                          teacher_fingerprint="x")
     with pytest.raises(ConfigError):
-        run_phase(student, short, view, 1, "hard", DistillConfig(),
+        run_phase(student, short, target, 1, "hard", DistillConfig(),
                   np.random.default_rng(0))
 
 
@@ -114,12 +112,12 @@ def test_schedule_modes_and_budgets():
 
 def test_distill_trace_bookkeeping():
     _, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     teacher = build_network(ArchSpec(8, (12, 12), 4), np.random.default_rng(1))
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=3, epochs_per_phase=1,
                                                soft_label_interleave=True),
                         batch_size=32)
-    student, trace = distill(teacher, ArchSpec(8, (10,), 4), None, view,
+    student, trace = distill(teacher, ArchSpec(8, (10,), 4), None, target,
                              cfg, np.random.default_rng(0))
     assert [e["phase"] for e in trace] == [1, 2, 3]
     assert [e["mode"] for e in trace] == ["hard", "soft", "hard"]
@@ -135,25 +133,25 @@ def test_student_reset_each_phase():
     # a backbone resets every phase's student to the same tensors; without one
     # each phase draws a fresh backbone
     _, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     teacher = build_network(ArchSpec(8, (12, 12), 4), np.random.default_rng(1))
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                         batch_size=32)
     arch = ArchSpec(8, (10,), 4)
     pre = build_network(arch, np.random.default_rng(5))
     for backbone, same in ((pre, True), (None, False)):
-        _, trace = distill(teacher, arch, backbone, view, cfg, np.random.default_rng(0))
+        _, trace = distill(teacher, arch, backbone, target, cfg, np.random.default_rng(0))
         fps = [e["backbone_reset_fingerprint"] for e in trace]
         assert (fps[0] == fps[1]) == same
 
 
 def test_cross_architecture_distillation():
     src, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     teacher = build_network(ArchSpec(8, (16, 16), 4), np.random.default_rng(1))
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=1, epochs_per_phase=1),
                         batch_size=32)
-    student, _ = distill(teacher, ArchSpec(8, (6,), 4), None, view, cfg,
+    student, _ = distill(teacher, ArchSpec(8, (6,), 4), None, target, cfg,
                          np.random.default_rng(0))
     assert student.arch == ArchSpec(8, (6,), 4)
     evaluate(student, tgt)  # forward path intact
@@ -161,13 +159,13 @@ def test_cross_architecture_distillation():
 
 def test_distill_deterministic():
     _, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     cfg = DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                         batch_size=32)
     fps = []
     for _ in range(2):
         teacher = build_network(ArchSpec(8, (12,), 4), np.random.default_rng(1))
-        student, _ = distill(teacher, ArchSpec(8, (10,), 4), None, view,
+        student, _ = distill(teacher, ArchSpec(8, (10,), 4), None, target,
                              cfg, np.random.default_rng(4))
         fps.append(fingerprint_all(student.parameters()))
     assert fps[0] == fps[1]
@@ -209,7 +207,7 @@ def test_calibration_touches_only_the_scales():
     before = {t.name: t.data.copy() for t in net.backbone_tensors()}
     before["classifier.bias"] = net.classifier.bias.data.copy()
     w_before = net.classifier.weight.data.copy()
-    scale, cal, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+    scale, cal, _ = calibrate_classifier(net, tgt.features, CalibrateConfig(),
                                          np.random.default_rng(0))
     assert fingerprint_all(cal.backbone_tensors()) == fingerprint_all(net.backbone_tensors())
     assert np.array_equal(cal.classifier.bias.data, before["classifier.bias"])
@@ -223,7 +221,7 @@ def test_calibration_improves_few_shot_bucket():
     counts = src.class_counts
     thresholds = src.bucket_thresholds
     pre = evaluate(net, tgt, train_counts=counts, thresholds=thresholds)
-    _, cal, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+    _, cal, _ = calibrate_classifier(net, tgt.features, CalibrateConfig(),
                                      np.random.default_rng(0))
     post = evaluate(cal, tgt, train_counts=counts, thresholds=thresholds)
     assert post.buckets["few"] > pre.buckets["few"]
@@ -250,7 +248,7 @@ def test_calibration_memory_is_the_features_and_one_view():
     cfg = ExperimentConfig()
     _, tgt = make_datasets(cfg, 0)
     net = build_network(ArchSpec(32, cfg.teacher_hidden, 10), np.random.default_rng(0))
-    run = lambda: calibrate_classifier(net, tgt.unlabeled_view(), cfg.calibrate_cfg,  # noqa: E731
+    run = lambda: calibrate_classifier(net, tgt.features, cfg.calibrate_cfg,  # noqa: E731
                                        np.random.default_rng(0))
     run()
     tracemalloc.start()
@@ -266,8 +264,8 @@ def test_calibration_memory_is_its_per_row_arrays_and_a_few_blocks():
     # 50,000 rows: the raw scores, labels and weights of every row, plus a few
     # 1024-row blocks; whole-target passes would add an N x 64 and an N x 32 array
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
-    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)))
-    run = lambda: calibrate_classifier(net, view, CalibrateConfig(rounds=2, epochs=1),  # noqa: E731
+    target = np.random.default_rng(1).normal(size=(50_000, 32))
+    run = lambda: calibrate_classifier(net, target, CalibrateConfig(rounds=2, epochs=1),  # noqa: E731
                                        np.random.default_rng(0))
     run()
     tracemalloc.start()
@@ -281,9 +279,9 @@ def test_calibration_memory_is_its_per_row_arrays_and_a_few_blocks():
 
 def test_calibration_deterministic():
     net, _, tgt = longtail_model_and_target()
-    s1, _, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+    s1, _, _ = calibrate_classifier(net, tgt.features, CalibrateConfig(),
                                     np.random.default_rng(3))
-    s2, _, _ = calibrate_classifier(net, tgt.unlabeled_view(), CalibrateConfig(),
+    s2, _, _ = calibrate_classifier(net, tgt.features, CalibrateConfig(),
                                     np.random.default_rng(3))
     assert np.array_equal(s1, s2)
 
@@ -293,15 +291,15 @@ def test_distill_trains_copies_of_its_inputs(kind):
     # SGD updates parameters in place: the student must own its arrays, so neither
     # the teacher nor the backbone it was initialized from moves
     _, tgt = small_benchmark()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     arch = ArchSpec(8, (12,), 4)
     teacher = build_network(arch, np.random.default_rng(0))
-    pretrained = (pretrain(arch, view, ContrastiveConfig(epochs=1, batch_size=64),
+    pretrained = (pretrain(arch, target, ContrastiveConfig(epochs=1, batch_size=64),
                            np.random.default_rng(1))[0] if kind == "contrastive" else None)
     backbone = {} if pretrained is None else {t.name: t.data.copy()
                                               for t in pretrained.backbone_tensors()}
     teacher_before = fingerprint_all(teacher.all_tensors())
-    student, _ = distill(teacher, arch, pretrained, view,
+    student, _ = distill(teacher, arch, pretrained, target,
                          DistillConfig(schedule=PhaseSchedule(num_phases=2, epochs_per_phase=1),
                                        batch_size=32), np.random.default_rng(2))
     assert fingerprint_all(teacher.all_tensors()) == teacher_before
@@ -327,15 +325,15 @@ def _teacher_and_target(rows):
         if layer.kind == "batchnorm":
             layer.running_mean.data = rng.normal(size=layer.dim)
             layer.running_var.data = rng.uniform(0.5, 2.0, size=layer.dim)
-    return net, UnlabeledView(rng.normal(size=(rows, 32)))
+    return net, rng.normal(size=(rows, 32))
 
 
 @pytest.mark.parametrize("rows", STREAM_ROWS)
 def test_pseudo_label_matches_the_whole_target_pass_bit_for_bit(rows):
-    net, view = _teacher_and_target(rows)
+    net, target = _teacher_and_target(rows)
     rng, whole_rng = np.random.default_rng(7), np.random.default_rng(7)
-    labels = pseudo_label(net, view, AugmentationPolicy(), rng)
-    x = augment(view.features, AugmentationPolicy(), "weak", whole_rng)
+    labels = pseudo_label(net, target, AugmentationPolicy(), rng)
+    x = augment(target, AugmentationPolicy(), "weak", whole_rng)
     soft = softmax(forward_layers(net.layers, x, False)[0])  # one pass over all rows
     assert labels.soft.tobytes() == soft.tobytes()
     assert labels.hard.tobytes() == np.argmax(soft, axis=1).astype(np.int64).tobytes()
@@ -360,7 +358,7 @@ def _whole_target_scales(model, target, cfg, rng, scale_grad=_scale_grad):
     w, bias = model.classifier.weight.data, model.classifier.bias.data
     s = Tensor(np.ones(len(bias)), "scale")
     opt = SGD([s], cfg.lr, cfg.momentum)
-    raw_scores = forward_layers(model.layers[:-1], target.features, False)[0] @ w.T
+    raw_scores = forward_layers(model.layers[:-1], target, False)[0] @ w.T
 
     def forward(idx, train):
         s.data = np.maximum(s.data, 1e-3)
@@ -372,7 +370,7 @@ def _whole_target_scales(model, target, cfg, rng, scale_grad=_scale_grad):
     scales = SimpleNamespace(all_tensors=lambda: [s], forward=forward, backward=backward)
 
     for _ in range(cfg.rounds):
-        x = augment(target.features, cfg.policy, "weak", rng)
+        x = augment(target, cfg.policy, "weak", rng)
         logits = forward_layers(_scaled(model, s.data).layers, x, False)[0]
         hard = np.argmax(softmax(logits), axis=1).astype(np.int64)
         counts = np.bincount(hard, minlength=len(bias)).astype(float)
@@ -391,28 +389,28 @@ def _old_whole_target_scales(model, target, cfg, rng):
 
 @pytest.mark.parametrize("rows", STREAM_ROWS)
 def test_calibration_matches_the_whole_target_passes_bit_for_bit(rows):
-    net, view = _teacher_and_target(rows)
+    net, target = _teacher_and_target(rows)
     cfg = CalibrateConfig(rounds=2, epochs=1, batch_size=64)
     rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
-    scales, _, abort = calibrate_classifier(net, view, cfg, rng)
+    scales, _, abort = calibrate_classifier(net, target, cfg, rng)
     assert abort is None
-    assert scales.tobytes() == _whole_target_scales(net, view, cfg, whole_rng).tobytes()
+    assert scales.tobytes() == _whole_target_scales(net, target, cfg, whole_rng).tobytes()
     assert rng.bit_generator.state == whole_rng.bit_generator.state
-    old = _old_whole_target_scales(net, view, cfg, np.random.default_rng(3))
+    old = _old_whole_target_scales(net, target, cfg, np.random.default_rng(3))
     np.testing.assert_allclose(scales, old, rtol=1e-12)
 
 
 def test_calibration_scale_gradient_matches_finite_differences():
     # one full-batch step without momentum from unit scales: s1 = 1 - lr * g, where g
     # is the gradient of the class-weighted mean cross-entropy over the scales
-    net, view = _teacher_and_target(513)
-    cfg = CalibrateConfig(rounds=1, epochs=1, momentum=0.0, batch_size=len(view), policy=IDENTITY)
-    scales, _, abort = calibrate_classifier(net, view, cfg, np.random.default_rng(0))
+    net, target = _teacher_and_target(513)
+    cfg = CalibrateConfig(rounds=1, epochs=1, momentum=0.0, batch_size=len(target), policy=IDENTITY)
+    scales, _, abort = calibrate_classifier(net, target, cfg, np.random.default_rng(0))
     assert abort is None
     g = (1.0 - scales) / cfg.lr
 
     w, bias = net.classifier.weight.data, net.classifier.bias.data
-    raw = forward_layers(net.layers[:-1], view.features, False)[0] @ w.T
+    raw = forward_layers(net.layers[:-1], target, False)[0] @ w.T
     hard = np.argmax(raw + bias, axis=1)
     counts = np.bincount(hard, minlength=len(bias))
     weights = len(hard) / counts[hard] / (1.0 / counts[hard]).sum()
@@ -429,8 +427,8 @@ def test_pseudo_label_memory_is_its_labels_and_a_few_blocks():
     # 50,000 rows: the soft and hard labels plus a few 1024-row blocks; one
     # whole-target pass would add an N x 32 view and N x 64 activations
     net = build_network(ArchSpec(32, (64, 64), 10), np.random.default_rng(0))
-    view = UnlabeledView(np.random.default_rng(1).normal(size=(50_000, 32)))
-    run = lambda: pseudo_label(net, view, AugmentationPolicy(), np.random.default_rng(0))  # noqa: E731
+    target = np.random.default_rng(1).normal(size=(50_000, 32))
+    run = lambda: pseudo_label(net, target, AugmentationPolicy(), np.random.default_rng(0))  # noqa: E731
     run()
     tracemalloc.start()
     try:

@@ -127,7 +127,7 @@ def test_default_shape_source_digest_pinned(default_teacher):
 def test_default_shape_pretrain_digest_pinned(default_data):
     src, tgt = default_data
     backbone, history, _ = pretrain(ArchSpec(src.dim, DEFAULT.student_hidden, src.num_classes),
-                                    tgt.unlabeled_view(),
+                                    tgt.features,
                                     replace(DEFAULT.contrastive_cfg, epochs=2), stream(0, "stage2"))
     assert _tensors_digest(backbone.backbone_tensors(), history) == GOLDEN_DEFAULT_PRETRAIN_SHA256
 
@@ -138,7 +138,7 @@ def test_default_shape_distill_digest_pinned(default_data, default_teacher):
                              soft_phase_epochs=2)
     student, trace = distill(default_teacher[0],
                              ArchSpec(src.dim, DEFAULT.student_hidden, src.num_classes), None,
-                             tgt.unlabeled_view(), replace(DEFAULT.distill_cfg, schedule=schedule),
+                             tgt.features, replace(DEFAULT.distill_cfg, schedule=schedule),
                              stream(0, "stage3"))
     assert _tensors_digest(student.all_tensors(), trace) == GOLDEN_DEFAULT_DISTILL_SHA256
 

@@ -488,6 +488,19 @@ def test_no_config_value_escapes_as_a_raw_exception(edits):
     assert [("metrics" in r, "error" in r).count(True) for r in result["reports"]] == [1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weights_that_end_finite_but_overflow_a_forward_abort_their_stage(tmp_path):
+    # at weight decay 8.2e45 stage 0's first epoch ends on finite weights whose forward
+    # overflows: fit's epoch-end eval forward makes that a stage-0 abort on the restored
+    # model, not a seed error, and every later stage runs and reports
+    d = json.loads(json.dumps(HYPOTHESIS_BASE))
+    d["source_cfg"]["weight_decay"] = 8.2e45
+    report = run_seed(ExperimentConfig.from_dict(d), 0, tmp_path)
+    assert report["aborts"] == {"stage0": {"epoch": 0,
+                                           "reason": "non-finite values in network output"}}
+    assert set(report["metrics"]) == {"source_only", "stage1", "stage3", "calibrated"}
+
+
 # ---------------------------------------------------------------------------
 # summaries and comparison
 

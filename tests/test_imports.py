@@ -9,6 +9,8 @@ No module walks a bare list of layers through `forward_layers` or `backward_laye
 every stage trains a `Network`, whose `forward` and `backward` walk its own layers.
 Only `optim.fit` runs a train step: no other module runs a train-mode forward, calls a
 backward or defines a `grads` step of its own (layers.py defines the walk, so it is exempt).
+The adaptation stages (adapt.py, selfsup.py, distill.py) take the target's feature array
+and never see a label: none of them imports `Dataset` or reads a `labels` attribute.
 Only tensor.py loads a library through ctypes: `one_blas_thread` owns numpy's OpenBLAS,
 and `keep_freed_memory` the C library's mallopt.
 """
@@ -90,6 +92,16 @@ def test_only_fit_runs_a_train_step():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef) and node.name == "grads"]
     assert backward_calls == train_forwards == grads == []
+
+
+def test_adaptation_stages_read_no_labels():
+    # the stages learn from target features and the source model's predictions alone; the
+    # evaluation labels reach stage 3 only through its eval_fn
+    seen = [f"{name}:{node.lineno}" for name in ("adapt.py", "selfsup.py", "distill.py")
+            for node in ast.walk(ast.parse((SRC / name).read_text()))
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "Dataset" for a in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == "labels")]
+    assert seen == []
 
 
 def test_only_tensor_loads_openblas_and_only_when_first_used():

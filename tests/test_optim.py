@@ -150,9 +150,9 @@ def test_fit_step_is_transform_forward_loss_backward_then_the_update():
         return 2.0 * rows
 
     def forward(b, train=False):
-        out, caches = real_forward(b, train=train)
-        events.append(("forward", b.copy(), train, out))
-        return out, caches
+        result = real_forward(b, train=train)  # an eval forward returns the output alone
+        events.append(("forward", b.copy(), train, result[0] if train else result))
+        return result
 
     def loss(out, idx):
         k = len(values)
@@ -173,10 +173,14 @@ def test_fit_step_is_transform_forward_loss_backward_then_the_update():
         sgd_step(lr)
 
     net.forward, net.backward, opt.step = forward, backward, step
-    history, abort = fit(opt, net, 2, x, 4, np.random.default_rng(2), loss, transform)
+    rng = np.random.default_rng(2)
+    history, abort = fit(opt, net, 2, x, 4, rng, loss, transform)
     assert abort is None
-    steps = [events[i:i + 5] for i in range(0, len(events), 5)]
-    assert len(steps) == 6  # blocks of 4, 4 and 2 rows in each of 2 epochs
+    # each epoch: blocks of 4, 4 and 2 rows, then one eval forward of its first block
+    epochs = [events[i:i + 16] for i in range(0, len(events), 16)]
+    assert len(epochs) == 2 and len(events) == 32
+    steps = [epoch[i:i + 5] for epoch in epochs for i in range(0, 15, 5)]
+    assert len(steps) == 6
     seen = []
     for step_events in steps:
         assert [e[0] for e in step_events] == ["transform", "forward", "loss", "backward",
@@ -188,6 +192,13 @@ def test_fit_step_is_transform_forward_loss_backward_then_the_update():
         assert bw[1] is ls[3]
         seen.extend(ls[2])
     assert sorted(seen) == sorted([*range(10)] * 2)  # each epoch's blocks cover every row
+    for epoch in epochs:  # the probe: the first block's rows, untransformed, in eval mode
+        probe, first_loss = epoch[15], epoch[2]
+        assert probe[0] == "forward" and probe[2] is False
+        assert probe[1].tobytes() == x[first_loss[2]].tobytes()
+    twin = np.random.default_rng(2)
+    twin.permutation(10), twin.permutation(10)
+    assert rng.bit_generator.state == twin.bit_generator.state  # the probe draws nothing
     # the per-epoch means of a = k and b = k * k over steps k = 0..2 and 3..5
     assert history == [{"epoch": 0, "a": 1.0, "b": 5 / 3}, {"epoch": 1, "a": 4.0, "b": 50 / 3}]
 

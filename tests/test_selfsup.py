@@ -34,8 +34,8 @@ def linear_probe(student, dataset):
 
 def test_zero_epochs_equals_random_init():
     tgt = default_target()
-    view = tgt.unlabeled_view()
-    pre, history, _ = pretrain(ARCH, view, ContrastiveConfig(epochs=0), np.random.default_rng(5))
+    target = tgt.features
+    pre, history, _ = pretrain(ARCH, target, ContrastiveConfig(epochs=0), np.random.default_rng(5))
     fresh = build_network(ARCH, np.random.default_rng(5))
     for t, p in zip(fresh.backbone_tensors(), pre.backbone_tensors()):
         assert t.name == p.name
@@ -44,10 +44,10 @@ def test_zero_epochs_equals_random_init():
 
 
 def test_pretrain_deterministic():
-    view = default_target().unlabeled_view()
+    target = default_target().features
     cfg = ContrastiveConfig(epochs=2)
-    a, a_history, _ = pretrain(ARCH, view, cfg, np.random.default_rng(3))
-    b, b_history, _ = pretrain(ARCH, view, cfg, np.random.default_rng(3))
+    a, a_history, _ = pretrain(ARCH, target, cfg, np.random.default_rng(3))
+    b, b_history, _ = pretrain(ARCH, target, cfg, np.random.default_rng(3))
     for ta, tb in zip(a.backbone_tensors(), b.backbone_tensors()):
         assert np.array_equal(ta.data, tb.data)
     assert a_history == b_history
@@ -55,13 +55,13 @@ def test_pretrain_deterministic():
 
 def test_pretrain_never_sees_labels():
     # two datasets with identical features but different labels give the
-    # same backbone, since pretraining only consumes the unlabeled view
+    # same backbone, since pretraining only reads the target's features
     tgt = default_target()
     relabeled = default_target()
     relabeled.labels = (relabeled.labels + 1) % relabeled.num_classes
     cfg = ContrastiveConfig(epochs=1)
-    a, _, _ = pretrain(ARCH, tgt.unlabeled_view(), cfg, np.random.default_rng(0))
-    b, _, _ = pretrain(ARCH, relabeled.unlabeled_view(), cfg, np.random.default_rng(0))
+    a, _, _ = pretrain(ARCH, tgt.features, cfg, np.random.default_rng(0))
+    b, _, _ = pretrain(ARCH, relabeled.features, cfg, np.random.default_rng(0))
     for ta, tb in zip(a.backbone_tensors(), b.backbone_tensors()):
         assert np.array_equal(ta.data, tb.data)
 
@@ -69,16 +69,16 @@ def test_pretrain_never_sees_labels():
 def test_small_target_rejected():
     src = generate(GeneratorSpec(n_per_class=10, num_classes=4, input_dim=8), 0)
     with pytest.raises(ConfigError, match="too small"):
-        pretrain(ArchSpec(8, (8,), 4), src.unlabeled_view(),
+        pretrain(ArchSpec(8, (8,), 4), src.features,
                  ContrastiveConfig(epochs=1, batch_size=128), np.random.default_rng(0))
 
 
 def test_invalid_configs_rejected():
-    view = default_target().unlabeled_view()
+    target = default_target().features
     with pytest.raises(ConfigError):
-        pretrain(ARCH, view, ContrastiveConfig(temperature=0.0), np.random.default_rng(0))
+        pretrain(ARCH, target, ContrastiveConfig(temperature=0.0), np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        pretrain(ARCH, view, ContrastiveConfig(embedding_dim=1), np.random.default_rng(0))
+        pretrain(ARCH, target, ContrastiveConfig(embedding_dim=1), np.random.default_rng(0))
 
 
 def test_loss_decreases_thirty_percent_median():
@@ -86,7 +86,7 @@ def test_loss_decreases_thirty_percent_median():
     drops = []
     for seed in range(5):
         tgt = default_target(seed=100 + seed, shift_seed=200 + seed)
-        _, history, _ = pretrain(ARCH, tgt.unlabeled_view(), ContrastiveConfig(epochs=50),
+        _, history, _ = pretrain(ARCH, tgt.features, ContrastiveConfig(epochs=50),
                                  np.random.default_rng(seed))
         first = history[0]["infonce"]
         last = history[-1]["infonce"]
@@ -96,8 +96,8 @@ def test_loss_decreases_thirty_percent_median():
 
 def test_probe_gap_vs_random_backbone():
     tgt = default_target()
-    view = tgt.unlabeled_view()
-    pre, _, _ = pretrain(ARCH, view, ContrastiveConfig(epochs=100), np.random.default_rng(0))
+    target = tgt.features
+    pre, _, _ = pretrain(ARCH, target, ContrastiveConfig(epochs=100), np.random.default_rng(0))
     contrastive = make_student(ARCH, pre, np.random.default_rng(1))
     random_student = make_student(ARCH, None, np.random.default_rng(1))
     gap = linear_probe(contrastive, tgt) - linear_probe(random_student, tgt)
@@ -109,9 +109,9 @@ def test_identity_augmentation_gives_no_representation_benefit():
     # gone; the loss bottoms out quickly and the learned backbone probes no
     # better than a random one
     tgt = default_target()
-    view = tgt.unlabeled_view()
+    target = tgt.features
     cfg = ContrastiveConfig(epochs=10, policy=AugmentationPolicy(0.0, 0.0, 0.0, (1.0, 1.0)))
-    pre, _, _ = pretrain(ARCH, view, cfg, np.random.default_rng(0))
+    pre, _, _ = pretrain(ARCH, target, cfg, np.random.default_rng(0))
     degenerate = make_student(ARCH, pre, np.random.default_rng(1))
     random_student = make_student(ARCH, None, np.random.default_rng(1))
     assert linear_probe(degenerate, tgt) <= linear_probe(random_student, tgt) + 0.05
@@ -122,8 +122,8 @@ def test_identity_augmentation_gives_no_representation_benefit():
 
 
 def test_make_student_contrastive_copies_backbone_not_classifier():
-    view = default_target().unlabeled_view()
-    pre, _, _ = pretrain(ARCH, view, ContrastiveConfig(epochs=1), np.random.default_rng(0))
+    target = default_target().features
+    pre, _, _ = pretrain(ARCH, target, ContrastiveConfig(epochs=1), np.random.default_rng(0))
     student = make_student(ARCH, pre, np.random.default_rng(9))
     for t, p in zip(student.backbone_tensors(), pre.backbone_tensors()):
         assert t.name == p.name

@@ -79,8 +79,12 @@ class Side:
         data_bytes = b"".join(a.tobytes() for d in (src, tgt) for a in (d.features, d.labels)
                               if a is not None)
         buckets = (src.class_counts if src.bucket_thresholds else None), src.bucket_thresholds
+        # the target as the tree's StageInputs annotates it: the feature array, or in older
+        # trees a wrapper class of that name, which their harness imports
+        kind = h.StageInputs.__dataclass_fields__["target"].type
+        target = tgt.features if kind.startswith("np.") else getattr(h, kind)(tgt.features)
         self.inputs = s = h.StageInputs(
-            src, tgt.unlabeled_view(), cfg.teacher_hidden, cfg.student_hidden,
+            src, target, cfg.teacher_hidden, cfg.student_hidden,
             phase_acc=lambda net: h.evaluate(net, tgt, *buckets).overall_acc)
         if cfg.source_checkpoint:
             s.model = h.checkpoint.load_checkpoint(cfg.source_checkpoint,
